@@ -6,8 +6,6 @@ from .basis import (
     DiagonalGate,
     StateVector,
     all_patterns,
-    apply_diagonal,
-    apply_single_qubit,
     ground_state,
     index_of,
     pattern_of,
@@ -21,7 +19,6 @@ from .errors import (
     MalformedConfig,
     NegativePhase,
     OverdampedQubit,
-    QubitOutOfRange,
     UnknownTable,
     UnsupportedSize,
 )
@@ -35,7 +32,15 @@ from .gates import (
     walsh_layer,
     xi_factor,
 )
-from .search import ProbabilityReport, RunConfig, marked_amplitude_trace, report, run
+from .search import (
+    ProbabilityReport,
+    RunConfig,
+    marked_amplitude_trace,
+    report,
+    reports,
+    run,
+    summaries,
+)
 from .synthesis import (
     CouplingConfig,
     build_hamiltonian,

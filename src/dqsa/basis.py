@@ -1,18 +1,19 @@
-"""Basis conventions and state-vector containers.
+"""Basis conventions and the containers for states and gates.
 
 Basis states are labeled by strings over {g, e} (ground/excited), one symbol
 per qubit, qubit 1 first.  The integer index maps g to bit 0 and e to bit 1
 with qubit 1 as the most significant bit, so "gg" is index 0 and "ee" is the
 largest index.  States are kept unnormalized: norm lost to damping is the
-survival probability and is never restored by renormalization.
+survival probability and is never restored by renormalization.  States are
+evolved only by the engine in :mod:`dqsa.search`; the containers here hold
+its results and the dense gates used to cross-check it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidPattern, QubitOutOfRange
-from .kernels import apply_diagonal_inplace, apply_single_qubit_inplace
+from .errors import DimensionMismatch, InvalidPattern
 
 MAX_QUBITS = 12
 
@@ -105,27 +106,6 @@ def ground_state(n: int) -> StateVector:
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n, amps)
-
-
-def apply_diagonal(state: StateVector, gate: DiagonalGate) -> StateVector:
-    """Entrywise product of gate entries and amplitudes."""
-    if state.n != gate.n:
-        raise DimensionMismatch(f"state n={state.n} vs gate n={gate.n}")
-    out = state.amps.copy()
-    apply_diagonal_inplace(out, gate.entries)
-    return StateVector(state.n, out)
-
-
-def apply_single_qubit(state: StateVector, qubit: int, gate2: np.ndarray) -> StateVector:
-    """Contract a 2x2 gate over tensor slot `qubit` (1-based)."""
-    if not 1 <= qubit <= state.n:
-        raise QubitOutOfRange(f"qubit {qubit} out of range 1..{state.n}")
-    g2 = np.asarray(gate2, dtype=np.complex128)
-    if g2.shape != (2, 2):
-        raise DimensionMismatch(f"expected a 2x2 gate, got shape {g2.shape}")
-    out = state.amps.copy()
-    apply_single_qubit_inplace(out, state.n, qubit, g2)
-    return StateVector(state.n, out)
 
 
 def probabilities(state: StateVector) -> np.ndarray:

@@ -12,7 +12,7 @@ import sys
 from . import experiments
 from .basis import validate_pattern
 from .errors import DqsaError, MalformedConfig
-from .gates import CONVENTIONS
+from .gates import CONVENTIONS, validate_rates, whole_number
 from .search import RunConfig, report
 from .synthesis import verification_sweep
 
@@ -24,8 +24,14 @@ def load_config(path: str):
     "steps"}, "gammas": [numbers], "iterations": int, "convention": str,
     "gbar": {"start","stop","steps"}}.  A phi grid makes a phase sweep; a
     "gbar" grid (with scalar phi) makes a dissipation sweep; otherwise the
-    result is a single-run config.  Missing gammas mean all zeros.
+    result is a single-run config.  Missing gammas mean all zeros.  A sweep
+    config may not carry "iterations": sweeps always run n - 1 rounds.
     """
+    return config_from_dict(_read_json(path))
+
+
+def _read_json(path: str) -> dict:
+    """The JSON object stored at ``path``."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -33,15 +39,17 @@ def load_config(path: str):
         raise MalformedConfig(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise MalformedConfig(f"config {path} is not valid JSON: {e}") from e
-    return config_from_dict(raw)
+    if not isinstance(raw, dict):
+        raise MalformedConfig("config root must be a JSON object")
+    return raw
 
 
 def _grid_fields(obj, field: str):
     if not isinstance(obj, dict) or set(obj) - {"start", "stop", "steps"}:
         raise MalformedConfig(f"field '{field}' grid must have keys start/stop/steps")
     try:
-        return float(obj["start"]), float(obj["stop"]), int(obj["steps"])
-    except (KeyError, TypeError, ValueError) as e:
+        return obj["start"], obj["stop"], obj["steps"]
+    except KeyError as e:
         raise MalformedConfig(f"field '{field}' grid is incomplete: {e}") from e
 
 
@@ -53,10 +61,12 @@ def config_from_dict(raw: dict):
     if unknown:
         raise MalformedConfig(f"unknown config fields: {sorted(unknown)}")
     try:
-        n = int(raw["n"])
+        n = whole_number(raw["n"], "n")
         marked = str(raw["marked"])
     except KeyError as e:
         raise MalformedConfig(f"missing required field {e.args[0]!r}") from e
+    except ValueError as e:
+        raise MalformedConfig(f"field 'n': {e}") from e
     if "phi" not in raw:
         raise MalformedConfig("missing required field 'phi'")
     gammas = raw.get("gammas", [0.0] * n)
@@ -64,6 +74,10 @@ def config_from_dict(raw: dict):
         raise MalformedConfig("field 'gammas' must be a list of numbers")
     if len(gammas) != n:
         raise MalformedConfig(f"field 'gammas' has {len(gammas)} entries, expected n={n}")
+    try:
+        gammas = validate_rates(gammas)
+    except ValueError as e:
+        raise MalformedConfig(f"field 'gammas': {e}") from e
     convention = raw.get("convention", "composite")
     if convention not in CONVENTIONS:
         raise MalformedConfig(f"field 'convention' must be one of {CONVENTIONS}")
@@ -71,22 +85,22 @@ def config_from_dict(raw: dict):
     phi = raw["phi"]
     if isinstance(phi, dict) and "gbar" in raw:
         raise MalformedConfig("give either a 'phi' grid or a 'gbar' grid, not both")
+    if (isinstance(phi, dict) or "gbar" in raw) and "iterations" in raw:
+        raise MalformedConfig("field 'iterations' is not allowed in a sweep config "
+                              "(sweeps run n - 1 iterations)")
     try:
         if isinstance(phi, dict):
             start, stop, steps = _grid_fields(phi, "phi")
             return experiments.SweepSpec(
                 n=n, marked=marked, axis="phase", start=start, stop=stop,
-                steps=steps, rates=tuple(float(g) for g in gammas),
-                convention=convention)
+                steps=steps, rates=gammas, convention=convention)
         if "gbar" in raw:
             start, stop, steps = _grid_fields(raw["gbar"], "gbar")
             return experiments.SweepSpec(
                 n=n, marked=marked, axis="dissipation", start=start, stop=stop,
-                steps=steps, phi=float(phi),
-                weights=tuple(float(g) for g in gammas) if any(gammas) else (),
+                steps=steps, phi=phi, weights=gammas if any(gammas) else (),
                 convention=convention)
-        return RunConfig(n=n, marked=marked, phi=float(phi),
-                         rates=tuple(float(g) for g in gammas),
+        return RunConfig(n=n, marked=marked, phi=phi, rates=gammas,
                          iterations=raw.get("iterations"),
                          convention=convention)
     except MalformedConfig:
@@ -134,18 +148,8 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _merged_config(args, need_phi=True):
-    raw = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except OSError as e:
-            raise MalformedConfig(f"cannot read config {args.config}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise MalformedConfig(f"config {args.config} is not valid JSON: {e}") from e
-        if not isinstance(raw, dict):
-            raise MalformedConfig("config root must be a JSON object")
+def _merged_config(args):
+    raw = _read_json(args.config) if args.config else {}
     if args.n is not None:
         raw["n"] = args.n
     if args.marked is not None:
@@ -158,7 +162,7 @@ def _merged_config(args, need_phi=True):
         raw["iterations"] = args.iterations
     if "marked" in raw:
         validate_pattern(str(raw["marked"]))
-    if need_phi and "phi" not in raw:
+    if "phi" not in raw:
         raise MalformedConfig("missing required field 'phi' (flag --phi or config)")
     return config_from_dict(raw)
 

@@ -13,10 +13,6 @@ class DimensionMismatch(DqsaError):
     """Operands describe different qubit counts or amplitude lengths."""
 
 
-class QubitOutOfRange(DqsaError):
-    """Single-qubit operation addressed a qubit outside 1..n."""
-
-
 class NegativePhase(DqsaError):
     """Control phase phi must be non-negative."""
 

@@ -1,23 +1,22 @@
 """Reproduction harness: summary-table comparison, phase and dissipation
 sweeps, peak location, and comparison against the bundled reference tables.
 
-Sweep evaluation is embarrassingly parallel; the env var ``DQSA_THREADS``
-caps the worker count (default 1).  Results are emitted in grid order
-regardless of completion order, and all output is deterministic: the same
-inputs produce bitwise-identical CSV/JSON.
+Every multi-point computation here hands all of its runs of one register
+size to the batched engine in one call (``search.summaries``, or
+``search.reports`` where the per-pattern probabilities are needed).  Results
+come back in grid order, and all output is deterministic: the same inputs
+produce byte-identical CSV/JSON.
 """
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from .errors import UnknownTable, UnsupportedSize
-from .gates import CONVENTIONS
-from .search import RunConfig, report
+from .gates import CONVENTIONS, finite_real, validate_rates, whole_number
+from .search import RunConfig, report, reports, summaries
 
 # Reference summary row per size: the peak phase coefficient phi_p, the peak
 # ("present") success probability, and the phi=1 ("grover") probability.
@@ -77,8 +76,8 @@ def table1(n: int) -> tuple:
     if n not in SUMMARY_PHI_P:
         raise UnsupportedSize(f"summary table covers n=2..9, got {n}")
     phi_p = SUMMARY_PHI_P[n]
-    present = report(RunConfig(n, "e" * n, phi_p)).marked_prob
-    grover = report(RunConfig(n, "e" * n, 1.0)).marked_prob
+    (present, *_), (grover, *_) = summaries(
+        [RunConfig(n, "e" * n, phi_p), RunConfig(n, "e" * n, 1.0)])
     return (phi_p, present, grover)
 
 
@@ -98,22 +97,6 @@ def grover_closed_form(n: int) -> float:
     return math.sin((2 * (n - 1) + 1) * math.asin(2 ** (-n / 2))) ** 2
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("DQSA_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _evaluate(configs):
-    """Evaluate reports for many configs, in order, optionally threaded."""
-    w = _workers()
-    if w == 1:
-        return [report(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(report, configs))
-
-
 def peak_search(n: int, marked: str, rates=(), convention: str = "composite") -> tuple:
     """(phi, rho) maximizing the marked probability over phi in (0, 1].
 
@@ -122,7 +105,7 @@ def peak_search(n: int, marked: str, rates=(), convention: str = "composite") ->
     """
     grid = [k * 1e-3 for k in range(1, 1001)]
     configs = [RunConfig(n, marked, phi, rates, convention=convention) for phi in grid]
-    rhos = [r.marked_prob for r in _evaluate(configs)]
+    rhos = [rho for rho, _, _ in summaries(configs)]
     best = max(range(len(grid)), key=lambda i: (rhos[i], -i))
     phi0, rho0 = grid[best], rhos[best]
     if 0 < best < len(grid) - 1:
@@ -156,14 +139,19 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in ("phase", "dissipation"):
             raise ValueError(f"axis must be 'phase' or 'dissipation', got {self.axis!r}")
-        if self.steps < 2:
+        grid = "phi" if self.axis == "phase" else "gbar"
+        object.__setattr__(self, "start", finite_real(self.start, f"{grid} start"))
+        object.__setattr__(self, "stop", finite_real(self.stop, f"{grid} stop"))
+        object.__setattr__(self, "phi", finite_real(self.phi, "phi"))
+        if whole_number(self.steps, "steps") < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.axis == "phase" and not 0 <= self.start <= self.stop <= 2:
             raise ValueError(f"phase grid must lie in [0, 2], got [{self.start}, {self.stop}]")
         if self.axis == "dissipation" and not 0 <= self.start <= self.stop < 4:
             raise ValueError(f"rate grid must lie in [0, 4), got [{self.start}, {self.stop}]")
-        object.__setattr__(self, "rates", tuple(float(g) for g in self.rates or (0.0,) * self.n))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights or (1.0,) * self.n))
+        n = whole_number(self.n, "n")
+        object.__setattr__(self, "rates", validate_rates(self.rates or (0.0,) * n, n))
+        object.__setattr__(self, "weights", validate_rates(self.weights or (1.0,) * n, n))
 
     def grid(self) -> list:
         step = (self.stop - self.start) / (self.steps - 1)
@@ -177,11 +165,8 @@ def phase_sweep(spec: SweepSpec) -> list:
     grid = spec.grid()
     configs = [RunConfig(spec.n, spec.marked, phi, spec.rates, convention=spec.convention)
                for phi in grid]
-    out = []
-    for phi, rep in zip(grid, _evaluate(configs)):
-        tau = phi * math.pi / 2**spec.n
-        out.append((phi, tau, rep.marked_prob, rep.sum_unmarked, rep.survival))
-    return out
+    return [(phi, phi * math.pi / 2**spec.n, *sample)
+            for phi, sample in zip(grid, summaries(configs))]
 
 
 def dissipation_sweep(n: int, marked: str, phi: float, which="uniform",
@@ -192,7 +177,7 @@ def dissipation_sweep(n: int, marked: str, phi: float, which="uniform",
     ``which`` is "uniform" (every qubit gets gbar) or a length-n weight
     sequence (qubit v gets weight_v * gbar).
     """
-    weights = (1.0,) * n if which == "uniform" else tuple(float(w) for w in which)
+    weights = (1.0,) * n if which == "uniform" else validate_rates(which)
     if len(weights) != n:
         raise ValueError(f"expected {n} weights, got {len(weights)}")
     if isinstance(grid, tuple) and len(grid) == 3 and isinstance(grid[2], int):
@@ -204,10 +189,7 @@ def dissipation_sweep(n: int, marked: str, phi: float, which="uniform",
     configs = [RunConfig(n, marked, phi, tuple(g * w for w in weights), convention=convention)
                for g in gvals]
     tau = phi * math.pi / 2**n
-    out = []
-    for g, rep in zip(gvals, _evaluate(configs)):
-        out.append((g, phi, tau, rep.marked_prob, rep.sum_unmarked, rep.survival))
-    return out
+    return [(g, phi, tau, *sample) for g, sample in zip(gvals, summaries(configs))]
 
 
 # Preset sweep configurations used by the shipped analyses: the two
@@ -218,7 +200,6 @@ PEAK_DISSIPATION_PRESETS = (
     dict(n=5, marked="geege", phi=0.86608, which="uniform", grid=(0.0, 1.0, 101)),
 )
 PATTERN_FAMILY_PRESET = ("eg", "geg", "gegg", "gegege")
-EXTREME_PATTERN_PRESET = ("ggggg", "eeeee")
 
 
 def _load_table(table_id: int):
@@ -260,9 +241,11 @@ def appendix_reproduce(table_id: int, tolerance: float = TABLE_TOLERANCE,
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     n, rates, phis, marked, unmarked = _load_table(table_id)
+    cells = sorted(marked.items())
+    computed = reports([RunConfig(n, pat, phi, rates, convention=convention)
+                        for (pat, phi), _ in cells])
     rows = []
-    for (pat, phi), ref in sorted(marked.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        rep = report(RunConfig(n, pat, phi, rates, convention=convention))
+    for ((pat, phi), ref), rep in zip(cells, computed):
         prefix = f"table{table_id:02d} {pat} phi={phi:g}"
         rows.append(_row(f"{prefix} marked", ref, rep.marked_prob, tolerance))
         group = unmarked.get((pat, phi))

@@ -22,15 +22,32 @@ table's rates, which stay below 1), and amplifies beyond that.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .basis import DenseGate, DiagonalGate, StateVector, apply_single_qubit, index_of, validate_pattern
+from .basis import DenseGate, DiagonalGate, index_of, validate_pattern
 from .errors import DimensionMismatch, NegativePhase, OverdampedQubit
 
 CONVENTIONS = ("composite", "tabulated")
+
+
+def finite_real(value, name: str) -> float:
+    """``value`` as a float; bools, non-numbers, NaN and +-inf are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def whole_number(value, name: str) -> int:
+    """``value`` as an int; bools and non-integers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -41,6 +58,7 @@ class PhasePoint:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "phi", finite_real(self.phi, "phi"))
         if self.phi < 0:
             raise NegativePhase(f"phi must be non-negative, got {self.phi}")
 
@@ -61,8 +79,8 @@ def beta(phase: PhasePoint) -> float:
 
 
 def validate_rates(rates, n: int | None = None) -> tuple[float, ...]:
-    """Normalize rates to a tuple of non-negative floats, checking length."""
-    out = tuple(float(g) for g in rates)
+    """Normalize rates to a tuple of finite non-negative floats, checking length."""
+    out = tuple(finite_real(g, "dissipation rate") for g in rates)
     if any(g < 0 for g in out):
         raise ValueError(f"dissipation rates must be non-negative, got {out}")
     if n is not None and len(out) != n:
@@ -105,18 +123,11 @@ def w_gate(g: float, convention: str = "composite") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WalshLayer:
-    """One W gate per qubit, applied as n single-qubit sweeps."""
+    """One W gate per qubit: the 2x2 factors of the layer's tensor product."""
 
     n: int
     mats: tuple
     convention: str
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.n != self.n:
-            raise DimensionMismatch(f"state n={state.n} vs layer n={self.n}")
-        for v in range(1, self.n + 1):
-            state = apply_single_qubit(state, v, self.mats[v - 1])
-        return state
 
     def dense(self) -> DenseGate:
         m = self.mats[0]
@@ -126,7 +137,7 @@ class WalshLayer:
 
 
 def walsh_layer(n: int, rates, convention: str = "composite") -> WalshLayer:
-    """W(g_1) x ... x W(g_n) as a sweep-wise layer."""
+    """W(g_1) x ... x W(g_n) as its per-qubit factors."""
     _check_convention(convention)
     rates = validate_rates(rates, n)
     mats = tuple(w_gate(g, convention) for g in rates)
@@ -167,14 +178,3 @@ def diffusion_gate(n: int, phase: PhasePoint, rates, convention: str = "composit
     p = oracle_gate("g" * n, phase, rates).entries
     mat = np.exp(1j * phase.beta) * (w * p[None, :]) @ w
     return DenseGate(n, mat)
-
-
-def apply_diffusion(state: StateVector, layer: WalshLayer, ground_oracle: DiagonalGate,
-                    phase: PhasePoint) -> StateVector:
-    """Matrix-free diffusion: W sweeps, ground-state oracle, W sweeps, phase."""
-    from .basis import apply_diagonal
-
-    state = layer.apply(state)
-    state = apply_diagonal(state, ground_oracle)
-    state = layer.apply(state)
-    return StateVector(state.n, np.exp(1j * phase.beta) * state.amps)

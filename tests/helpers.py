@@ -13,6 +13,7 @@ import numpy as np
 
 import dqsa
 from dqsa.gates import PhasePoint, oracle_gate, w_gate
+from dqsa.search import RunConfig, report
 
 # Directory holding the ``dqsa`` package this process imported: ``src`` when
 # the suite runs uninstalled, site-packages when it runs installed.
@@ -50,6 +51,16 @@ def dense_run(n, marked, phi, rates=None, iterations=None, convention="composite
     return state
 
 
+def worst_row_vs_report(rows, n: int, marked: str, rates=()) -> float:
+    """Largest deviation of phase-sweep rows from standalone reports."""
+    worst = 0.0
+    for phi, _, rho, sum_unmarked, surv in rows:
+        rep = report(RunConfig(n, marked, phi, rates))
+        worst = max(worst, abs(rho - rep.marked_prob),
+                    abs(sum_unmarked - rep.sum_unmarked), abs(surv - rep.survival))
+    return worst
+
+
 def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return amps / np.linalg.norm(amps)
@@ -58,8 +69,8 @@ def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
 def child_env(path_prefix=None, **extra) -> dict:
     """Minimal environment for a child process that imports ``dqsa``.
 
-    Only PATH and PYTHONPATH are set, so nothing else of the parent (such as
-    DQSA_KERNELS) leaks into the child; PYTHONPATH points at DQSA_ROOT, so
+    Only PATH and PYTHONPATH are set, so nothing else of the parent's
+    environment leaks into the child; PYTHONPATH points at DQSA_ROOT, so
     the child imports the same ``dqsa`` as the suite, never another copy.
     ``path_prefix`` is put in front of PATH; ``extra`` adds variables.
     """

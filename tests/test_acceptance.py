@@ -24,8 +24,10 @@ from dqsa.experiments import (
     sweep_to_csv,
 )
 from dqsa.gates import PhasePoint, diffusion_gate, w_gate
-from dqsa.search import RunConfig, report
+from dqsa.search import BLOCK_AMPLITUDES, RunConfig, report
 from dqsa.synthesis import compose_w, verification_sweep
+
+from helpers import worst_row_vs_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -181,17 +183,20 @@ def test_criterion_7_peak_phase_anchors():
              f"rho(egee)={rho4:.5f} vs 0.8332, rho(geege)={rho5:.5f}")
 
 
-def test_criterion_8_sweep_performance_and_determinism(monkeypatch):
+def test_criterion_8_sweep_performance_and_determinism():
     spec = SweepSpec(n=9, marked="e" * 9, axis="phase",
                      start=0.001, stop=2.0, steps=1000)
-    monkeypatch.delenv("DQSA_THREADS", raising=False)
     t0 = time.perf_counter()
     first = sweep_to_csv(phase_sweep(spec))
     elapsed = time.perf_counter() - t0
     second = sweep_to_csv(phase_sweep(spec))
-    monkeypatch.setenv("DQSA_THREADS", "4")
-    threaded = sweep_to_csv(phase_sweep(spec))
-    ok = elapsed < 5.0 and first == second and first == threaded
+    # a grid of whole engine blocks plus a one-point last block, row by row
+    # against standalone reports
+    steps = BLOCK_AMPLITUDES // 2**9 + 1
+    split = phase_sweep(SweepSpec(n=9, marked="e" * 9, axis="phase",
+                                  start=0.001, stop=2.0, steps=steps))
+    worst = worst_row_vs_report(split, 9, "e" * 9)
+    ok = elapsed < 5.0 and first == second and worst <= 1e-15
     _verdict(8, "1000-point n=9 sweep", ok,
              f"{elapsed:.2f} s; rerun identical={first == second}, "
-             f"4-thread identical={first == threaded}")
+             f"{steps}-point block split vs report worst {worst:.1e}")

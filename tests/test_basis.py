@@ -1,15 +1,16 @@
-"""Basis indexing, state containers, and the two elementary operations."""
+"""Basis indexing, state containers, and the engine's two elementary
+operations: a damping diagonal folded into the W sweeps, and a single-qubit
+gate swept over one tensor slot."""
 
 import numpy as np
 import pytest
 
 from dqsa.basis import (
     MAX_QUBITS,
+    DenseGate,
     DiagonalGate,
     StateVector,
     all_patterns,
-    apply_diagonal,
-    apply_single_qubit,
     ground_state,
     index_of,
     pattern_of,
@@ -17,9 +18,18 @@ from dqsa.basis import (
     survival,
     validate_pattern,
 )
-from dqsa.errors import DimensionMismatch, InvalidPattern, QubitOutOfRange
+from dqsa.errors import DimensionMismatch, InvalidPattern
+from dqsa.gates import PhasePoint, damping_entries, walsh_layer
+from dqsa.search import _sweep
 
 from helpers import dense_single_qubit, random_state
+
+
+def one_slot(n: int, qubit: int, gate2) -> np.ndarray:
+    """Sweep matrices (n, 2, 2, 1): ``gate2`` on ``qubit``, identity elsewhere."""
+    mats = np.array([gate2 if v == qubit else np.eye(2) for v in range(1, n + 1)],
+                    dtype=np.complex128)
+    return mats[..., None]
 
 
 class TestIndexing:
@@ -91,40 +101,38 @@ class TestContainers:
 
 class TestOperations:
     def test_apply_diagonal_is_entrywise(self):
+        # W_v diag(1, d_v) swept over every qubit is the W layer applied after
+        # the entrywise damping diagonal exp(-(tau/2) * excited rates)
         rng = np.random.default_rng(1)
-        st = StateVector(3, random_state(rng, 3))
-        entries = np.exp(1j * rng.normal(size=8))
-        out = apply_diagonal(st, DiagonalGate(3, entries))
-        np.testing.assert_allclose(out.amps, entries * st.amps, atol=1e-15)
-
-    def test_apply_diagonal_size_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            apply_diagonal(ground_state(2), DiagonalGate(3, np.ones(8, dtype=np.complex128)))
+        n, rates, phase = 3, (0.3, 0.9, 0.5), PhasePoint(0.8, 3)
+        layer = walsh_layer(n, rates)
+        d = np.exp(-0.5 * phase.tau * np.array(rates))
+        mats = np.array(layer.mats)
+        mats[:, :, 1] *= d[:, None]
+        amps = random_state(rng, n)
+        out = _sweep(amps[:, None], mats[..., None])[:, 0]
+        ref = layer.dense().matrix @ (damping_entries(n, phase, rates) * amps)
+        np.testing.assert_allclose(out, ref, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_apply_single_qubit_matches_dense(self, n):
         rng = np.random.default_rng(n)
-        st = StateVector(n, random_state(rng, n))
+        amps = random_state(rng, n)
         gate2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         for qubit in range(1, n + 1):
-            out = apply_single_qubit(st, qubit, gate2)
-            ref = dense_single_qubit(n, qubit, gate2) @ st.amps
-            np.testing.assert_allclose(out.amps, ref, atol=1e-12)
+            out = _sweep(amps[:, None], one_slot(n, qubit, gate2))[:, 0]
+            ref = dense_single_qubit(n, qubit, gate2) @ amps
+            np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_apply_single_qubit_does_not_mutate_input(self):
-        st = ground_state(2)
-        before = st.amps.copy()
-        apply_single_qubit(st, 1, np.array([[0, 1], [1, 0]]))
-        np.testing.assert_array_equal(st.amps, before)
-
-    @pytest.mark.parametrize("qubit", [0, 3, -1])
-    def test_qubit_out_of_range(self, qubit):
-        with pytest.raises(QubitOutOfRange):
-            apply_single_qubit(ground_state(2), qubit, np.eye(2))
+        amps = ground_state(2).amps[:, None]
+        before = amps.copy()
+        _sweep(amps, one_slot(2, 1, np.array([[0, 1], [1, 0]])))
+        np.testing.assert_array_equal(amps, before)
 
     def test_gate_shape_checked(self):
         with pytest.raises(DimensionMismatch):
-            apply_single_qubit(ground_state(2), 1, np.eye(3))
+            DenseGate(2, np.eye(3, dtype=np.complex128))
 
     def test_probabilities_and_survival(self):
         st = StateVector(1, np.array([0.6, 0.8j]))

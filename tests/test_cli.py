@@ -78,6 +78,36 @@ class TestRun:
         assert code == 1
         assert "gammas" in err
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--phi", "nan"], "phi"), (["--phi", "inf"], "phi"),
+        (["--phi=-inf"], "phi"),
+        (["--phi", "1", "--gammas", "nan,0"], "gammas"),
+        (["--phi", "1", "--gammas", "0,inf"], "gammas"),
+    ])
+    def test_non_finite_input_exits_1(self, capsys, flags, field):
+        code, out, err = run_cli(capsys, ["run", "--n", "2", "--marked", "ee",
+                                          "--format", "csv"] + flags)
+        assert code == 1
+        assert out == ""
+        assert field in err
+
+    @pytest.mark.parametrize("cfg,field", [
+        ({"n": 2, "marked": "ee", "phi": True}, "phi"),
+        ({"n": True, "marked": "e", "phi": 1.0}, "n"),
+        ({"n": 2, "marked": "ee", "phi": 1.0, "gammas": [True, 0.0]}, "gammas"),
+        ({"n": 2, "marked": "ee", "phi": 1.0, "iterations": True}, "iterations"),
+        ({"n": 2, "marked": "ee", "phi": {"start": 0, "stop": True, "steps": 3}}, "phi stop"),
+    ])
+    def test_bool_config_value_exits_1(self, capsys, tmp_path, cfg, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        command = "sweep" if isinstance(cfg["phi"], dict) else "run"
+        code, out, err = run_cli(capsys, [command, "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "MalformedConfig" in err
+        assert field in err
+
     def test_grid_phi_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["run", "--n", "2", "--marked", "ee",
                                         "--phi", "0:1:5"])
@@ -169,6 +199,13 @@ class TestConfigFiles:
             config_from_dict({"n": 2, "marked": "ee",
                               "phi": {"start": 0, "stop": 1, "steps": 3},
                               "gbar": {"start": 0, "stop": 1, "steps": 3}})
+
+    @pytest.mark.parametrize("grid", ["phi", "gbar"])
+    def test_iterations_rejected_in_sweep_config(self, grid):
+        raw = {"n": 2, "marked": "ee", "phi": 1.0, "iterations": 7,
+               grid: {"start": 0.0, "stop": 1.0, "steps": 3}}
+        with pytest.raises(MalformedConfig, match="'iterations'"):
+            config_from_dict(raw)
 
     def test_non_object_root_rejected(self):
         with pytest.raises(MalformedConfig):

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from dqsa.errors import UnknownTable, UnsupportedSize
-from dqsa.search import RunConfig, report
+from dqsa.search import BLOCK_AMPLITUDES, RunConfig, report
 from dqsa.experiments import (
     AVAILABLE_TABLES,
     OFFSET_TABLES,
@@ -28,6 +28,8 @@ from dqsa.experiments import (
     table1,
     table1_comparison,
 )
+
+from helpers import worst_row_vs_report
 
 
 class TestSummaryTable:
@@ -97,6 +99,21 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(n=2, marked="ee", axis="dissipation", start=0.0, stop=4.0, steps=3)
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("phi start", dict(start=math.nan)), ("phi stop", dict(stop=math.inf)),
+        ("phi start", dict(start=True)), ("steps", dict(steps=True)),
+        ("gbar stop", dict(axis="dissipation", stop=math.nan)),
+        ("phi", dict(axis="dissipation", phi=math.nan)),
+        ("phi", dict(axis="dissipation", phi=-math.inf)),
+        ("rate", dict(rates=(math.nan, 0.0))),
+        ("rate", dict(axis="dissipation", weights=(1.0, math.inf))),
+        ("rate", dict(axis="dissipation", weights=(True, 1.0))),
+    ])
+    def test_non_finite_or_bool_rejected(self, field, kwargs):
+        args = dict(n=2, marked="ee", start=0.0, stop=1.0, steps=3) | kwargs
+        with pytest.raises(ValueError, match=field):
+            SweepSpec(**args)
+
 
 class TestPhaseSweep:
     def test_zero_phase_leaves_uniform_distribution(self):
@@ -156,6 +173,11 @@ class TestDissipationSweep:
     def test_weight_length_checked(self):
         with pytest.raises(ValueError):
             dissipation_sweep(3, "ege", 1.0, (1.0, 0.5), (0.0, 1.0, 3))
+
+    @pytest.mark.parametrize("bad", [True, math.nan, math.inf])
+    def test_non_finite_or_bool_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="rate"):
+            dissipation_sweep(2, "ee", 1.0, (bad, 1.0), [0.0, 0.5])
 
     def test_presets_run(self):
         for preset in PEAK_DISSIPATION_PRESETS:
@@ -247,11 +269,14 @@ class TestSerialization:
         assert sweep_to_csv(phase_sweep(spec)) == sweep_to_csv(phase_sweep(spec))
 
 
-class TestThreading:
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        spec = SweepSpec(n=3, marked="ege", start=0.05, stop=1.95, steps=25)
-        monkeypatch.delenv("DQSA_THREADS", raising=False)
-        serial = sweep_to_csv(phase_sweep(spec))
-        monkeypatch.setenv("DQSA_THREADS", "4")
-        threaded = sweep_to_csv(phase_sweep(spec))
-        assert serial == threaded
+class TestBlocks:
+    def test_block_split_matches_report(self):
+        # whole engine blocks plus a one-point last block: every row, the
+        # last one included, agrees with a standalone report of its point
+        n, marked, rates = 7, "geegeeg", (0.1, 0.0, 0.4, 0.2, 0.05, 0.3, 0.0)
+        steps = BLOCK_AMPLITUDES // 2**n + 1
+        spec = SweepSpec(n=n, marked=marked, start=0.05, stop=1.95, steps=steps, rates=rates)
+        rows = phase_sweep(spec)
+        assert len(rows) == steps
+        assert worst_row_vs_report(rows, n, marked, rates) <= 1e-15
+        assert sweep_to_csv(rows) == sweep_to_csv(phase_sweep(spec))

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from dqsa.basis import StateVector, apply_diagonal, index_of
+from dqsa.basis import index_of
 from dqsa.errors import DimensionMismatch, NegativePhase, OverdampedQubit
 from dqsa.gates import (
     CONVENTIONS,
     PhasePoint,
-    apply_diffusion,
     beta,
     damping_entries,
     diffusion_gate,
@@ -20,6 +19,7 @@ from dqsa.gates import (
     walsh_layer,
     xi_factor,
 )
+from dqsa.search import RunConfig, _sweep, run, summaries
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -33,6 +33,11 @@ class TestPhasePoint:
     def test_negative_phase_rejected(self):
         with pytest.raises(NegativePhase):
             PhasePoint(-0.1, 2)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, True, "1.0"])
+    def test_non_finite_or_non_number_phase_rejected(self, phi):
+        with pytest.raises(ValueError, match="phi"):
+            PhasePoint(phi, 2)
 
     def test_zero_phase_allowed(self):
         assert PhasePoint(0.0, 2).beta == 0.0
@@ -49,6 +54,11 @@ class TestRates:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             validate_rates((-0.1, 0.0), 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
+    def test_non_finite_or_bool_rejected(self, bad):
+        with pytest.raises(ValueError, match="rate"):
+            validate_rates((bad, 0.0), 2)
 
 
 class TestWGate:
@@ -111,19 +121,19 @@ class TestWalshLayer:
     def test_sweeps_match_dense(self):
         rng = np.random.default_rng(3)
         layer = walsh_layer(3, (0.1, 0.5, 0.9))
-        st = StateVector(3, rng.normal(size=8) + 1j * rng.normal(size=8))
-        out = layer.apply(st)
-        ref = layer.dense().matrix @ st.amps
-        np.testing.assert_allclose(out.amps, ref, atol=1e-12)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        out = _sweep(amps[:, None], np.array(layer.mats)[..., None])[:, 0]
+        ref = layer.dense().matrix @ amps
+        np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_rate_count_checked(self):
         with pytest.raises(DimensionMismatch):
             walsh_layer(3, (0.1, 0.2))
 
     def test_state_size_checked(self):
-        layer = walsh_layer(2, (0.0, 0.0))
+        # one engine block holds one register size
         with pytest.raises(DimensionMismatch):
-            layer.apply(StateVector(3, np.zeros(8, dtype=np.complex128)))
+            summaries([RunConfig(2, "ee", 1.0), RunConfig(3, "eee", 1.0)])
 
     def test_zero_rates_squares_to_identity(self):
         w = walsh_layer(3, (0.0,) * 3).dense().matrix
@@ -158,9 +168,9 @@ class TestOracle:
 
     def test_oracle_flips_uniform_state_component(self):
         # H x H |gg> then the phase oracle for ee: last amplitude negated
-        st = StateVector(2, np.full(4, 0.5, dtype=np.complex128))
-        out = apply_diagonal(st, oracle_gate("ee", PhasePoint(1.0, 2), (0.0, 0.0)))
-        np.testing.assert_allclose(out.amps, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
+        gate = oracle_gate("ee", PhasePoint(1.0, 2), (0.0, 0.0))
+        out = gate.entries * np.full(4, 0.5)
+        np.testing.assert_allclose(out, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
     def test_phase_size_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -190,12 +200,11 @@ class TestDiffusion:
         assert np.linalg.norm(d, ord=2) <= 1 + 1e-9
 
     def test_matrix_free_matches_dense(self):
-        rng = np.random.default_rng(5)
-        n, rates = 3, (0.3, 0.6, 0.1)
+        # one engine round after the W layer: dense diffusion after the oracle
+        n, marked, rates = 3, "egg", (0.3, 0.6, 0.1)
         phase = PhasePoint(0.9, n)
-        layer = walsh_layer(n, rates)
-        ground = oracle_gate("g" * n, phase, rates)
-        st = StateVector(n, rng.normal(size=8) + 1j * rng.normal(size=8))
-        out = apply_diffusion(st, layer, ground, phase)
-        ref = diffusion_gate(n, phase, rates).matrix @ st.amps
-        np.testing.assert_allclose(out.amps, ref, atol=1e-12)
+        out = run(RunConfig(n, marked, phase.phi, rates, iterations=1)).amps
+        start = walsh_layer(n, rates).dense().matrix[:, 0]
+        ref = (diffusion_gate(n, phase, rates).matrix
+               @ (oracle_gate(marked, phase, rates).entries * start))
+        np.testing.assert_allclose(out, ref, atol=1e-12)

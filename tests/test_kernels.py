@@ -1,100 +1,37 @@
-"""Kernel backends: selection, agreement with each other, determinism."""
-
-import subprocess
-import sys
+"""The engine's kernel: the batched single-qubit sweep, and determinism."""
 
 import numpy as np
 import pytest
 
-from dqsa import kernels
-from dqsa.kernels import _python
+from dqsa.search import _sweep
 
-from helpers import child_env, dense_single_qubit, random_state
-
-try:
-    from dqsa.kernels import _cykernels
-except ImportError:
-    _cykernels = None
-
-BACKENDS = [pytest.param(_python, id="python")]
-if _cykernels is not None:
-    BACKENDS.append(pytest.param(_cykernels, id="cython"))
+from helpers import dense_single_qubit, random_state
 
 
-def test_backend_selected():
-    assert kernels.backend_name() in ("python", "cython")
-    assert kernels.backend == kernels.backend_name()
+def random_gates(rng, n: int, b: int) -> np.ndarray:
+    """One random complex 2x2 gate per qubit and column, shape (n, 2, 2, b)."""
+    return rng.normal(size=(n, 2, 2, b)) + 1j * rng.normal(size=(n, 2, 2, b))
 
 
-def test_env_var_selects_python_backend():
-    code = "from dqsa import kernels; print(kernels.backend_name())"
-    out = subprocess.run([sys.executable, "-c", code],
-                         env=child_env(DQSA_KERNELS="python"),
-                         capture_output=True, text=True)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "python"
-
-
-def test_env_var_rejects_unknown_backend():
-    code = "import dqsa.kernels"
-    out = subprocess.run([sys.executable, "-c", code],
-                         env=child_env(DQSA_KERNELS="turbo"),
-                         capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "DQSA_KERNELS" in out.stderr
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n", [1, 3, 6])
-def test_single_qubit_kernel_matches_dense(backend, n):
+def test_sweep_matches_dense(n):
+    # every column gets its own gate per qubit; the sweep must equal the
+    # product of the dense single-qubit operators, column by column
     rng = np.random.default_rng(42 + n)
-    gate2 = np.ascontiguousarray(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    for qubit in range(1, n + 1):
-        amps = random_state(rng, n)
-        ref = dense_single_qubit(n, qubit, gate2) @ amps
-        backend.apply_single_qubit_inplace(amps, n, qubit, gate2)
-        np.testing.assert_allclose(amps, ref, atol=1e-12)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_diagonal_kernel_is_entrywise(backend):
-    rng = np.random.default_rng(7)
-    amps = random_state(rng, 5)
-    entries = np.exp(1j * rng.normal(size=32)) * rng.uniform(0.2, 1.0, size=32)
-    ref = entries * amps
-    backend.apply_diagonal_inplace(amps, entries)
-    np.testing.assert_allclose(amps, ref, atol=1e-15)
-
-
-@pytest.mark.skipif(_cykernels is None, reason="compiled extension not built")
-@pytest.mark.parametrize("n", [2, 5, 9])
-def test_backends_agree(n):
-    # a few ulps of divergence is expected: numpy's SIMD complex multiply
-    # fuses multiply-add, the compiled loop rounds every operation
-    rng = np.random.default_rng(n)
-    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    gate2 = np.ascontiguousarray(q)
-    entries = np.exp(1j * rng.normal(size=2**n))
-    a1 = random_state(rng, n)
-    a2 = a1.copy()
-    for _ in range(20):
+    b = 5
+    mats = random_gates(rng, n, b)
+    amps = np.stack([random_state(rng, n) for _ in range(b)], axis=1)
+    out = _sweep(amps, mats)
+    for j in range(b):
+        ref = amps[:, j]
         for qubit in range(1, n + 1):
-            _python.apply_single_qubit_inplace(a1, n, qubit, gate2)
-            _cykernels.apply_single_qubit_inplace(a2, n, qubit, gate2)
-        _python.apply_diagonal_inplace(a1, entries)
-        _cykernels.apply_diagonal_inplace(a2, entries)
-    np.testing.assert_allclose(a1, a2, atol=1e-12, rtol=0)
+            ref = dense_single_qubit(n, qubit, mats[qubit - 1, :, :, j]) @ ref
+        np.testing.assert_allclose(out[:, j], ref, atol=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_same_backend_is_bitwise_deterministic(backend):
+def test_engine_is_bitwise_deterministic():
     rng = np.random.default_rng(11)
-    gate2 = np.ascontiguousarray(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    start = random_state(rng, 6)
-    results = []
-    for _ in range(2):
-        amps = start.copy()
-        for qubit in range(1, 7):
-            backend.apply_single_qubit_inplace(amps, 6, qubit, gate2)
-        results.append(amps)
-    assert np.array_equal(results[0], results[1])
+    mats = random_gates(rng, 6, 4)
+    start = np.stack([random_state(rng, 6) for _ in range(4)], axis=1)
+    first, second = _sweep(start, mats), _sweep(start.copy(), mats)
+    assert np.array_equal(first, second)

@@ -1,5 +1,6 @@
 """Search runs: configuration handling, known outcomes, dense cross-check."""
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -38,6 +39,19 @@ class TestRunConfig:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(2, "ee", 1.0, iterations=0)
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("phi", dict(phi=math.nan)), ("phi", dict(phi=math.inf)),
+        ("phi", dict(phi=-math.inf)), ("phi", dict(phi=True)),
+        ("rate", dict(rates=(math.nan, 0.0))), ("rate", dict(rates=(0.1, math.inf))),
+        ("rate", dict(rates=(False, 0.0))),
+        ("iterations", dict(iterations=True)), ("iterations", dict(iterations=2.0)),
+        ("n", dict(n=True, marked="e")),
+    ])
+    def test_non_finite_or_bool_rejected(self, field, kwargs):
+        args = dict(n=2, marked="ee", phi=1.0) | kwargs
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**args)
 
     def test_phase_accessor(self):
         cfg = RunConfig(3, "ege", 0.5)

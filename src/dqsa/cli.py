@@ -132,12 +132,15 @@ def _parse_gammas(text: str):
 
 def _parse_phi_grid(text: str):
     """phi flag value: a number, or start:stop:steps for sweep grids."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise MalformedConfig("--phi grid must be start:stop:steps")
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise MalformedConfig("--phi grid must be start:stop:steps")
+    try:
+        if len(parts) == 1:
+            return float(text)
         return {"start": float(parts[0]), "stop": float(parts[1]), "steps": int(parts[2])}
-    return float(text)
+    except ValueError as e:
+        raise MalformedConfig(f"--phi must be a number or start:stop:steps: {e}") from e
 
 
 def _emit(text: str, out: str | None):

@@ -4,15 +4,22 @@ One run prepares |g...g>, applies the W layer once, then `iterations` rounds
 of (oracle, diffusion).  The oracle's damping diagonal is the tensor product
 of per-qubit diag(1, d_v), d_v = exp(-tau*g_v/2), so it folds into the W
 layer that follows it.  A round is then: the phase e^{i*beta} on the marked
-amplitude, n single-qubit sweeps with M_v = W_v*diag(1, d_v), the same phase
-on amplitude 0 (where every d_v is 1), n more M_v sweeps, and the global
-phase e^{i*beta}.  A run costs O(iterations * n * 2^n).
+amplitude, the layer of M_v = W_v*diag(1, d_v) over all qubits, the same
+phase on amplitude 0 (where every d_v is 1), the M_v layer again, and the
+global phase e^{i*beta}.
+
+A layer is applied as ceil(n/GROUP) matrix products, one per group of up to
+GROUP = 3 consecutive qubits: each contracts the group with the Kronecker
+product of its k gates, at 2^k multiply-adds per amplitude, and rotates the
+group to the end of the index (the shuffle algorithm of Fernandes, Plateau &
+Stewart, J. ACM 45 (1998) 381).  A run costs 2*iterations + 1 layers.
 
 Runs of one register size and iteration count evolve together as a block of
-shape (2^n, B), the batch on the last axis, so each 2x2 update covers every
-point of the block at once.  Output is byte-identical from run to run, and a
-sweep row agrees with a standalone `report` of its point to 1e-15 (bitwise
-on the x86-64 machine this was measured on, but that is not promised).
+shape (B, 2^n), one row per run, each with its own factors, so each matrix
+product covers every point of the block at once.  Output is byte-identical
+from run to run, and a sweep row agrees with a standalone `report` of its
+point to 1e-15 (bitwise on the x86-64 machine this was measured on, but
+that is not promised).
 """
 
 from dataclasses import dataclass
@@ -24,14 +31,19 @@ from .basis import MAX_QUBITS, StateVector, index_of, pattern_of, validate_patte
 from .errors import DimensionMismatch
 from .gates import PhasePoint, validate_rates, walsh_layer, whole_number
 
-# Amplitudes per block: 64 points at n=9, 8 at n=12.  A 1000-point n=9 sweep
-# on a 2-core x86-64 VM (median of 8 round-robin runs; peak RSS of a fresh
-# process) took 1.04 s / 30 MiB with 2^12, 0.79 s / 31 MiB with 2^13, 0.64 s
-# / 32 MiB with 2^14, 0.65 s / 34 MiB with 2^15, 0.86 s / 38 MiB with 2^16
-# and 1.88 s / 75 MiB as one block, whose temporaries do not fit in cache.
-# 2^15 was chosen over 2^14 because n=12 blocks of 4 points ran a third slower
-# per point than blocks of 8.
+# Amplitudes per block, each run's group factors counted too (see
+# points_per_block): 46 points at n=9, 7 at n=12.  GROUP is the number of
+# qubits per factor.  Evolution alone on a 2-core x86-64 VM, median of 11
+# round-robin runs: a 1000-point n=9 sweep took 0.23 / 0.21 / 0.23 / 0.33 s
+# with GROUP=3 at 2^13 / 2^14 / 2^15 / 2^16, and 40 single n=12 runs with
+# 11-50 iterations took 0.25-0.27 s (the former 2x2 sweeps took 1.24 s and
+# 1.29 s).  2^14 and 2^15 were level across repeats; 2^15 is kept.  GROUP=2
+# took 0.34 s and 0.37 s.  GROUP=4 and 5 took 0.26 s on the sweep and
+# 0.26-0.29 s on the n=12 runs, but there OpenBLAS ran the gemms on both
+# cores (process CPU time twice the wall time); with GROUP=3 it ran them in
+# one thread.
 BLOCK_AMPLITUDES = 2**15
+GROUP = 3
 
 
 @dataclass(frozen=True)
@@ -96,25 +108,51 @@ def _labels(n: int) -> tuple:
     return tuple(pattern_of(i, n) for i in range(2**n))
 
 
-def _sweep(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Contract mats[v] (shape (2, 2, B)) over qubit v+1 of every column.
+def points_per_block(n: int) -> int:
+    """Runs per engine block at register size n.
 
-    Both halves are copied out before the arithmetic: on the strided views
-    numpy's inner loop covers only 2^(n-v-1) * B elements, which made single
-    n=12 runs 20% slower.
+    The budget counts each run's 2^n amplitudes and the 4^k entries of each
+    of its group factors, so a block of small registers does not carry
+    factors far larger than its states.
     """
-    b = amps.shape[1]
-    for v, m in enumerate(mats):
-        x = amps.reshape(2**v, 2, -1, b)
-        x0, x1 = x[:, 0].copy(), x[:, 1].copy()
-        amps = np.empty_like(x)
-        amps[:, 0] = m[0, 0] * x0 + m[0, 1] * x1
-        amps[:, 1] = m[1, 0] * x0 + m[1, 1] * x1
-    return amps.reshape(-1, b)
+    factors = sum(4 ** min(GROUP, n - lo) for lo in range(0, n, GROUP))
+    return max(1, BLOCK_AMPLITUDES // (2**n + factors))
+
+
+def _factors(mats: np.ndarray) -> list:
+    """Transposed Kronecker factor of each qubit group, per run.
+
+    ``mats`` holds one 2x2 gate per qubit and run, shape (n, 2, 2, B).  The
+    group of qubits v..v+k-1 (k <= GROUP) gets a factor of shape
+    (B, 2^k, 2^k) holding (M_v x ... x M_{v+k-1})^T, the transpose that
+    `_apply` multiplies by.
+    """
+    gates = mats.transpose(0, 3, 2, 1)
+    out = []
+    for lo in range(0, len(gates), GROUP):
+        f = gates[lo]
+        for g in gates[lo + 1:lo + GROUP]:
+            d = 2 * f.shape[1]
+            f = (f[:, :, None, :, None] * g[:, None, :, None, :]).reshape(-1, d, d)
+        out.append(np.ascontiguousarray(f))
+    return out
+
+
+def _apply(amps: np.ndarray, factors: list) -> np.ndarray:
+    """Apply a layer to every row of ``amps`` (shape (B, 2^n)); new array.
+
+    Each matmul contracts the leading group of qubits with its factor and
+    rotates that group to the end, so after the last group the qubits are
+    back in order.
+    """
+    b = len(amps)
+    for f in factors:
+        amps = (amps.reshape(b, f.shape[1], -1).transpose(0, 2, 1) @ f).reshape(b, -1)
+    return amps
 
 
 def _evolve(configs, trace=None) -> np.ndarray:
-    """Final (unnormalized) amplitudes of a block of runs, shape (2^n, B).
+    """Final (unnormalized) amplitudes of a block of runs, shape (B, 2^n).
 
     The runs must share n and the iteration count.  When ``trace`` is a
     list, the marked amplitudes (shape (B,)) are appended after each round.
@@ -127,20 +165,21 @@ def _evolve(configs, trace=None) -> np.ndarray:
     rates = np.array([c.rates for c in configs]).T
     m = w.copy()
     m[:, :, 1] *= np.exp(-0.5 * (beta / 2**n) * rates)[:, None]
+    w, m = _factors(w), _factors(m)
     phase = np.exp(1j * beta)
-    marked = ([index_of(c.marked) for c in configs], range(len(configs)))
+    marked = (range(len(configs)), [index_of(c.marked) for c in configs])
 
-    amps = np.zeros((2**n, len(configs)), dtype=np.complex128)
-    amps[0] = 1.0
-    amps = _sweep(amps, w)
+    amps = np.zeros((len(configs), 2**n), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    amps = _apply(amps, w)
     # Phases are applied out of place: numpy multiplies a one-element array
     # in place with scalar arithmetic, which rounds complex products unlike
     # its vector loop, so a one-point block would differ from a wider one.
     for _ in range(iterations):
         amps[marked] = amps[marked] * phase
-        amps = _sweep(amps, m)
-        amps[0] = amps[0] * phase
-        amps = _sweep(amps, m) * phase
+        amps = _apply(amps, m)
+        amps[:, 0] = amps[:, 0] * phase
+        amps = _apply(amps, m) * phase[:, None]
         if trace is not None:
             trace.append(amps[marked])
     return amps
@@ -150,11 +189,10 @@ def _blocks(configs):
     """Yield (runs, probabilities) per block; probabilities is (B, 2^n)."""
     configs = list(configs)
     if configs:
-        size = max(1, BLOCK_AMPLITUDES >> configs[0].n)
+        size = points_per_block(configs[0].n)
         for lo in range(0, len(configs), size):
             block = configs[lo:lo + size]
-            amps = np.ascontiguousarray(_evolve(block).T)
-            yield block, np.abs(amps) ** 2
+            yield block, np.abs(_evolve(block)) ** 2
 
 
 def summaries(configs) -> list:
@@ -186,7 +224,7 @@ def reports(configs) -> list:
 
 def run(config: RunConfig) -> StateVector:
     """Final (unnormalized) state of the search run."""
-    return StateVector(config.n, _evolve([config])[:, 0])
+    return StateVector(config.n, _evolve([config])[0])
 
 
 def report(config: RunConfig) -> ProbabilityReport:

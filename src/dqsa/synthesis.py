@@ -13,8 +13,10 @@ pulses (two bare sigma-z pulses around one rotated damped pulse); compose_w
 reproduces the closed-form gate of gates.w_gate (composite convention).
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,22 +117,25 @@ def coupling_assignment(n: int, pattern: str) -> CouplingConfig:
 
 
 def build_hamiltonian(config: CouplingConfig, rates) -> DiagonalHamiltonian:
-    """E[y] = -sum_tuples J * prod z_s(y) - (i/2) * sum of excited rates."""
+    """E[y] = -sum_tuples J * prod z_s(y) - (i/2) * sum of excited rates.
+
+    Since z_s(y)^2 = 1, a tuple's product is -1 to the number of its
+    odd-multiplicity qubits that are ground in y; all basis states are
+    evaluated at once.
+    """
     n = config.n
     rates = validate_rates(rates, n)
-    dim = 2**n
-    energies = np.zeros(dim, dtype=np.complex128)
-    for y in range(dim):
-        zy = [1.0 if (y >> (n - 1 - v)) & 1 else -1.0 for v in range(n)]
-        real = 0.0
-        for tup, j in config.terms.items():
-            prod = 1.0
-            for s in tup:
-                prod *= zy[s - 1]
-            real += j * prod
-        imag = -0.5 * sum(r for v, r in enumerate(rates) if zy[v] > 0)
-        energies[y] = -real + 1j * imag
-    return DiagonalHamiltonian(n, energies)
+    shifts = np.arange(n - 1, -1, -1)
+    excited = (np.arange(2**n)[:, None] >> shifts) & 1
+    # bit n - s of a tuple's mask is set when qubit s occurs in it an odd
+    # number of times
+    masks = np.array([functools.reduce(operator.xor, (1 << (n - s) for s in tup), 0)
+                      for tup in config.terms], dtype=np.int64)
+    odd = (masks[:, None] >> shifts) & 1
+    signs = 1 - 2 * (((1 - excited) @ odd.T) & 1)
+    real = signs @ np.array(list(config.terms.values()))
+    imag = -0.5 * (excited @ np.array(rates))
+    return DiagonalHamiltonian(n, -real + 1j * imag)
 
 
 def evolve(h: DiagonalHamiltonian, phase: PhasePoint) -> DiagonalGate:

@@ -2,8 +2,9 @@
 
 Everything here builds full 2^n x 2^n operators with numpy.kron and applies
 them by plain matrix multiplication — deliberately the slow, obviously
-correct formulation.  It also builds the environment for tests that start
-a child process.
+correct formulation.  It also wraps the engine's layer kernel and its block
+split for the tests that check them, and builds the environment for tests
+that start a child process.
 """
 
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import dqsa
+from dqsa import search
 from dqsa.gates import PhasePoint, oracle_gate, w_gate
 from dqsa.search import RunConfig, report
 
@@ -59,6 +61,25 @@ def worst_row_vs_report(rows, n: int, marked: str, rates=()) -> float:
         worst = max(worst, abs(rho - rep.marked_prob),
                     abs(sum_unmarked - rep.sum_unmarked), abs(surv - rep.survival))
     return worst
+
+
+def engine_layer(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The engine's layer: gates ``mats`` (n, 2, 2, B) on the rows of
+    ``amps`` (B, 2^n), through the grouped Kronecker factors."""
+    return search._apply(amps, search._factors(mats))
+
+
+def record_blocks(monkeypatch) -> list:
+    """List that receives the size of every block the engine evolves."""
+    sizes = []
+    evolve = search._evolve
+
+    def spy(configs, trace=None):
+        sizes.append(len(configs))
+        return evolve(configs, trace)
+
+    monkeypatch.setattr(search, "_evolve", spy)
+    return sizes
 
 
 def random_state(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -24,10 +24,10 @@ from dqsa.experiments import (
     sweep_to_csv,
 )
 from dqsa.gates import PhasePoint, diffusion_gate, w_gate
-from dqsa.search import BLOCK_AMPLITUDES, RunConfig, report
+from dqsa.search import RunConfig, points_per_block, report
 from dqsa.synthesis import compose_w, verification_sweep
 
-from helpers import worst_row_vs_report
+from helpers import record_blocks, worst_row_vs_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -183,20 +183,22 @@ def test_criterion_7_peak_phase_anchors():
              f"rho(egee)={rho4:.5f} vs 0.8332, rho(geege)={rho5:.5f}")
 
 
-def test_criterion_8_sweep_performance_and_determinism():
+def test_criterion_8_sweep_performance_and_determinism(monkeypatch):
     spec = SweepSpec(n=9, marked="e" * 9, axis="phase",
                      start=0.001, stop=2.0, steps=1000)
     t0 = time.perf_counter()
     first = sweep_to_csv(phase_sweep(spec))
     elapsed = time.perf_counter() - t0
     second = sweep_to_csv(phase_sweep(spec))
-    # a grid of whole engine blocks plus a one-point last block, row by row
-    # against standalone reports
-    steps = BLOCK_AMPLITUDES // 2**9 + 1
+    # a grid of one whole engine block plus a one-point last block, row by
+    # row against standalone reports
+    steps = points_per_block(9) + 1
+    blocks = record_blocks(monkeypatch)
     split = phase_sweep(SweepSpec(n=9, marked="e" * 9, axis="phase",
                                   start=0.001, stop=2.0, steps=steps))
+    blocks = list(blocks)
     worst = worst_row_vs_report(split, 9, "e" * 9)
-    ok = elapsed < 5.0 and first == second and worst <= 1e-15
+    ok = elapsed < 5.0 and first == second and blocks == [steps - 1, 1] and worst <= 1e-15
     _verdict(8, "1000-point n=9 sweep", ok,
              f"{elapsed:.2f} s; rerun identical={first == second}, "
-             f"{steps}-point block split vs report worst {worst:.1e}")
+             f"{steps}-point grid in blocks {blocks} vs report worst {worst:.1e}")

@@ -1,6 +1,6 @@
 """Basis indexing, state containers, and the engine's two elementary
-operations: a damping diagonal folded into the W sweeps, and a single-qubit
-gate swept over one tensor slot."""
+operations: a damping diagonal folded into the W layer, and a single-qubit
+gate applied on one tensor slot."""
 
 import numpy as np
 import pytest
@@ -20,13 +20,12 @@ from dqsa.basis import (
 )
 from dqsa.errors import DimensionMismatch, InvalidPattern
 from dqsa.gates import PhasePoint, damping_entries, walsh_layer
-from dqsa.search import _sweep
 
-from helpers import dense_single_qubit, random_state
+from helpers import dense_single_qubit, engine_layer, random_state
 
 
 def one_slot(n: int, qubit: int, gate2) -> np.ndarray:
-    """Sweep matrices (n, 2, 2, 1): ``gate2`` on ``qubit``, identity elsewhere."""
+    """Layer gates (n, 2, 2, 1): ``gate2`` on ``qubit``, identity elsewhere."""
     mats = np.array([gate2 if v == qubit else np.eye(2) for v in range(1, n + 1)],
                     dtype=np.complex128)
     return mats[..., None]
@@ -101,7 +100,7 @@ class TestContainers:
 
 class TestOperations:
     def test_apply_diagonal_is_entrywise(self):
-        # W_v diag(1, d_v) swept over every qubit is the W layer applied after
+        # W_v diag(1, d_v) applied on every qubit is the W layer applied after
         # the entrywise damping diagonal exp(-(tau/2) * excited rates)
         rng = np.random.default_rng(1)
         n, rates, phase = 3, (0.3, 0.9, 0.5), PhasePoint(0.8, 3)
@@ -110,7 +109,7 @@ class TestOperations:
         mats = np.array(layer.mats)
         mats[:, :, 1] *= d[:, None]
         amps = random_state(rng, n)
-        out = _sweep(amps[:, None], mats[..., None])[:, 0]
+        out = engine_layer(amps[None], mats[..., None])[0]
         ref = layer.dense().matrix @ (damping_entries(n, phase, rates) * amps)
         np.testing.assert_allclose(out, ref, atol=1e-15)
 
@@ -120,14 +119,14 @@ class TestOperations:
         amps = random_state(rng, n)
         gate2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         for qubit in range(1, n + 1):
-            out = _sweep(amps[:, None], one_slot(n, qubit, gate2))[:, 0]
+            out = engine_layer(amps[None], one_slot(n, qubit, gate2))[0]
             ref = dense_single_qubit(n, qubit, gate2) @ amps
             np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_apply_single_qubit_does_not_mutate_input(self):
-        amps = ground_state(2).amps[:, None]
+        amps = ground_state(2).amps[None]
         before = amps.copy()
-        _sweep(amps, one_slot(2, 1, np.array([[0, 1], [1, 0]])))
+        engine_layer(amps, one_slot(2, 1, np.array([[0, 1], [1, 0]])))
         np.testing.assert_array_equal(amps, before)
 
     def test_gate_shape_checked(self):

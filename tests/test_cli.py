@@ -91,6 +91,17 @@ class TestRun:
         assert out == ""
         assert field in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n", "2", "--marked", "ee", "--phi", "abc"],
+        ["sweep", "--n", "2", "--marked", "ee", "--phi", "0:1:x"],
+    ])
+    def test_unparsable_phi_flag_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "MalformedConfig" in err
+        assert "--phi" in err
+
     @pytest.mark.parametrize("cfg,field", [
         ({"n": 2, "marked": "ee", "phi": True}, "phi"),
         ({"n": True, "marked": "e", "phi": 1.0}, "n"),

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from dqsa.errors import UnknownTable, UnsupportedSize
-from dqsa.search import BLOCK_AMPLITUDES, RunConfig, report
+from dqsa.search import RunConfig, points_per_block, report
 from dqsa.experiments import (
     AVAILABLE_TABLES,
     OFFSET_TABLES,
@@ -29,7 +29,7 @@ from dqsa.experiments import (
     table1_comparison,
 )
 
-from helpers import worst_row_vs_report
+from helpers import record_blocks, worst_row_vs_report
 
 
 class TestSummaryTable:
@@ -270,13 +270,15 @@ class TestSerialization:
 
 
 class TestBlocks:
-    def test_block_split_matches_report(self):
-        # whole engine blocks plus a one-point last block: every row, the
+    def test_block_split_matches_report(self, monkeypatch):
+        # a whole engine block plus a one-point last block: every row, the
         # last one included, agrees with a standalone report of its point
         n, marked, rates = 7, "geegeeg", (0.1, 0.0, 0.4, 0.2, 0.05, 0.3, 0.0)
-        steps = BLOCK_AMPLITUDES // 2**n + 1
+        steps = points_per_block(n) + 1
         spec = SweepSpec(n=n, marked=marked, start=0.05, stop=1.95, steps=steps, rates=rates)
+        blocks = record_blocks(monkeypatch)
         rows = phase_sweep(spec)
+        assert blocks == [steps - 1, 1]
         assert len(rows) == steps
         assert worst_row_vs_report(rows, n, marked, rates) <= 1e-15
         assert sweep_to_csv(rows) == sweep_to_csv(phase_sweep(spec))

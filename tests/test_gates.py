@@ -19,7 +19,9 @@ from dqsa.gates import (
     walsh_layer,
     xi_factor,
 )
-from dqsa.search import RunConfig, _sweep, run, summaries
+from dqsa.search import RunConfig, run, summaries
+
+from helpers import engine_layer
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -122,7 +124,7 @@ class TestWalshLayer:
         rng = np.random.default_rng(3)
         layer = walsh_layer(3, (0.1, 0.5, 0.9))
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        out = _sweep(amps[:, None], np.array(layer.mats)[..., None])[:, 0]
+        out = engine_layer(amps[None], np.array(layer.mats)[..., None])[0]
         ref = layer.dense().matrix @ amps
         np.testing.assert_allclose(out, ref, atol=1e-12)
 

@@ -1,13 +1,22 @@
 """Search runs: configuration handling, known outcomes, dense cross-check."""
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from dqsa.basis import index_of
 from dqsa.errors import DimensionMismatch, InvalidPattern, OverdampedQubit
-from dqsa.search import RunConfig, marked_amplitude_trace, report, run
+from dqsa.search import (
+    RunConfig,
+    marked_amplitude_trace,
+    points_per_block,
+    report,
+    run,
+    summaries,
+)
 
 from helpers import dense_run
 
@@ -137,11 +146,54 @@ class TestDenseCrossCheck:
         (3, "ege", 1.0, (0.0, 0.0, 0.0), "composite"),
         (4, "geeg", 0.86, (0.5, 0.1, 0.0, 0.8), "composite"),
         (3, "gge", 0.331, (0.8, 0.8, 0.7), "tabulated"),
+        # qubit groups 3+2, 3+3+1 and 3+3+2, damped, under both conventions
+        (5, "egeeg", 0.72, (0.2, 0.0, 0.6, 0.3, 0.9), "composite"),
+        (5, "ggege", 1.31, (0.7, 0.4, 0.1, 0.0, 0.5), "tabulated"),
+        (7, "geegeeg", 0.93, (0.1, 0.0, 0.4, 0.2, 0.05, 0.3, 0.6), "composite"),
+        (7, "eeggege", 0.48, (0.5, 0.2, 0.0, 0.8, 0.3, 0.1, 0.4), "tabulated"),
+        (8, "egeegegg", 1.07, (0.3, 0.6, 0.0, 0.2, 0.9, 0.1, 0.4, 0.05), "composite"),
+        (8, "gegeeegg", 0.66, (0.1, 0.3, 0.5, 0.7, 0.0, 0.2, 0.4, 0.6), "tabulated"),
     ])
     def test_matrix_free_equals_dense(self, n, marked, phi, rates, convention):
         state = run(RunConfig(n, marked, phi, rates, convention=convention))
         ref = dense_run(n, marked, phi, rates, convention=convention)
         np.testing.assert_allclose(state.amps, ref, atol=1e-12)
+
+    def test_block_columns_equal_dense(self):
+        # one engine block whose columns differ in pattern, phase, rates and
+        # convention: each summary equals the dense run of its own column
+        rng = np.random.default_rng(8)
+        configs = [RunConfig(5, "".join(rng.choice(["g", "e"], 5)), float(rng.uniform(0.1, 1.9)),
+                             tuple(rng.uniform(0.0, 0.9, 5).tolist()), iterations=6,
+                             convention=("composite", "tabulated")[k % 2])
+                   for k in range(7)]
+        assert len(configs) <= points_per_block(5)
+        for c, (rho, rest, surv) in zip(configs, summaries(configs)):
+            probs = np.abs(dense_run(c.n, c.marked, c.phi, c.rates, c.iterations,
+                                     c.convention)) ** 2
+            marked = probs[index_of(c.marked)]
+            assert abs(rho - marked) <= 1e-12
+            assert abs(rest - (probs.sum() - marked)) <= 1e-12
+            assert abs(surv - probs.sum()) <= 1e-12
+
+
+class TestMemory:
+    # A block holds at most BLOCK_AMPLITUDES amplitudes (0.5 MiB) plus its
+    # group factors; its peak stayed at or below 1.8 MiB on every grid here.
+    # Blocks sized by amplitudes alone peaked at 3.6-4.0 MiB on the n=3-6
+    # grids, whose 8x8 factors outweigh their states.
+    @pytest.mark.parametrize("n,points", [(2, 1000), (3, 1000), (4, 1000), (6, 1000),
+                                          (9, 1000), (12, 40)])
+    def test_summaries_peak_is_bounded(self, n, points):
+        configs = [RunConfig(n, "e" * n, 0.001 + 1.999 * k / points, (0.1,) * n)
+                   for k in range(points)]
+        tracemalloc.start()
+        try:
+            summaries(configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
 
 
 class TestConcurrency:

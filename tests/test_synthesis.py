@@ -11,6 +11,7 @@ from dqsa.errors import DimensionMismatch, OverdampedQubit, UnsupportedSize
 from dqsa.gates import PhasePoint, oracle_gate, w_gate, xi_factor
 from dqsa.synthesis import (
     THETA,
+    CouplingConfig,
     build_hamiltonian,
     compose_w,
     coupling_assignment,
@@ -87,6 +88,21 @@ class TestHamiltonian:
         h = build_hamiltonian(coupling_assignment(2, "ee"), (0.3, 0.5))
         # imaginary part: -(1/2) * sum of rates over excited qubits
         np.testing.assert_allclose(h.energies.imag, [0, -0.25, -0.15, -0.4], atol=1e-12)
+
+    @pytest.mark.parametrize("config", [
+        *(coupling_assignment(n, p) for n in (2, 3, 4) for p in all_patterns(n)),
+        CouplingConfig(3, {(2,): 0.4, (1, 1, 3): -1.5, (3, 2, 3, 3): 0.7, (1, 2, 1, 2): 2.0}),
+    ], ids=lambda c: f"{c.n}-{c.conditions.pattern if c.conditions else 'custom'}")
+    def test_energies_equal_term_by_term_sum(self, config):
+        # the vectorized energies against the defining sum, state by state
+        n = config.n
+        rates = tuple(np.random.default_rng(n).uniform(0.0, 1.0, n).tolist())
+        got = build_hamiltonian(config, rates).energies
+        for y in range(2**n):
+            zy = [1.0 if (y >> (n - 1 - v)) & 1 else -1.0 for v in range(n)]
+            real = sum(j * math.prod(zy[s - 1] for s in tup) for tup, j in config.terms.items())
+            imag = -0.5 * sum(r for r, z in zip(rates, zy) if z > 0)
+            assert abs(got[y] - complex(-real, imag)) <= 1e-12
 
     def test_evolution_matches_expm(self):
         h = build_hamiltonian(coupling_assignment(3, "ege"), (0.2, 0.0, 0.7))

@@ -1,17 +1,7 @@
 """Dense state-vector simulator for a dissipative dynamical quantum search
 algorithm, plus gate-synthesis verification and reproduction experiments."""
 
-from .basis import (
-    DenseGate,
-    DiagonalGate,
-    StateVector,
-    all_patterns,
-    ground_state,
-    index_of,
-    pattern_of,
-    probabilities,
-    survival,
-)
+from .basis import all_patterns, index_of, pattern_of
 from .errors import (
     DimensionMismatch,
     DqsaError,
@@ -25,8 +15,6 @@ from .errors import (
 from .gates import (
     CONVENTIONS,
     PhasePoint,
-    beta,
-    diffusion_gate,
     oracle_gate,
     w_gate,
     walsh_layer,
@@ -56,9 +44,8 @@ from .experiments import (
     ComparisonReport,
     SweepSpec,
     appendix_reproduce,
-    dissipation_sweep,
     peak_search,
-    phase_sweep,
+    sweep,
     table1,
     table1_comparison,
 )

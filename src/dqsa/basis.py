@@ -1,19 +1,17 @@
-"""Basis conventions and the containers for states and gates.
+"""Basis conventions: g/e pattern labels and their integer indices.
 
 Basis states are labeled by strings over {g, e} (ground/excited), one symbol
 per qubit, qubit 1 first.  The integer index maps g to bit 0 and e to bit 1
 with qubit 1 as the most significant bit, so "gg" is index 0 and "ee" is the
-largest index.  States are kept unnormalized: norm lost to damping is the
-survival probability and is never restored by renormalization.  States are
-evolved only by the engine in :mod:`dqsa.search`; the containers here hold
-its results and the dense gates used to cross-check it.
+largest index.  An n-qubit state is a complex array of shape (2^n,) in index
+order, and a diagonal gate is its (2^n,) array of entries.  States are kept
+unnormalized: norm lost to damping is the survival probability and is never
+restored by renormalization.
 """
 
-from dataclasses import dataclass
+from functools import lru_cache
 
-import numpy as np
-
-from .errors import DimensionMismatch, InvalidPattern
+from .errors import InvalidPattern
 
 MAX_QUBITS = 12
 
@@ -47,72 +45,7 @@ def pattern_of(index: int, n: int) -> str:
     return "".join("e" if (index >> (n - 1 - v)) & 1 else "g" for v in range(n))
 
 
-def all_patterns(n: int):
+@lru_cache(maxsize=MAX_QUBITS)
+def all_patterns(n: int) -> tuple:
     """All 2^n patterns in index (lexicographic g<e) order."""
-    return [pattern_of(i, n) for i in range(2**n)]
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """n-qubit register with 2^n complex amplitudes in basis-index order."""
-
-    n: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        if self.amps.shape != (2**self.n,):
-            raise DimensionMismatch(
-                f"expected {2**self.n} amplitudes for n={self.n}, got {self.amps.shape}"
-            )
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amps.copy())
-
-
-@dataclass(frozen=True)
-class DiagonalGate:
-    """Diagonal gate: 2^n complex entries, |entry| <= 1 for gates built here."""
-
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (2**self.n,):
-            raise DimensionMismatch(
-                f"expected {2**self.n} entries for n={self.n}, got {self.entries.shape}"
-            )
-
-
-@dataclass(frozen=True)
-class DenseGate:
-    """Dense 2^n x 2^n gate; a contraction (operator norm <= 1) for the
-    default gate construction."""
-
-    n: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = 2**self.n
-        if self.matrix.shape != (dim, dim):
-            raise DimensionMismatch(
-                f"expected {dim}x{dim} matrix for n={self.n}, got {self.matrix.shape}"
-            )
-
-
-def ground_state(n: int) -> StateVector:
-    """|g...g> with unit amplitude on index 0."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise InvalidPattern(f"qubit count must be 1..{MAX_QUBITS}, got {n}")
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n, amps)
-
-
-def probabilities(state: StateVector) -> np.ndarray:
-    """|amplitude|^2 per basis state."""
-    return np.abs(state.amps) ** 2
-
-
-def survival(state: StateVector) -> float:
-    """Total probability remaining in the register (squared norm)."""
-    return float(np.sum(np.abs(state.amps) ** 2))
+    return tuple(pattern_of(i, n) for i in range(2**n))

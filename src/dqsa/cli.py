@@ -12,7 +12,7 @@ import sys
 from . import experiments
 from .basis import validate_pattern
 from .errors import DqsaError, MalformedConfig
-from .gates import CONVENTIONS, validate_rates, whole_number
+from .gates import CONVENTIONS, finite_real, validate_rates, whole_number
 from .search import RunConfig, report
 from .synthesis import verification_sweep
 
@@ -245,13 +245,7 @@ def _cmd_sweep(args) -> int:
     cfg = _merged_config(args)
     if isinstance(cfg, RunConfig):
         raise MalformedConfig("sweep needs a 'phi' grid (start:stop:steps) or a 'gbar' grid")
-    if cfg.axis == "phase":
-        samples = experiments.phase_sweep(cfg)
-    else:
-        which = cfg.weights if any(w != 1.0 for w in cfg.weights) else "uniform"
-        samples = experiments.dissipation_sweep(
-            cfg.n, cfg.marked, cfg.phi, which, (cfg.start, cfg.stop, cfg.steps),
-            convention=cfg.convention)
+    samples = experiments.sweep(cfg)
     if args.format == "json":
         _emit(experiments.sweep_to_json(samples, cfg.axis), args.out)
     else:
@@ -313,9 +307,20 @@ _DISPATCH = {
 }
 
 
+def _check_comparison_flags(args):
+    """Reject a --tolerance or --draws that would make a comparison vacuous:
+    NaN, infinite or negative tolerances, and fewer than one draw."""
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and finite_real(tolerance, "--tolerance") < 0:
+        raise ValueError(f"--tolerance must be non-negative, got {tolerance!r}")
+    if getattr(args, "draws", 1) < 1:
+        raise ValueError(f"--draws must be >= 1, got {args.draws}")
+
+
 def parse_and_dispatch(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_comparison_flags(args)
         return _DISPATCH[args.command](args)
     except DqsaError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

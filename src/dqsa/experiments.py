@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .errors import UnknownTable, UnsupportedSize
-from .gates import CONVENTIONS, finite_real, validate_rates, whole_number
+from .basis import validate_pattern
+from .errors import DimensionMismatch, UnknownTable, UnsupportedSize
+from .gates import check_convention, finite_real, validate_rates, whole_number
 from .search import RunConfig, report, reports, summaries
 
 # Reference summary row per size: the peak phase coefficient phi_p, the peak
@@ -122,8 +123,10 @@ def peak_search(n: int, marked: str, rates=(), convention: str = "composite") ->
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A 1-D sweep: over phi (axis="phase", fixed rates) or over a uniform
-    rate scale g (axis="dissipation", fixed phi, rates = g * weights)."""
+    """A 1-D sweep (see `sweep`): over phi (axis="phase", fixed rates) or
+    over a uniform rate scale g (axis="dissipation", fixed phi, rates =
+    g * weights), on a grid of ``steps`` evenly spaced points from ``start``
+    to ``stop``."""
 
     n: int
     marked: str
@@ -152,54 +155,33 @@ class SweepSpec:
         n = whole_number(self.n, "n")
         object.__setattr__(self, "rates", validate_rates(self.rates or (0.0,) * n, n))
         object.__setattr__(self, "weights", validate_rates(self.weights or (1.0,) * n, n))
+        validate_pattern(self.marked)
+        if len(self.marked) != n:
+            raise DimensionMismatch(f"marked pattern length {len(self.marked)} vs n={n}")
+        check_convention(self.convention)
 
     def grid(self) -> list:
         step = (self.stop - self.start) / (self.steps - 1)
         return [self.start + k * step for k in range(self.steps)]
 
 
-def phase_sweep(spec: SweepSpec) -> list:
-    """Samples (phi, tau, marked_prob, sum_unmarked, survival) over the grid."""
-    if spec.axis != "phase":
-        raise ValueError("phase_sweep requires axis='phase'")
-    grid = spec.grid()
-    configs = [RunConfig(spec.n, spec.marked, phi, spec.rates, convention=spec.convention)
-               for phi in grid]
-    return [(phi, phi * math.pi / 2**spec.n, *sample)
-            for phi, sample in zip(grid, summaries(configs))]
+def sweep(spec: SweepSpec) -> list:
+    """Samples over the spec's grid, in grid order.
 
-
-def dissipation_sweep(n: int, marked: str, phi: float, which="uniform",
-                      grid=(0.0, 1.0, 11), convention: str = "composite") -> list:
-    """Samples (gbar, phi, tau, marked_prob, sum_unmarked, survival) over a
-    rate grid at fixed phi.
-
-    ``which`` is "uniform" (every qubit gets gbar) or a length-n weight
-    sequence (qubit v gets weight_v * gbar).
+    A phase sweep gives (phi, tau, marked_prob, sum_unmarked, survival) rows;
+    a dissipation sweep gives (gbar, phi, tau, marked_prob, sum_unmarked,
+    survival) rows, with rates gbar * weights.
     """
-    weights = (1.0,) * n if which == "uniform" else validate_rates(which)
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weights, got {len(weights)}")
-    if isinstance(grid, tuple) and len(grid) == 3 and isinstance(grid[2], int):
-        start, stop, steps = grid
-        step = (stop - start) / (steps - 1)
-        gvals = [start + k * step for k in range(steps)]
+    grid = spec.grid()
+    if spec.axis == "phase":
+        configs = [RunConfig(spec.n, spec.marked, phi, spec.rates, convention=spec.convention)
+                   for phi in grid]
+        keys = [(phi, phi * math.pi / 2**spec.n) for phi in grid]
     else:
-        gvals = [float(g) for g in grid]
-    configs = [RunConfig(n, marked, phi, tuple(g * w for w in weights), convention=convention)
-               for g in gvals]
-    tau = phi * math.pi / 2**n
-    return [(g, phi, tau, *sample) for g, sample in zip(gvals, summaries(configs))]
-
-
-# Preset sweep configurations used by the shipped analyses: the two
-# peak-phase dissipation anchors, the mixed-pattern family compared under
-# equal rates, and the all-ground vs all-excited ordering pair.
-PEAK_DISSIPATION_PRESETS = (
-    dict(n=4, marked="egee", phi=0.45008, which="uniform", grid=(0.0, 1.0, 101)),
-    dict(n=5, marked="geege", phi=0.86608, which="uniform", grid=(0.0, 1.0, 101)),
-)
-PATTERN_FAMILY_PRESET = ("eg", "geg", "gegg", "gegege")
+        configs = [RunConfig(spec.n, spec.marked, spec.phi, tuple(g * w for w in spec.weights),
+                             convention=spec.convention) for g in grid]
+        keys = [(g, spec.phi, spec.phi * math.pi / 2**spec.n) for g in grid]
+    return [(*key, *sample) for key, sample in zip(keys, summaries(configs))]
 
 
 def _load_table(table_id: int):
@@ -238,8 +220,6 @@ def appendix_reproduce(table_id: int, tolerance: float = TABLE_TOLERANCE,
     as multisets (both sides sorted descending, then paired), because the
     source tables do not attribute those values to specific states.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     n, rates, phis, marked, unmarked = _load_table(table_id)
     cells = sorted(marked.items())
     computed = reports([RunConfig(n, pat, phi, rates, convention=convention)

@@ -1,4 +1,9 @@
-"""Gate constructors: damped Walsh gate, phase oracle, and diffusion.
+"""Gate constructors: the damped Walsh gate and the phase oracle, as arrays.
+
+A one-qubit W gate is a (2, 2) complex array in (g, e) ordering; the W layer
+on n qubits is the (n, 2, 2) array of its tensor factors, qubit 1 first.  The
+oracle is diagonal, so it is its (2^n,) array of entries in basis-index
+order.
 
 All times enter through the dimensionless control phase ``phi`` = beta/pi;
 the matching evolution time in natural units is ``tau`` = phi*pi/2^n.
@@ -28,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import DenseGate, DiagonalGate, index_of, validate_pattern
+from .basis import index_of, validate_pattern
 from .errors import DimensionMismatch, NegativePhase, OverdampedQubit
 
 CONVENTIONS = ("composite", "tabulated")
@@ -73,11 +78,6 @@ class PhasePoint:
         return self.phi * math.pi / 2**self.n
 
 
-def beta(phase: PhasePoint) -> float:
-    """Oracle phase in radians."""
-    return phase.beta
-
-
 def validate_rates(rates, n: int | None = None) -> tuple[float, ...]:
     """Normalize rates to a tuple of finite non-negative floats, checking length."""
     out = tuple(finite_real(g, "dissipation rate") for g in rates)
@@ -88,7 +88,8 @@ def validate_rates(rates, n: int | None = None) -> tuple[float, ...]:
     return out
 
 
-def _check_convention(convention: str) -> str:
+def check_convention(convention: str) -> str:
+    """Return ``convention`` if it is one of CONVENTIONS, else raise."""
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     return convention
@@ -108,7 +109,7 @@ def w_gate(g: float, convention: str = "composite") -> np.ndarray:
 
     At g=0 both conventions reduce to the Hadamard gate.
     """
-    _check_convention(convention)
+    check_convention(convention)
     xi = xi_factor(g)
     if convention == "composite":
         asym = g / (4.0 * xi)
@@ -121,60 +122,30 @@ def w_gate(g: float, convention: str = "composite") -> np.ndarray:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class WalshLayer:
-    """One W gate per qubit: the 2x2 factors of the layer's tensor product."""
-
-    n: int
-    mats: tuple
-    convention: str
-
-    def dense(self) -> DenseGate:
-        m = self.mats[0]
-        for v in range(1, self.n):
-            m = np.kron(m, self.mats[v])
-        return DenseGate(self.n, m)
-
-
-def walsh_layer(n: int, rates, convention: str = "composite") -> WalshLayer:
-    """W(g_1) x ... x W(g_n) as its per-qubit factors."""
-    _check_convention(convention)
-    rates = validate_rates(rates, n)
-    mats = tuple(w_gate(g, convention) for g in rates)
-    return WalshLayer(n, mats, convention)
-
-
-@lru_cache(maxsize=256)
-def _excited_rate_sums(n: int, rates: tuple) -> np.ndarray:
-    """For each basis index y, the summed rates of y's excited qubits."""
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-    out = bits @ np.asarray(rates, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+@lru_cache(maxsize=512)
+def walsh_layer(n: int, rates: tuple, convention: str = "composite") -> np.ndarray:
+    """W(g_1) x ... x W(g_n) as its per-qubit factors: a read-only (n, 2, 2)
+    array.  ``rates`` is a tuple, the cache key."""
+    mats = np.array([w_gate(g, convention) for g in validate_rates(rates, n)])
+    mats.setflags(write=False)
+    return mats
 
 
 def damping_entries(n: int, phase: PhasePoint, rates) -> np.ndarray:
-    """Per-basis-state damping factors exp(-(tau/2) * sum of excited rates)."""
+    """Per-basis-state damping factors exp(-(tau/2) * sum of excited rates),
+    shape (2^n,)."""
     rates = validate_rates(rates, n)
-    return np.exp(-0.5 * phase.tau * _excited_rate_sums(n, rates))
+    excited = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
+    return np.exp(-0.5 * phase.tau * (excited @ np.asarray(rates, dtype=np.float64)))
 
 
-def oracle_gate(x: str, phase: PhasePoint, rates) -> DiagonalGate:
-    """Diagonal phase oracle: damping on every state, extra e^{i*beta} on x."""
+def oracle_gate(x: str, phase: PhasePoint, rates) -> np.ndarray:
+    """Diagonal phase oracle's (2^n,) entries: damping on every state, extra
+    e^{i*beta} on x."""
     validate_pattern(x)
     n = len(x)
     if phase.n != n:
         raise DimensionMismatch(f"pattern length {n} vs phase n={phase.n}")
     entries = damping_entries(n, phase, rates).astype(np.complex128)
     entries[index_of(x)] *= np.exp(1j * phase.beta)
-    return DiagonalGate(n, entries)
-
-
-def diffusion_gate(n: int, phase: PhasePoint, rates, convention: str = "composite") -> DenseGate:
-    """Dense diffusion gate e^{i*beta} * W_layer * P_{g...g} * W_layer."""
-    if phase.n != n:
-        raise DimensionMismatch(f"n={n} vs phase n={phase.n}")
-    w = walsh_layer(n, rates, convention).dense().matrix
-    p = oracle_gate("g" * n, phase, rates).entries
-    mat = np.exp(1j * phase.beta) * (w * p[None, :]) @ w
-    return DenseGate(n, mat)
+    return entries

@@ -1,5 +1,9 @@
 """The search iteration, evolved by one batched engine.
 
+A run's state is a complex array of shape (2^n,) in basis-index order, and
+its W layer the (n, 2, 2) array of per-qubit factors from
+`gates.walsh_layer`.
+
 One run prepares |g...g>, applies the W layer once, then `iterations` rounds
 of (oracle, diffusion).  The oracle's damping diagonal is the tensor product
 of per-qubit diag(1, d_v), d_v = exp(-tau*g_v/2), so it folds into the W
@@ -23,13 +27,12 @@ that is not promised).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .basis import MAX_QUBITS, StateVector, index_of, pattern_of, validate_pattern
+from .basis import all_patterns, index_of, validate_pattern
 from .errors import DimensionMismatch
-from .gates import PhasePoint, validate_rates, walsh_layer, whole_number
+from .gates import PhasePoint, check_convention, validate_rates, walsh_layer, whole_number
 
 # Amplitudes per block, each run's group factors counted too (see
 # points_per_block): 46 points at n=9, 7 at n=12.  GROUP is the number of
@@ -73,6 +76,7 @@ class RunConfig:
             object.__setattr__(self, "iterations", max(1, self.n - 1))
         if whole_number(self.iterations, "iterations") < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        check_convention(self.convention)
 
     @property
     def phase(self) -> PhasePoint:
@@ -92,20 +96,6 @@ class ProbabilityReport:
     @property
     def sum_unmarked(self) -> float:
         return self.survival - self.marked_prob
-
-
-@lru_cache(maxsize=512)
-def _layer(n: int, rates: tuple, convention: str) -> np.ndarray:
-    """The W layer's factors as one read-only (n, 2, 2) array."""
-    mats = np.array(walsh_layer(n, rates, convention).mats)
-    mats.setflags(write=False)
-    return mats
-
-
-@lru_cache(maxsize=MAX_QUBITS)
-def _labels(n: int) -> tuple:
-    """Pattern of every basis index of an n-qubit register, in index order."""
-    return tuple(pattern_of(i, n) for i in range(2**n))
 
 
 def points_per_block(n: int) -> int:
@@ -160,7 +150,7 @@ def _evolve(configs, trace=None) -> np.ndarray:
     n, iterations = configs[0].n, configs[0].iterations
     if any(c.n != n or c.iterations != iterations for c in configs):
         raise DimensionMismatch("a block needs one register size and one iteration count")
-    w = np.stack([_layer(n, c.rates, c.convention) for c in configs], axis=-1)
+    w = np.stack([walsh_layer(n, c.rates, c.convention) for c in configs], axis=-1)
     beta = np.array([c.phase.beta for c in configs])
     rates = np.array([c.rates for c in configs]).T
     m = w.copy()
@@ -214,7 +204,7 @@ def reports(configs) -> list:
     iteration count."""
     out = []
     for block, probs in _blocks(configs):
-        labels = _labels(block[0].n)
+        labels = all_patterns(block[0].n)
         for config, values, survival in zip(block, probs.tolist(), probs.sum(axis=1).tolist()):
             ix = index_of(config.marked)
             unmarked = {labels[i]: p for i, p in enumerate(values) if i != ix}
@@ -222,9 +212,9 @@ def reports(configs) -> list:
     return out
 
 
-def run(config: RunConfig) -> StateVector:
-    """Final (unnormalized) state of the search run."""
-    return StateVector(config.n, _evolve([config])[0])
+def run(config: RunConfig) -> np.ndarray:
+    """Final (unnormalized) amplitudes of the search run, shape (2^n,)."""
+    return _evolve([config])[0]
 
 
 def report(config: RunConfig) -> ProbabilityReport:

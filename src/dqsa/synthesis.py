@@ -6,43 +6,29 @@ non-Hermitian damping.  The coupling assignment expands the marked-state
 projector: sum_tuples J * prod(sigma_z) = theta * 2^n * |x><x|, distributed
 over ordered index tuples in a canonical way (see coupling_assignment).
 Evolving for time tau then reproduces the oracle exactly, which
-verify_gate_realization checks numerically.
+verify_gate_realization checks numerically.  Energies and their evolutions
+are (2^n,) arrays of diagonal entries in basis-index order, like the oracle
+of gates.oracle_gate.
 
 The one-qubit W gate is likewise realized as a composition of three timed
 pulses (two bare sigma-z pulses around one rotated damped pulse); compose_w
 reproduces the closed-form gate of gates.w_gate (composite convention).
+Pulses are (2, 2) arrays in (g, e) ordering.
 """
 
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DiagonalGate, index_of, validate_pattern
+from .basis import all_patterns, validate_pattern
 from .errors import DimensionMismatch, OverdampedQubit, UnsupportedSize
-from .gates import PhasePoint, oracle_gate, validate_rates, w_gate, xi_factor
+from .gates import PhasePoint, oracle_gate, validate_rates, xi_factor
 
 THETA = 1.0  # coupling energy scale in natural units
-
-SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]])  # z|e> = +|e>, basis (g, e)
-
-
-@dataclass(frozen=True, eq=False)
-class CouplingConditions:
-    """Derived scalars of a coupling assignment: overall scale, per-qubit
-    signs, the shared order-3 magnitude, and which sign branch the marked
-    pattern selects (top = first qubit excited)."""
-
-    n: int
-    pattern: str
-    theta: float
-    signs: tuple
-    order3: tuple = ()
-    order3_magnitude: float = 0.0
-    branch: str = "top"
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,15 +37,6 @@ class CouplingConfig:
 
     n: int
     terms: dict
-    conditions: CouplingConditions | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class DiagonalHamiltonian:
-    """Complex diagonal energies; imaginary parts are damping (always <= 0)."""
-
-    n: int
-    energies: np.ndarray
 
 
 def coupling_assignment(n: int, pattern: str) -> CouplingConfig:
@@ -92,32 +69,21 @@ def coupling_assignment(n: int, pattern: str) -> CouplingConfig:
             terms[(s, s)] = THETA / n
     for s, j in itertools.permutations(range(1, n + 1), 2):
         terms[(s, j)] = z[s - 1] * z[j - 1] * THETA / 2.0
-    order3 = []
     if n >= 3:
         for combo in itertools.combinations(range(1, n + 1), 3):
             val = z[combo[0] - 1] * z[combo[1] - 1] * z[combo[2] - 1] * THETA / 6.0
-            order3.append(val)
             for perm in itertools.permutations(combo):
                 terms[perm] = val
     if n == 4:
         zprod = z[0] * z[1] * z[2] * z[3]
         for perm in itertools.permutations((1, 2, 3, 4)):
             terms[perm] = zprod * THETA / 24.0
-
-    conditions = CouplingConditions(
-        n=n,
-        pattern=pattern,
-        theta=THETA,
-        signs=z,
-        order3=tuple(order3),
-        order3_magnitude=THETA / 6.0 if n >= 3 else 0.0,
-        branch="top" if pattern[0] == "e" else "lower",
-    )
-    return CouplingConfig(n=n, terms=terms, conditions=conditions)
+    return CouplingConfig(n=n, terms=terms)
 
 
-def build_hamiltonian(config: CouplingConfig, rates) -> DiagonalHamiltonian:
-    """E[y] = -sum_tuples J * prod z_s(y) - (i/2) * sum of excited rates.
+def build_hamiltonian(config: CouplingConfig, rates) -> np.ndarray:
+    """Diagonal energies, shape (2^n,): E[y] = -sum_tuples J * prod z_s(y)
+    - (i/2) * sum of excited rates, so imaginary parts (damping) are <= 0.
 
     Since z_s(y)^2 = 1, a tuple's product is -1 to the number of its
     odd-multiplicity qubits that are ground in y; all basis states are
@@ -135,14 +101,14 @@ def build_hamiltonian(config: CouplingConfig, rates) -> DiagonalHamiltonian:
     signs = 1 - 2 * (((1 - excited) @ odd.T) & 1)
     real = signs @ np.array(list(config.terms.values()))
     imag = -0.5 * (excited @ np.array(rates))
-    return DiagonalHamiltonian(n, -real + 1j * imag)
+    return -real + 1j * imag
 
 
-def evolve(h: DiagonalHamiltonian, phase: PhasePoint) -> DiagonalGate:
-    """Diagonal time evolution exp(-i * E[y] * tau)."""
-    if phase.n != h.n:
-        raise DimensionMismatch(f"hamiltonian n={h.n} vs phase n={phase.n}")
-    return DiagonalGate(h.n, np.exp(-1j * h.energies * phase.tau))
+def evolve(energies: np.ndarray, phase: PhasePoint) -> np.ndarray:
+    """Diagonal time evolution exp(-i * E[y] * tau), shape (2^n,)."""
+    if len(energies) != 2**phase.n:
+        raise DimensionMismatch(f"{len(energies)} energies vs phase n={phase.n}")
+    return np.exp(-1j * energies * phase.tau)
 
 
 def verify_gate_realization(n: int, pattern: str, phase: PhasePoint, rates) -> float:
@@ -155,8 +121,8 @@ def verify_gate_realization(n: int, pattern: str, phase: PhasePoint, rates) -> f
     u = evolve(build_hamiltonian(coupling_assignment(n, pattern), rates), phase)
     p = oracle_gate(pattern, phase, rates)
     ref = 2**n - 1 if pattern == "g" * n else 0
-    c = u.entries[ref] / p.entries[ref]
-    return float(np.max(np.abs(u.entries - c * p.entries)))
+    c = u[ref] / p[ref]
+    return float(np.max(np.abs(u - c * p)))
 
 
 def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240, tolerance: float = 1e-10):
@@ -165,8 +131,6 @@ def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240, toleran
     Returns a list of (pattern, worst deviation) rows in deterministic order;
     phi is drawn from (0, 2) and each rate from [0, 1).
     """
-    from .basis import all_patterns
-
     rng = np.random.default_rng(seed)
     rows = []
     for n in ns:

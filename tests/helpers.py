@@ -38,26 +38,35 @@ def dense_walsh(n: int, rates, convention: str = "composite") -> np.ndarray:
     return mat
 
 
+def dense_diffusion(n: int, phase: PhasePoint, rates, convention: str = "composite") -> np.ndarray:
+    """Dense diffusion gate e^{i*beta} * W_layer * P_{g...g} * W_layer."""
+    w = dense_walsh(n, rates, convention)
+    p = oracle_gate("g" * n, phase, rates)
+    return np.exp(1j * phase.beta) * (w * p[None, :]) @ w
+
+
 def dense_run(n, marked, phi, rates=None, iterations=None, convention="composite"):
     """Final state amplitudes computed with dense operators only."""
     rates = tuple(rates) if rates else (0.0,) * n
     iterations = iterations if iterations is not None else max(1, n - 1)
     phase = PhasePoint(phi, n)
-    w = dense_walsh(n, rates, convention)
-    px = np.diag(oracle_gate(marked, phase, rates).entries)
-    p0 = np.diag(oracle_gate("g" * n, phase, rates).entries)
-    step = np.exp(1j * phase.beta) * (w @ p0 @ w @ px)
-    state = w[:, 0].copy()
+    step = dense_diffusion(n, phase, rates, convention) * oracle_gate(marked, phase, rates)
+    state = dense_walsh(n, rates, convention)[:, 0].copy()
     for _ in range(iterations):
         state = step @ state
     return state
 
 
-def worst_row_vs_report(rows, n: int, marked: str, rates=()) -> float:
-    """Largest deviation of phase-sweep rows from standalone reports."""
+def worst_row_vs_report(rows, spec) -> float:
+    """Largest deviation of the rows of ``sweep(spec)``, on either axis, from
+    standalone reports of their points."""
     worst = 0.0
-    for phi, _, rho, sum_unmarked, surv in rows:
-        rep = report(RunConfig(n, marked, phi, rates))
+    for *grid, rho, sum_unmarked, surv in rows:
+        if spec.axis == "phase":
+            phi, rates = grid[0], spec.rates
+        else:
+            phi, rates = spec.phi, tuple(grid[0] * w for w in spec.weights)
+        rep = report(RunConfig(spec.n, spec.marked, phi, rates, convention=spec.convention))
         worst = max(worst, abs(rho - rep.marked_prob),
                     abs(sum_unmarked - rep.sum_unmarked), abs(surv - rep.survival))
     return worst

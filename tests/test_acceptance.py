@@ -20,14 +20,14 @@ from dqsa.experiments import (
     SweepSpec,
     appendix_reproduce,
     grover_closed_form,
-    phase_sweep,
+    sweep,
     sweep_to_csv,
 )
-from dqsa.gates import PhasePoint, diffusion_gate, w_gate
+from dqsa.gates import PhasePoint, w_gate
 from dqsa.search import RunConfig, points_per_block, report
 from dqsa.synthesis import compose_w, verification_sweep
 
-from helpers import record_blocks, worst_row_vs_report
+from helpers import dense_diffusion, record_blocks, worst_row_vs_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -136,9 +136,9 @@ def test_criterion_6_invariant_suite():
     for _ in range(15):
         n = int(rng.integers(2, 5))
         phase = PhasePoint(float(rng.uniform(0, 2)), n)
-        d = diffusion_gate(n, phase, tuple(rng.uniform(0, 3.5, size=n))).matrix
+        d = dense_diffusion(n, phase, tuple(rng.uniform(0, 3.5, size=n)))
         worst_sym = max(worst_sym, float(np.max(np.abs(d - d.T))))
-        d0 = np.diag(diffusion_gate(n, phase, (0.0,) * n).matrix)
+        d0 = np.diag(dense_diffusion(n, phase, (0.0,) * n))
         worst_diag = max(worst_diag, float(np.max(np.abs(d0 - d0[0]))))
     checks["diffusion symmetric"] = worst_sym <= 1e-12
     checks["uniform diagonal at rates 0"] = worst_diag <= 1e-12
@@ -187,17 +187,18 @@ def test_criterion_8_sweep_performance_and_determinism(monkeypatch):
     spec = SweepSpec(n=9, marked="e" * 9, axis="phase",
                      start=0.001, stop=2.0, steps=1000)
     t0 = time.perf_counter()
-    first = sweep_to_csv(phase_sweep(spec))
+    first = sweep_to_csv(sweep(spec))
     elapsed = time.perf_counter() - t0
-    second = sweep_to_csv(phase_sweep(spec))
+    second = sweep_to_csv(sweep(spec))
     # a grid of one whole engine block plus a one-point last block, row by
     # row against standalone reports
     steps = points_per_block(9) + 1
     blocks = record_blocks(monkeypatch)
-    split = phase_sweep(SweepSpec(n=9, marked="e" * 9, axis="phase",
-                                  start=0.001, stop=2.0, steps=steps))
+    split_spec = SweepSpec(n=9, marked="e" * 9, axis="phase", start=0.001, stop=2.0,
+                           steps=steps)
+    split = sweep(split_spec)
     blocks = list(blocks)
-    worst = worst_row_vs_report(split, 9, "e" * 9)
+    worst = worst_row_vs_report(split, split_spec)
     ok = elapsed < 5.0 and first == second and blocks == [steps - 1, 1] and worst <= 1e-15
     _verdict(8, "1000-point n=9 sweep", ok,
              f"{elapsed:.2f} s; rerun identical={first == second}, "

@@ -91,6 +91,23 @@ class TestRun:
         assert out == ""
         assert field in err
 
+    @pytest.mark.parametrize("argv,field", [
+        (["verify-gates", "--n", "2", "--draws", "0"], "--draws"),
+        (["verify-gates", "--n", "2", "--draws=-3"], "--draws"),
+        (["verify-gates", "--n", "2", "--tolerance", "inf"], "--tolerance"),
+        (["verify-gates", "--n", "2", "--tolerance=-1e-10"], "--tolerance"),
+        (["table1", "--n", "2", "--tolerance", "nan"], "--tolerance"),
+        (["table1", "--n", "2", "--tolerance=-inf"], "--tolerance"),
+        (["appendix", "--table", "2", "--tolerance", "inf"], "--tolerance"),
+        (["appendix", "--table", "2", "--tolerance=-2e-3"], "--tolerance"),
+    ])
+    def test_vacuous_comparison_flag_exits_1(self, capsys, argv, field):
+        # each of these made every row pass, or every row fail
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert field in err
+
     @pytest.mark.parametrize("argv", [
         ["run", "--n", "2", "--marked", "ee", "--phi", "abc"],
         ["sweep", "--n", "2", "--marked", "ee", "--phi", "0:1:x"],

@@ -5,13 +5,11 @@ import math
 
 import pytest
 
-from dqsa.errors import UnknownTable, UnsupportedSize
+from dqsa.errors import DimensionMismatch, InvalidPattern, UnknownTable, UnsupportedSize
 from dqsa.search import RunConfig, points_per_block, report
 from dqsa.experiments import (
     AVAILABLE_TABLES,
     OFFSET_TABLES,
-    PATTERN_FAMILY_PRESET,
-    PEAK_DISSIPATION_PRESETS,
     SUMMARY_GROVER,
     SUMMARY_PHI_P,
     SweepSpec,
@@ -19,10 +17,9 @@ from dqsa.experiments import (
     appendix_reproduce,
     comparison_to_csv,
     comparison_to_json,
-    dissipation_sweep,
     grover_closed_form,
     peak_search,
-    phase_sweep,
+    sweep,
     sweep_to_csv,
     sweep_to_json,
     table1,
@@ -114,11 +111,24 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=field):
             SweepSpec(**args)
 
+    @pytest.mark.parametrize("kwargs,error", [
+        (dict(marked="xyz"), InvalidPattern),
+        (dict(marked="eee"), DimensionMismatch),
+        (dict(axis="dissipation", marked="e"), DimensionMismatch),
+        (dict(convention="bogus"), ValueError),
+        (dict(axis="dissipation", convention="bogus"), ValueError),
+    ])
+    def test_marked_and_convention_checked(self, kwargs, error):
+        # rejected when the spec is built, before any grid point is
+        args = dict(n=2, marked="ee", start=0.0, stop=1.0, steps=3) | kwargs
+        with pytest.raises(error):
+            SweepSpec(**args)
+
 
 class TestPhaseSweep:
     def test_zero_phase_leaves_uniform_distribution(self):
         spec = SweepSpec(n=3, marked="ege", start=0.0, stop=1.0, steps=3)
-        rows = phase_sweep(spec)
+        rows = sweep(spec)
         phi0 = rows[0]
         assert phi0[0] == 0.0
         assert phi0[2] == pytest.approx(1 / 8, abs=1e-12)   # marked prob
@@ -126,65 +136,61 @@ class TestPhaseSweep:
 
     def test_tau_column(self):
         spec = SweepSpec(n=2, marked="ee", start=0.5, stop=1.0, steps=2)
-        rows = phase_sweep(spec)
+        rows = sweep(spec)
         for phi, tau, *_ in rows:
             assert tau == pytest.approx(phi * math.pi / 4, abs=1e-15)
 
     def test_lossless_survival_stays_one(self):
         spec = SweepSpec(n=4, marked="geeg", start=0.1, stop=1.9, steps=7)
-        for _, _, rho, sum_unmarked, surv in phase_sweep(spec):
+        for _, _, rho, sum_unmarked, surv in sweep(spec):
             assert surv == pytest.approx(1.0, abs=1e-12)
             assert rho + sum_unmarked == pytest.approx(surv, abs=1e-12)
 
     def test_six_qubit_ceiling(self):
         # with no damping the n=6 success probability tops out just above 0.96
         spec = SweepSpec(n=6, marked="e" * 6, start=0.9, stop=1.1, steps=21)
-        top = max(r[2] for r in phase_sweep(spec))
+        top = max(r[2] for r in sweep(spec))
         assert 0.96 <= top <= 0.97
 
-    def test_requires_phase_axis(self):
-        spec = SweepSpec(n=2, marked="ee", axis="dissipation", start=0.0, stop=1.0, steps=3)
-        with pytest.raises(ValueError):
-            phase_sweep(spec)
+
+
+def dissipation_spec(n, marked, phi, start, stop, steps, weights=()) -> SweepSpec:
+    return SweepSpec(n=n, marked=marked, axis="dissipation", start=start, stop=stop,
+                     steps=steps, phi=phi, weights=weights)
 
 
 class TestDissipationSweep:
     def test_zero_rate_point_matches_lossless_run(self):
-        rows = dissipation_sweep(3, "ege", 1.0, "uniform", (0.0, 0.5, 3))
+        rows = sweep(dissipation_spec(3, "ege", 1.0, 0.0, 0.5, 3))
         direct = report(RunConfig(3, "ege", 1.0))
         assert rows[0][0] == 0.0
         assert rows[0][3] == pytest.approx(direct.marked_prob, abs=1e-15)
 
     def test_probability_decreases_with_uniform_rate(self):
-        rows = dissipation_sweep(4, "egee", 0.45008, "uniform", (0.0, 0.9, 10))
+        rows = sweep(dissipation_spec(4, "egee", 0.45008, 0.0, 0.9, 10))
         probs = [r[3] for r in rows]
         assert all(b < a for a, b in zip(probs, probs[1:]))
 
-    def test_explicit_value_grid(self):
-        rows = dissipation_sweep(2, "ee", 1.0, "uniform", [0.0, 0.25, 0.7])
-        assert [r[0] for r in rows] == [0.0, 0.25, 0.7]
+    def test_phi_and_tau_columns(self):
+        for _, phi, tau, *_ in sweep(dissipation_spec(3, "ege", 0.6, 0.0, 0.5, 3)):
+            assert phi == 0.6
+            assert tau == pytest.approx(0.6 * math.pi / 8, abs=1e-15)
 
     def test_weighted_rates(self):
         # weight vector (1, 0): only qubit 1 is damped
-        rows = dissipation_sweep(2, "ee", 1.0, (1.0, 0.0), [0.5])
+        rows = sweep(dissipation_spec(2, "ee", 1.0, 0.0, 0.5, 2, weights=(1.0, 0.0)))
         direct = report(RunConfig(2, "ee", 1.0, (0.5, 0.0)))
-        assert rows[0][3] == pytest.approx(direct.marked_prob, abs=1e-15)
+        assert rows[1][0] == 0.5
+        assert rows[1][3] == pytest.approx(direct.marked_prob, abs=1e-15)
 
     def test_weight_length_checked(self):
-        with pytest.raises(ValueError):
-            dissipation_sweep(3, "ege", 1.0, (1.0, 0.5), (0.0, 1.0, 3))
+        with pytest.raises(DimensionMismatch):
+            dissipation_spec(3, "ege", 1.0, 0.0, 1.0, 3, weights=(1.0, 0.5))
 
     @pytest.mark.parametrize("bad", [True, math.nan, math.inf])
     def test_non_finite_or_bool_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="rate"):
-            dissipation_sweep(2, "ee", 1.0, (bad, 1.0), [0.0, 0.5])
-
-    def test_presets_run(self):
-        for preset in PEAK_DISSIPATION_PRESETS:
-            rows = dissipation_sweep(preset["n"], preset["marked"], preset["phi"],
-                                     preset["which"], (0.0, 1.0, 3))
-            assert len(rows) == 3
-        assert all(set(p) <= {"g", "e"} for p in PATTERN_FAMILY_PRESET)
+            dissipation_spec(2, "ee", 1.0, 0.0, 0.5, 2, weights=(bad, 1.0))
 
 
 class TestReferenceTables:
@@ -197,6 +203,10 @@ class TestReferenceTables:
             _load_table(1)
         with pytest.raises(UnknownTable):
             appendix_reproduce(12)
+
+    def test_unknown_convention(self):
+        with pytest.raises(ValueError, match="convention"):
+            appendix_reproduce(2, convention="bogus")
 
     def test_weak_two_qubit_metadata(self):
         n, rates, phis, marked, unmarked = _load_table(2)
@@ -253,20 +263,20 @@ class TestSerialization:
 
     def test_sweep_csv_headers(self):
         spec = SweepSpec(n=2, marked="ee", start=0.2, stop=0.4, steps=2)
-        text = sweep_to_csv(phase_sweep(spec))
+        text = sweep_to_csv(sweep(spec))
         assert text.startswith("phi,tau,marked_prob,sum_unmarked,survival\n")
-        rows = dissipation_sweep(2, "ee", 1.0, "uniform", (0.0, 0.5, 2))
+        rows = sweep(dissipation_spec(2, "ee", 1.0, 0.0, 0.5, 2))
         text = sweep_to_csv(rows, axis="dissipation")
         assert text.startswith("gbar,phi,tau,marked_prob,sum_unmarked,survival\n")
 
     def test_sweep_json_columns(self):
-        rows = dissipation_sweep(2, "ee", 1.0, "uniform", (0.0, 0.5, 2))
+        rows = sweep(dissipation_spec(2, "ee", 1.0, 0.0, 0.5, 2))
         doc = json.loads(sweep_to_json(rows, axis="dissipation"))
         assert list(doc[0]) == ["gbar", "phi", "tau", "marked_prob", "sum_unmarked", "survival"]
 
     def test_csv_emission_is_deterministic(self):
         spec = SweepSpec(n=3, marked="geg", start=0.1, stop=1.5, steps=9)
-        assert sweep_to_csv(phase_sweep(spec)) == sweep_to_csv(phase_sweep(spec))
+        assert sweep_to_csv(sweep(spec)) == sweep_to_csv(sweep(spec))
 
 
 class TestBlocks:
@@ -277,8 +287,21 @@ class TestBlocks:
         steps = points_per_block(n) + 1
         spec = SweepSpec(n=n, marked=marked, start=0.05, stop=1.95, steps=steps, rates=rates)
         blocks = record_blocks(monkeypatch)
-        rows = phase_sweep(spec)
+        rows = sweep(spec)
         assert blocks == [steps - 1, 1]
         assert len(rows) == steps
-        assert worst_row_vs_report(rows, n, marked, rates) <= 1e-15
-        assert sweep_to_csv(rows) == sweep_to_csv(phase_sweep(spec))
+        assert worst_row_vs_report(rows, spec) <= 1e-15
+        assert sweep_to_csv(rows) == sweep_to_csv(sweep(spec))
+
+    def test_dissipation_block_split_matches_report(self, monkeypatch):
+        # the same on the rate axis, with per-qubit weights
+        n, marked, weights = 7, "egeggee", (1.0, 0.5, 0.0, 0.25, 2.0, 1.0, 0.75)
+        steps = points_per_block(n) + 1
+        spec = dissipation_spec(n, marked, 0.81, 0.0, 0.95, steps, weights)
+        blocks = record_blocks(monkeypatch)
+        rows = sweep(spec)
+        assert blocks == [steps - 1, 1]
+        assert len(rows) == steps
+        assert worst_row_vs_report(rows, spec) <= 1e-15
+        text = sweep_to_csv(rows, axis="dissipation")
+        assert text == sweep_to_csv(sweep(spec), axis="dissipation")

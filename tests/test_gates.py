@@ -1,5 +1,7 @@
-"""Gate constructors: phase bookkeeping, W gate, oracle, diffusion."""
+"""Gate constructors: phase bookkeeping, W gate, oracle; and the dense
+diffusion built from them."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,9 +12,7 @@ from dqsa.errors import DimensionMismatch, NegativePhase, OverdampedQubit
 from dqsa.gates import (
     CONVENTIONS,
     PhasePoint,
-    beta,
     damping_entries,
-    diffusion_gate,
     oracle_gate,
     validate_rates,
     w_gate,
@@ -21,7 +21,7 @@ from dqsa.gates import (
 )
 from dqsa.search import RunConfig, run, summaries
 
-from helpers import engine_layer
+from helpers import dense_diffusion, dense_walsh, engine_layer
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -29,7 +29,7 @@ HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 class TestPhasePoint:
     def test_beta_and_tau(self):
         p = PhasePoint(0.5, 3)
-        assert beta(p) == pytest.approx(0.5 * math.pi, abs=1e-15)
+        assert p.beta == pytest.approx(0.5 * math.pi, abs=1e-15)
         assert p.tau == pytest.approx(0.5 * math.pi / 8, abs=1e-15)
 
     def test_negative_phase_rejected(self):
@@ -122,15 +122,23 @@ class TestWGate:
 class TestWalshLayer:
     def test_sweeps_match_dense(self):
         rng = np.random.default_rng(3)
-        layer = walsh_layer(3, (0.1, 0.5, 0.9))
+        rates = (0.1, 0.5, 0.9)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        out = engine_layer(amps[None], np.array(layer.mats)[..., None])[0]
-        ref = layer.dense().matrix @ amps
+        out = engine_layer(amps[None], walsh_layer(3, rates)[..., None])[0]
+        ref = dense_walsh(3, rates) @ amps
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_rate_count_checked(self):
         with pytest.raises(DimensionMismatch):
             walsh_layer(3, (0.1, 0.2))
+
+    def test_cached_layer_is_read_only(self):
+        # every caller gets the same cached array, so none may write to it
+        layer = walsh_layer(2, (0.3, 0.0), "tabulated")
+        assert layer is walsh_layer(2, (0.3, 0.0), "tabulated")
+        assert layer.shape == (2, 2, 2)
+        with pytest.raises(ValueError):
+            layer[0, 0, 0] = 0.0
 
     def test_state_size_checked(self):
         # one engine block holds one register size
@@ -138,7 +146,7 @@ class TestWalshLayer:
             summaries([RunConfig(2, "ee", 1.0), RunConfig(3, "eee", 1.0)])
 
     def test_zero_rates_squares_to_identity(self):
-        w = walsh_layer(3, (0.0,) * 3).dense().matrix
+        w = functools.reduce(np.kron, walsh_layer(3, (0.0,) * 3))
         np.testing.assert_allclose(w @ w, np.eye(8), atol=1e-12)
 
 
@@ -146,8 +154,7 @@ class TestOracle:
     def test_known_entries(self):
         # n=2, marked ee, phi=1: tau/2 = pi/8, marked picks up e^{i pi} = -1
         ga, gb = 1 / 113, 1 / 90
-        gate = oracle_gate("ee", PhasePoint(1.0, 2), (ga, gb))
-        e = gate.entries
+        e = oracle_gate("ee", PhasePoint(1.0, 2), (ga, gb))
         assert e[index_of("gg")] == pytest.approx(1.0, abs=1e-15)
         assert e[index_of("ge")] == pytest.approx(math.exp(-math.pi / 8 * gb), abs=1e-15)
         assert e[index_of("eg")] == pytest.approx(math.exp(-math.pi / 8 * ga), abs=1e-15)
@@ -155,13 +162,13 @@ class TestOracle:
 
     def test_zero_phase_is_identity(self):
         gate = oracle_gate("eg", PhasePoint(0.0, 2), (0.7, 0.3))
-        np.testing.assert_allclose(gate.entries, np.ones(4), atol=1e-15)
+        np.testing.assert_allclose(gate, np.ones(4), atol=1e-15)
 
     def test_zero_rates_is_pure_phase_flip(self):
         gate = oracle_gate("ge", PhasePoint(1.0, 2), (0.0, 0.0))
         expected = np.ones(4, dtype=complex)
         expected[index_of("ge")] = -1.0
-        np.testing.assert_allclose(gate.entries, expected, atol=1e-12)
+        np.testing.assert_allclose(gate, expected, atol=1e-12)
 
     def test_damping_entries_bounded(self):
         d = damping_entries(3, PhasePoint(1.7, 3), (0.9, 0.4, 0.2))
@@ -171,7 +178,7 @@ class TestOracle:
     def test_oracle_flips_uniform_state_component(self):
         # H x H |gg> then the phase oracle for ee: last amplitude negated
         gate = oracle_gate("ee", PhasePoint(1.0, 2), (0.0, 0.0))
-        out = gate.entries * np.full(4, 0.5)
+        out = gate * np.full(4, 0.5)
         np.testing.assert_allclose(out, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
     def test_phase_size_mismatch(self):
@@ -183,30 +190,29 @@ class TestDiffusion:
     def test_grover_limit(self):
         # rates 0, phi=1: 2|s><s| - 1 with |s> uniform
         n = 3
-        d = diffusion_gate(n, PhasePoint(1.0, n), (0.0,) * n).matrix
+        d = dense_diffusion(n, PhasePoint(1.0, n), (0.0,) * n)
         s = np.full((8, 1), 1 / math.sqrt(8))
         np.testing.assert_allclose(d, 2 * s @ s.T - np.eye(8), atol=1e-12)
 
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_symmetric_at_any_rates(self, convention):
-        d = diffusion_gate(3, PhasePoint(0.73, 3), (0.9, 0.2, 0.5), convention).matrix
+        d = dense_diffusion(3, PhasePoint(0.73, 3), (0.9, 0.2, 0.5), convention)
         np.testing.assert_allclose(d, d.T, atol=1e-12)
 
     def test_equal_diagonal_at_zero_rates(self):
-        d = diffusion_gate(3, PhasePoint(0.4, 3), (0.0,) * 3).matrix
+        d = dense_diffusion(3, PhasePoint(0.4, 3), (0.0,) * 3)
         np.testing.assert_allclose(np.diag(d), np.full(8, d[0, 0]), atol=1e-12)
 
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_contraction(self, convention):
-        d = diffusion_gate(2, PhasePoint(1.3, 2), (1.5, 0.8), convention).matrix
+        d = dense_diffusion(2, PhasePoint(1.3, 2), (1.5, 0.8), convention)
         assert np.linalg.norm(d, ord=2) <= 1 + 1e-9
 
     def test_matrix_free_matches_dense(self):
         # one engine round after the W layer: dense diffusion after the oracle
         n, marked, rates = 3, "egg", (0.3, 0.6, 0.1)
         phase = PhasePoint(0.9, n)
-        out = run(RunConfig(n, marked, phase.phi, rates, iterations=1)).amps
-        start = walsh_layer(n, rates).dense().matrix[:, 0]
-        ref = (diffusion_gate(n, phase, rates).matrix
-               @ (oracle_gate(marked, phase, rates).entries * start))
+        out = run(RunConfig(n, marked, phase.phi, rates, iterations=1))
+        start = dense_walsh(n, rates)[:, 0]
+        ref = dense_diffusion(n, phase, rates) @ (oracle_gate(marked, phase, rates) * start)
         np.testing.assert_allclose(out, ref, atol=1e-12)

@@ -49,6 +49,10 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(2, "ee", 1.0, iterations=0)
 
+    def test_unknown_convention_rejected(self):
+        with pytest.raises(ValueError, match="convention"):
+            RunConfig(2, "ee", 1.0, convention="bogus")
+
     @pytest.mark.parametrize("field,kwargs", [
         ("phi", dict(phi=math.nan)), ("phi", dict(phi=math.inf)),
         ("phi", dict(phi=-math.inf)), ("phi", dict(phi=True)),
@@ -72,7 +76,7 @@ class TestKnownOutcomes:
     def test_two_qubit_search_is_exact(self):
         # the lossless n=2 search lands on the marked state exactly
         state = run(RunConfig(2, "ee", 1.0))
-        np.testing.assert_allclose(state.amps, [0, 0, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(state, [0, 0, 0, 1], atol=1e-12)
 
     def test_three_qubit_grover_probability(self):
         rep = report(RunConfig(3, "ege", 1.0))
@@ -115,7 +119,7 @@ class TestReport:
         cfg = RunConfig(3, "gge", 0.43, (0.2, 0.1, 0.4))
         rep = report(cfg)
         state = run(cfg)
-        probs = np.abs(state.amps) ** 2
+        probs = np.abs(state) ** 2
         assert rep.marked_prob == pytest.approx(probs[1], abs=1e-15)
         assert rep.survival == pytest.approx(probs.sum(), abs=1e-15)
 
@@ -127,7 +131,7 @@ class TestTrace:
         cfg = RunConfig(4, "egge", 0.9, (0.1, 0.0, 0.3, 0.2), iterations=5)
         trace = marked_amplitude_trace(cfg)
         assert len(trace) == 5
-        final = run(cfg).amps[index_of("egge")]
+        final = run(cfg)[index_of("egge")]
         assert trace[-1] == pytest.approx(complex(final), abs=1e-12)
 
     def test_two_qubit_trace(self):
@@ -157,7 +161,7 @@ class TestDenseCrossCheck:
     def test_matrix_free_equals_dense(self, n, marked, phi, rates, convention):
         state = run(RunConfig(n, marked, phi, rates, convention=convention))
         ref = dense_run(n, marked, phi, rates, convention=convention)
-        np.testing.assert_allclose(state.amps, ref, atol=1e-12)
+        np.testing.assert_allclose(state, ref, atol=1e-12)
 
     def test_block_columns_equal_dense(self):
         # one engine block whose columns differ in pattern, phase, rates and

@@ -17,7 +17,6 @@ from .gates import (
     PhasePoint,
     oracle_gate,
     w_gate,
-    walsh_layer,
     xi_factor,
 )
 from .search import (
@@ -30,7 +29,6 @@ from .search import (
     summaries,
 )
 from .synthesis import (
-    CouplingConfig,
     build_hamiltonian,
     compose_w,
     coupling_assignment,

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: run, sweep, table1, appendix, verify-gates, peak.  Exit codes:
-0 success, 1 validation error (diagnostic on stderr naming the offending
-field), 2 when a comparison subcommand has at least one failing row.
+0 success, 1 invalid input or usage (diagnostic on stderr naming the
+offending field), 2 when a comparison subcommand has at least one failing row.
 """
 
 import argparse
@@ -262,7 +262,7 @@ def _comparison_exit(rep, args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    ns = [args.n] if args.n else None
+    ns = [args.n] if args.n is not None else None
     if args.tolerance is not None:
         rep = experiments.table1_comparison(ns, args.tolerance, args.tolerance)
     else:
@@ -277,8 +277,7 @@ def _cmd_appendix(args) -> int:
 
 def _cmd_verify_gates(args) -> int:
     ns = (args.n,) if args.n else (2, 3, 4)
-    rows = verification_sweep(ns, draws=args.draws, seed=args.seed,
-                              tolerance=args.tolerance)
+    rows = verification_sweep(ns, draws=args.draws, seed=args.seed)
     ok = True
     for pattern, worst in rows:
         passed = worst <= args.tolerance
@@ -318,15 +317,15 @@ def _check_comparison_flags(args):
 
 
 def parse_and_dispatch(argv) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if e.code else 0
     try:
         _check_comparison_flags(args)
         return _DISPATCH[args.command](args)
-    except DqsaError as e:
+    except (DqsaError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"ValueError: {e}", file=sys.stderr)
         return 1
 
 

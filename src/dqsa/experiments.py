@@ -124,9 +124,9 @@ def peak_search(n: int, marked: str, rates=(), convention: str = "composite") ->
 @dataclass(frozen=True)
 class SweepSpec:
     """A 1-D sweep (see `sweep`): over phi (axis="phase", fixed rates) or
-    over a uniform rate scale g (axis="dissipation", fixed phi, rates =
-    g * weights), on a grid of ``steps`` evenly spaced points from ``start``
-    to ``stop``."""
+    over a uniform rate scale g (axis="dissipation", fixed phi, default 1.0,
+    rates = g * weights), on a grid of ``steps`` evenly spaced points from
+    ``start`` to ``stop``.  A field the axis does not use must stay unset."""
 
     n: int
     marked: str
@@ -135,17 +135,19 @@ class SweepSpec:
     stop: float = 1.0
     steps: int = 2
     rates: tuple = ()
-    phi: float = 1.0
+    phi: float | None = None
     weights: tuple = ()
     convention: str = "composite"
 
     def __post_init__(self):
         if self.axis not in ("phase", "dissipation"):
             raise ValueError(f"axis must be 'phase' or 'dissipation', got {self.axis!r}")
+        for name in ("phi", "weights") if self.axis == "phase" else ("rates",):
+            if getattr(self, name) not in (None, ()):
+                raise ValueError(f"a {self.axis} sweep does not use {name}")
         grid = "phi" if self.axis == "phase" else "gbar"
         object.__setattr__(self, "start", finite_real(self.start, f"{grid} start"))
         object.__setattr__(self, "stop", finite_real(self.stop, f"{grid} stop"))
-        object.__setattr__(self, "phi", finite_real(self.phi, "phi"))
         if whole_number(self.steps, "steps") < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.axis == "phase" and not 0 <= self.start <= self.stop <= 2:
@@ -153,8 +155,12 @@ class SweepSpec:
         if self.axis == "dissipation" and not 0 <= self.start <= self.stop < 4:
             raise ValueError(f"rate grid must lie in [0, 4), got [{self.start}, {self.stop}]")
         n = whole_number(self.n, "n")
-        object.__setattr__(self, "rates", validate_rates(self.rates or (0.0,) * n, n))
-        object.__setattr__(self, "weights", validate_rates(self.weights or (1.0,) * n, n))
+        if self.axis == "phase":
+            object.__setattr__(self, "rates", validate_rates(self.rates or (0.0,) * n, n))
+        else:
+            phi = 1.0 if self.phi is None else self.phi
+            object.__setattr__(self, "phi", finite_real(phi, "phi"))
+            object.__setattr__(self, "weights", validate_rates(self.weights or (1.0,) * n, n))
         validate_pattern(self.marked)
         if len(self.marked) != n:
             raise DimensionMismatch(f"marked pattern length {len(self.marked)} vs n={n}")

@@ -1,9 +1,9 @@
 """Gate constructors: the damped Walsh gate and the phase oracle, as arrays.
 
-A one-qubit W gate is a (2, 2) complex array in (g, e) ordering; the W layer
-on n qubits is the (n, 2, 2) array of its tensor factors, qubit 1 first.  The
-oracle is diagonal, so it is its (2^n,) array of entries in basis-index
-order.
+A one-qubit W gate is a (2, 2) complex array in (g, e) ordering, and
+`w_gate` of n rates is the W layer: the (n, 2, 2) array of its tensor
+factors, qubit 1 first.  The oracle is diagonal, so it is its (2^n,) array
+of entries in basis-index order.  Nothing here keeps state.
 
 All times enter through the dimensionless control phase ``phi`` = beta/pi;
 the matching evolution time in natural units is ``tau`` = phi*pi/2^n.
@@ -29,7 +29,6 @@ table's rates, which stay below 1), and amplifies beyond that.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -95,40 +94,34 @@ def check_convention(convention: str) -> str:
     return convention
 
 
-def xi_factor(g: float) -> float:
-    """Detuning factor xi = sqrt(16 - g^2)/4; requires 0 <= g < 4."""
-    if g >= 4:
-        raise OverdampedQubit(f"rate {g} >= 4: xi non-real, W gate undefined")
-    if g < 0:
-        raise ValueError(f"dissipation rate must be non-negative, got {g}")
-    return math.sqrt(16.0 - g * g) / 4.0
+def xi_factor(g):
+    """Detuning factor xi = sqrt(16 - g^2)/4 of a rate or an array of rates;
+    requires 0 <= g < 4."""
+    g = np.asarray(g, dtype=np.float64)
+    if np.any(g >= 4):
+        raise OverdampedQubit(f"rate {g[g >= 4].flat[0]} >= 4: xi non-real, W gate undefined")
+    if np.any(g < 0):
+        raise ValueError(f"dissipation rate must be non-negative, got {g[g < 0].flat[0]}")
+    return np.sqrt(16.0 - g * g) / 4.0
 
 
-def w_gate(g: float, convention: str = "composite") -> np.ndarray:
-    """Damped Walsh gate as a 2x2 array in (g, e) ordering.
+def w_gate(g, convention: str = "composite") -> np.ndarray:
+    """Damped Walsh gate of a rate or an array of rates: shape
+    ``np.shape(g) + (2, 2)``, each gate in (g, e) ordering.
 
     At g=0 both conventions reduce to the Hadamard gate.
     """
     check_convention(convention)
+    g = np.asarray(g, dtype=np.float64)
     xi = xi_factor(g)
     if convention == "composite":
         asym = g / (4.0 * xi)
-        pre = math.exp(-math.pi * g / (16.0 * xi)) / math.sqrt(2.0)
+        pre = np.exp(-np.pi * g / (16.0 * xi)) / math.sqrt(2.0)
     else:
         asym = g * xi / 4.0
-        pre = math.exp(-math.pi * g * xi / 16.0) / math.sqrt(2.0)
-    return pre * np.array(
-        [[1.0 + asym, 1.0 / xi], [1.0 / xi, -(1.0 - asym)]], dtype=np.complex128
-    )
-
-
-@lru_cache(maxsize=512)
-def walsh_layer(n: int, rates: tuple, convention: str = "composite") -> np.ndarray:
-    """W(g_1) x ... x W(g_n) as its per-qubit factors: a read-only (n, 2, 2)
-    array.  ``rates`` is a tuple, the cache key."""
-    mats = np.array([w_gate(g, convention) for g in validate_rates(rates, n)])
-    mats.setflags(write=False)
-    return mats
+        pre = np.exp(-np.pi * g * xi / 16.0) / math.sqrt(2.0)
+    gate = np.array([[1.0 + asym, 1.0 / xi], [1.0 / xi, -(1.0 - asym)]], dtype=np.complex128)
+    return np.moveaxis(pre * gate, (0, 1), (-2, -1))
 
 
 def damping_entries(n: int, phase: PhasePoint, rates) -> np.ndarray:

@@ -1,8 +1,7 @@
 """The search iteration, evolved by one batched engine.
 
 A run's state is a complex array of shape (2^n,) in basis-index order, and
-its W layer the (n, 2, 2) array of per-qubit factors from
-`gates.walsh_layer`.
+its W layer the (n, 2, 2) array of per-qubit factors `gates.w_gate(rates)`.
 
 One run prepares |g...g>, applies the W layer once, then `iterations` rounds
 of (oracle, diffusion).  The oracle's damping diagonal is the tensor product
@@ -19,11 +18,12 @@ group to the end of the index (the shuffle algorithm of Fernandes, Plateau &
 Stewart, J. ACM 45 (1998) 381).  A run costs 2*iterations + 1 layers.
 
 Runs of one register size and iteration count evolve together as a block of
-shape (B, 2^n), one row per run, each with its own factors, so each matrix
-product covers every point of the block at once.  Output is byte-identical
-from run to run, and a sweep row agrees with a standalone `report` of its
-point to 1e-15 (bitwise on the x86-64 machine this was measured on, but
-that is not promised).
+shape (B, 2^n), one row per run, each with its own factors (built in one
+`w_gate` call per convention in the block), so each matrix product covers
+every point of the block at once.  Output is byte-identical from run to
+run, and a sweep row agrees with a standalone `report` of its point to
+1e-15 (bitwise on the x86-64 machine this was measured on, but that is not
+promised).
 """
 
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ import numpy as np
 
 from .basis import all_patterns, index_of, validate_pattern
 from .errors import DimensionMismatch
-from .gates import PhasePoint, check_convention, validate_rates, walsh_layer, whole_number
+from .gates import PhasePoint, check_convention, validate_rates, w_gate, whole_number
 
 # Amplitudes per block, each run's group factors counted too (see
 # points_per_block): 46 points at n=9, 7 at n=12.  GROUP is the number of
@@ -150,9 +150,12 @@ def _evolve(configs, trace=None) -> np.ndarray:
     n, iterations = configs[0].n, configs[0].iterations
     if any(c.n != n or c.iterations != iterations for c in configs):
         raise DimensionMismatch("a block needs one register size and one iteration count")
-    w = np.stack([walsh_layer(n, c.rates, c.convention) for c in configs], axis=-1)
-    beta = np.array([c.phase.beta for c in configs])
     rates = np.array([c.rates for c in configs]).T
+    w = np.empty((n, 2, 2, len(configs)), dtype=np.complex128)
+    for convention in {c.convention for c in configs}:
+        cols = [c.convention == convention for c in configs]
+        w[..., cols] = np.moveaxis(w_gate(rates[:, cols], convention), 1, -1)
+    beta = np.pi * np.array([c.phi for c in configs])
     m = w.copy()
     m[:, :, 1] *= np.exp(-0.5 * (beta / 2**n) * rates)[:, None]
     w, m = _factors(w), _factors(m)

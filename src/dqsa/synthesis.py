@@ -4,11 +4,11 @@ For 2-4 qubits the diagonal oracle is synthesized from an Ising-style
 Hamiltonian with sigma-z product couplings up to order n plus per-qubit
 non-Hermitian damping.  The coupling assignment expands the marked-state
 projector: sum_tuples J * prod(sigma_z) = theta * 2^n * |x><x|, distributed
-over ordered index tuples in a canonical way (see coupling_assignment).
-Evolving for time tau then reproduces the oracle exactly, which
-verify_gate_realization checks numerically.  Energies and their evolutions
-are (2^n,) arrays of diagonal entries in basis-index order, like the oracle
-of gates.oracle_gate.
+over ordered index tuples in a canonical way (see coupling_assignment); the
+couplings are a plain dict from tuple to J.  Evolving for time tau then
+reproduces the oracle exactly, which verify_gate_realization checks
+numerically.  Energies and their evolutions are (2^n,) arrays of diagonal
+entries in basis-index order, like the oracle of gates.oracle_gate.
 
 The one-qubit W gate is likewise realized as a composition of three timed
 pulses (two bare sigma-z pulses around one rotated damped pulse); compose_w
@@ -20,7 +20,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +30,17 @@ from .gates import PhasePoint, oracle_gate, validate_rates, xi_factor
 THETA = 1.0  # coupling energy scale in natural units
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingConfig:
-    """Couplings J keyed by ordered index tuples (1-based qubit indices)."""
-
-    n: int
-    terms: dict
-
-
-def coupling_assignment(n: int, pattern: str) -> CouplingConfig:
-    """Canonical couplings whose evolution realizes the oracle for `pattern`.
+def coupling_assignment(n: int, pattern: str) -> dict:
+    """Canonical couplings whose evolution realizes the oracle for `pattern`,
+    keyed by ordered tuples of 1-based qubit indices.
 
     The assignment distributes theta * 2^n * |x><x| over ordered tuples:
     J_s = z_s*theta; diagonal J_rr = theta/n (n=2,3) or J_rr = J_rrrr =
     theta/8 (n=4), realizing the projector's constant term through
-    sigma_z^2 = 1; each ordered distinct pair carries z_s*z_j*theta/2, each
-    ordered distinct triple z_s*z_j*z_k*theta/6, each ordered distinct
-    quadruple the z-product times theta/24.  All other components are 0.
-    Here z_v = +1 if qubit v is excited in `pattern`, else -1.
+    sigma_z^2 = 1; each ordered k-tuple of distinct qubits (k = 2..n) carries
+    its z-product times theta/k!: theta/2 per pair, theta/6 per triple,
+    theta/24 per quadruple.  All other components are 0.  Here z_v = +1 if
+    qubit v is excited in `pattern`, else -1.
     """
     if n not in (2, 3, 4):
         raise UnsupportedSize(f"coupling synthesis supports n in {{2,3,4}}, got {n}")
@@ -57,49 +49,40 @@ def coupling_assignment(n: int, pattern: str) -> CouplingConfig:
         raise DimensionMismatch(f"pattern length {len(pattern)} vs n={n}")
 
     z = tuple(1.0 if c == "e" else -1.0 for c in pattern)
-    terms: dict = {}
+    terms = {(s,): z[s - 1] * THETA for s in range(1, n + 1)}
     for s in range(1, n + 1):
-        terms[(s,)] = z[s - 1] * THETA
-    if n == 4:
-        for s in range(1, n + 1):
-            terms[(s, s)] = THETA / 8.0
+        terms[(s, s)] = THETA / 8.0 if n == 4 else THETA / n
+        if n == 4:
             terms[(s, s, s, s)] = THETA / 8.0
-    else:
-        for s in range(1, n + 1):
-            terms[(s, s)] = THETA / n
-    for s, j in itertools.permutations(range(1, n + 1), 2):
-        terms[(s, j)] = z[s - 1] * z[j - 1] * THETA / 2.0
-    if n >= 3:
-        for combo in itertools.combinations(range(1, n + 1), 3):
-            val = z[combo[0] - 1] * z[combo[1] - 1] * z[combo[2] - 1] * THETA / 6.0
-            for perm in itertools.permutations(combo):
-                terms[perm] = val
-    if n == 4:
-        zprod = z[0] * z[1] * z[2] * z[3]
-        for perm in itertools.permutations((1, 2, 3, 4)):
-            terms[perm] = zprod * THETA / 24.0
-    return CouplingConfig(n=n, terms=terms)
+    for k in range(2, n + 1):
+        # a z-product is exactly +-1, so scaling it by theta/k! rounds once
+        scale = THETA / math.factorial(k)
+        for tup, zs in zip(itertools.permutations(range(1, n + 1), k), itertools.permutations(z, k)):
+            terms[tup] = math.prod(zs) * scale
+    return terms
 
 
-def build_hamiltonian(config: CouplingConfig, rates) -> np.ndarray:
-    """Diagonal energies, shape (2^n,): E[y] = -sum_tuples J * prod z_s(y)
-    - (i/2) * sum of excited rates, so imaginary parts (damping) are <= 0.
+def build_hamiltonian(terms: dict, rates) -> np.ndarray:
+    """Diagonal energies of the couplings ``terms`` (as coupling_assignment
+    returns them) on n = len(rates) qubits, shape (2^n,): E[y] = -sum_tuples
+    J * prod z_s(y) - (i/2) * sum of excited rates, so imaginary parts
+    (damping) are <= 0.
 
     Since z_s(y)^2 = 1, a tuple's product is -1 to the number of its
     odd-multiplicity qubits that are ground in y; all basis states are
     evaluated at once.
     """
-    n = config.n
-    rates = validate_rates(rates, n)
+    rates = validate_rates(rates)
+    n = len(rates)
     shifts = np.arange(n - 1, -1, -1)
     excited = (np.arange(2**n)[:, None] >> shifts) & 1
     # bit n - s of a tuple's mask is set when qubit s occurs in it an odd
     # number of times
     masks = np.array([functools.reduce(operator.xor, (1 << (n - s) for s in tup), 0)
-                      for tup in config.terms], dtype=np.int64)
+                      for tup in terms], dtype=np.int64)
     odd = (masks[:, None] >> shifts) & 1
     signs = 1 - 2 * (((1 - excited) @ odd.T) & 1)
-    real = signs @ np.array(list(config.terms.values()))
+    real = signs @ np.array(list(terms.values()))
     imag = -0.5 * (excited @ np.array(rates))
     return -real + 1j * imag
 
@@ -125,7 +108,7 @@ def verify_gate_realization(n: int, pattern: str, phase: PhasePoint, rates) -> f
     return float(np.max(np.abs(u - c * p)))
 
 
-def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240, tolerance: float = 1e-10):
+def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
     """Verify every marked pattern for each n over random (phi, rates) draws.
 
     Returns a list of (pattern, worst deviation) rows in deterministic order;
@@ -135,12 +118,10 @@ def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240, toleran
     rows = []
     for n in ns:
         for pattern in all_patterns(n):
-            worst = 0.0
-            for _ in range(draws):
-                phi = float(rng.uniform(0.0, 2.0))
-                rates = tuple(float(r) for r in rng.uniform(0.0, 1.0, size=n))
-                dev = verify_gate_realization(n, pattern, PhasePoint(phi, n), rates)
-                worst = max(worst, dev)
+            # each draw takes phi, then the n rates
+            worst = max(verify_gate_realization(n, pattern, PhasePoint(rng.uniform(0.0, 2.0), n),
+                                                rng.uniform(0.0, 1.0, size=n).tolist())
+                        for _ in range(draws))
             rows.append((pattern, worst))
     return rows
 

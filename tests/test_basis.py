@@ -6,7 +6,7 @@ import pytest
 
 from dqsa.basis import MAX_QUBITS, all_patterns, index_of, pattern_of, validate_pattern
 from dqsa.errors import InvalidPattern
-from dqsa.gates import PhasePoint, damping_entries, walsh_layer
+from dqsa.gates import PhasePoint, damping_entries, w_gate
 
 from helpers import dense_single_qubit, dense_walsh, engine_layer, random_state
 
@@ -70,7 +70,7 @@ class TestOperations:
         rng = np.random.default_rng(1)
         n, rates, phase = 3, (0.3, 0.9, 0.5), PhasePoint(0.8, 3)
         d = np.exp(-0.5 * phase.tau * np.array(rates))
-        mats = walsh_layer(n, rates).copy()
+        mats = w_gate(rates)
         mats[:, :, 1] *= d[:, None]
         amps = random_state(rng, n)
         out = engine_layer(amps[None], mats[..., None])[0]

@@ -119,6 +119,20 @@ class TestRun:
         assert "MalformedConfig" in err
         assert "--phi" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n", "abc", "--marked", "e", "--phi", "1"],
+        ["verify-gates", "--n", "5"],
+        ["peak"],
+        ["run", "--n", "2", "--marked", "ee", "--phi", "1", "--bogus"],
+        [],
+    ], ids=["bad-int", "bad-choice", "missing-required", "unknown-flag", "no-subcommand"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # argparse alone would exit 2, the code for a failed comparison
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
     @pytest.mark.parametrize("cfg,field", [
         ({"n": 2, "marked": "ee", "phi": True}, "phi"),
         ({"n": True, "marked": "e", "phi": 1.0}, "n"),
@@ -254,6 +268,13 @@ class TestComparisons:
         code, out, _ = run_cli(capsys, ["table1", "--n", "3"])
         assert code == 0
         assert out.startswith("label,paper,computed,absdiff,pass")
+
+    def test_table1_size_0_exits_1(self, capsys):
+        # n=0 is a size the summary table lacks, not "all sizes"
+        code, out, err = run_cli(capsys, ["table1", "--n", "0"])
+        assert code == 1
+        assert out == ""
+        assert "UnsupportedSize" in err
 
     def test_table1_tight_tolerance_exits_2(self, capsys):
         code, out, _ = run_cli(capsys, ["table1", "--n", "3", "--tolerance", "1e-9"])

@@ -124,6 +124,21 @@ class TestSweepSpec:
         with pytest.raises(error):
             SweepSpec(**args)
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("phi", dict(phi=0.5)),
+        ("weights", dict(weights=(1, 2))),
+        ("rates", dict(axis="dissipation", rates=(0.3, 0.0))),
+    ])
+    def test_field_unused_by_axis_rejected(self, field, kwargs):
+        # such a field used to be ignored: the rows equalled a sweep without it
+        args = dict(n=2, marked="ee", start=0.0, stop=1.0, steps=3) | kwargs
+        with pytest.raises(ValueError, match=field):
+            SweepSpec(**args)
+
+    def test_dissipation_phi_defaults_to_1(self):
+        spec = SweepSpec(n=2, marked="ee", axis="dissipation", steps=3)
+        assert spec.phi == 1.0
+
 
 class TestPhaseSweep:
     def test_zero_phase_leaves_uniform_distribution(self):

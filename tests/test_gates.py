@@ -16,7 +16,6 @@ from dqsa.gates import (
     oracle_gate,
     validate_rates,
     w_gate,
-    walsh_layer,
     xi_factor,
 )
 from dqsa.search import RunConfig, run, summaries
@@ -118,27 +117,32 @@ class TestWGate:
         # one more sign the composite form is the right default
         assert np.linalg.norm(w_gate(3.0, "tabulated"), ord=2) > 1.1
 
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_array_of_rates_equals_stacked_gates(self, convention):
+        gs = (0.0, 1e-4, 0.8, 2.28, 3.99)
+        np.testing.assert_array_equal(w_gate(np.array(gs), convention),
+                                      np.stack([w_gate(g, convention) for g in gs]))
+
+    @pytest.mark.parametrize("gs,error", [
+        ((0.1, 4.0, 0.2), OverdampedQubit),
+        ((0.1, 0.3, -0.2), ValueError),
+    ])
+    def test_one_bad_rate_in_an_array_rejected(self, gs, error):
+        bad = str([g for g in gs if not 0 <= g < 4][0])
+        with pytest.raises(error, match=bad):
+            w_gate(np.array(gs))
+        with pytest.raises(error, match=bad):
+            xi_factor(np.array(gs))
+
 
 class TestWalshLayer:
     def test_sweeps_match_dense(self):
         rng = np.random.default_rng(3)
         rates = (0.1, 0.5, 0.9)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        out = engine_layer(amps[None], walsh_layer(3, rates)[..., None])[0]
+        out = engine_layer(amps[None], w_gate(rates)[..., None])[0]
         ref = dense_walsh(3, rates) @ amps
         np.testing.assert_allclose(out, ref, atol=1e-12)
-
-    def test_rate_count_checked(self):
-        with pytest.raises(DimensionMismatch):
-            walsh_layer(3, (0.1, 0.2))
-
-    def test_cached_layer_is_read_only(self):
-        # every caller gets the same cached array, so none may write to it
-        layer = walsh_layer(2, (0.3, 0.0), "tabulated")
-        assert layer is walsh_layer(2, (0.3, 0.0), "tabulated")
-        assert layer.shape == (2, 2, 2)
-        with pytest.raises(ValueError):
-            layer[0, 0, 0] = 0.0
 
     def test_state_size_checked(self):
         # one engine block holds one register size
@@ -146,7 +150,7 @@ class TestWalshLayer:
             summaries([RunConfig(2, "ee", 1.0), RunConfig(3, "eee", 1.0)])
 
     def test_zero_rates_squares_to_identity(self):
-        w = functools.reduce(np.kron, walsh_layer(3, (0.0,) * 3))
+        w = functools.reduce(np.kron, w_gate((0.0,) * 3))
         np.testing.assert_allclose(w @ w, np.eye(8), atol=1e-12)
 
 

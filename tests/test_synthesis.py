@@ -11,7 +11,6 @@ from dqsa.errors import DimensionMismatch, OverdampedQubit, UnsupportedSize
 from dqsa.gates import PhasePoint, oracle_gate, w_gate, xi_factor
 from dqsa.synthesis import (
     THETA,
-    CouplingConfig,
     build_hamiltonian,
     compose_w,
     coupling_assignment,
@@ -27,15 +26,13 @@ HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 class TestCouplingAssignment:
     def test_two_qubit_all_excited(self):
-        cfg = coupling_assignment(2, "ee")
-        t = cfg.terms
+        t = coupling_assignment(2, "ee")
         assert t[(1,)] == t[(2,)] == THETA
         assert t[(1, 2)] == t[(2, 1)] == THETA / 2
         assert t[(1, 1)] + t[(2, 2)] == pytest.approx(THETA)
 
     def test_three_qubit_mixed(self):
-        cfg = coupling_assignment(3, "eeg")
-        t = cfg.terms
+        t = coupling_assignment(3, "eeg")
         assert t[(1,)] == t[(2,)] == THETA
         assert t[(3,)] == -THETA
         assert t[(1, 2)] == THETA / 2
@@ -46,8 +43,7 @@ class TestCouplingAssignment:
         assert vals == {-THETA / 6}
 
     def test_four_qubit_triples_and_quadruple(self):
-        cfg = coupling_assignment(4, "eegg")
-        t = cfg.terms
+        t = coupling_assignment(4, "eegg")
         assert t[(1, 2, 3)] == t[(1, 2, 4)] == -THETA / 6
         assert t[(1, 3, 4)] == t[(2, 3, 4)] == THETA / 6
         assert t[(1, 2, 3, 4)] == THETA / 24
@@ -57,7 +53,7 @@ class TestCouplingAssignment:
     def test_terms_expand_to_projector(self, n):
         # sum over tuples of J * prod z(y) must equal theta * 2^n [y == x]
         for pattern in all_patterns(n):
-            terms = coupling_assignment(n, pattern).terms
+            terms = coupling_assignment(n, pattern)
             for y in range(2**n):
                 zy = [1.0 if (y >> (n - 1 - v)) & 1 else -1.0 for v in range(n)]
                 total = sum(j * math.prod(zy[s - 1] for s in tup)
@@ -84,20 +80,19 @@ class TestHamiltonian:
         # imaginary part: -(1/2) * sum of rates over excited qubits
         np.testing.assert_allclose(h.imag, [0, -0.25, -0.15, -0.4], atol=1e-12)
 
-    @pytest.mark.parametrize("config", [
-        *(pytest.param(coupling_assignment(n, p), id=f"{n}-{p}")
+    @pytest.mark.parametrize("n,terms", [
+        *(pytest.param(n, coupling_assignment(n, p), id=f"{n}-{p}")
           for n in (2, 3, 4) for p in all_patterns(n)),
-        pytest.param(CouplingConfig(3, {(2,): 0.4, (1, 1, 3): -1.5, (3, 2, 3, 3): 0.7,
-                                        (1, 2, 1, 2): 2.0}), id="3-custom"),
+        pytest.param(3, {(2,): 0.4, (1, 1, 3): -1.5, (3, 2, 3, 3): 0.7,
+                         (1, 2, 1, 2): 2.0}, id="3-custom"),
     ])
-    def test_energies_equal_term_by_term_sum(self, config):
+    def test_energies_equal_term_by_term_sum(self, n, terms):
         # the vectorized energies against the defining sum, state by state
-        n = config.n
         rates = tuple(np.random.default_rng(n).uniform(0.0, 1.0, n).tolist())
-        got = build_hamiltonian(config, rates)
+        got = build_hamiltonian(terms, rates)
         for y in range(2**n):
             zy = [1.0 if (y >> (n - 1 - v)) & 1 else -1.0 for v in range(n)]
-            real = sum(j * math.prod(zy[s - 1] for s in tup) for tup, j in config.terms.items())
+            real = sum(j * math.prod(zy[s - 1] for s in tup) for tup, j in terms.items())
             imag = -0.5 * sum(r for r, z in zip(rates, zy) if z > 0)
             assert abs(got[y] - complex(-real, imag)) <= 1e-12
 

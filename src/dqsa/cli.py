@@ -24,8 +24,10 @@ def load_config(path: str):
     "steps"}, "gammas": [numbers], "iterations": int, "convention": str,
     "gbar": {"start","stop","steps"}}.  A phi grid makes a phase sweep; a
     "gbar" grid (with scalar phi) makes a dissipation sweep; otherwise the
-    result is a single-run config.  Missing gammas mean all zeros.  A sweep
-    config may not carry "iterations": sweeps always run n - 1 rounds.
+    result is a single-run config.  Missing gammas mean all zeros, except in
+    a "gbar" config, where gammas are the weights of the rate scale and
+    default to all ones.  A sweep config may not carry "iterations": sweeps
+    always run n - 1 rounds.
     """
     return config_from_dict(_read_json(path))
 
@@ -98,7 +100,7 @@ def config_from_dict(raw: dict):
             start, stop, steps = _grid_fields(raw["gbar"], "gbar")
             return experiments.SweepSpec(
                 n=n, marked=marked, axis="dissipation", start=start, stop=stop,
-                steps=steps, phi=phi, weights=gammas if any(gammas) else (),
+                steps=steps, phi=phi, weights=gammas if "gammas" in raw else (),
                 convention=convention)
         return RunConfig(n=n, marked=marked, phi=phi, rates=gammas,
                          iterations=raw.get("iterations"),

@@ -1,4 +1,4 @@
-"""The search iteration, evolved by one batched engine.
+"""The search iteration, evolved by one batched engine over product terms.
 
 A run's state is a complex array of shape (2^n,) in basis-index order, and
 its W layer the (n, 2, 2) array of per-qubit factors `gates.w_gate(rates)`.
@@ -7,19 +7,26 @@ One run prepares |g...g>, applies the W layer once, then `iterations` rounds
 of (oracle, diffusion).  The oracle's damping diagonal is the tensor product
 of per-qubit diag(1, d_v), d_v = exp(-tau*g_v/2), so it folds into the W
 layer that follows it.  A round is then: the phase e^{i*beta} on the marked
-amplitude, the layer of M_v = W_v*diag(1, d_v) over all qubits, the same
+amplitude x, the layer of M_v = W_v*diag(1, d_v) over all qubits, the same
 phase on amplitude 0 (where every d_v is 1), the M_v layer again, and the
 global phase e^{i*beta}.
 
-A layer is applied as ceil(n/GROUP) matrix products, one per group of up to
-GROUP = 3 consecutive qubits: each contracts the group with the Kronecker
-product of its k gates, at 2^k multiply-adds per amplitude, and rotates the
-group to the end of the index (the shuffle algorithm of Fernandes, Plateau &
-Stewart, J. ACM 45 (1998) 381).  A run costs 2*iterations + 1 layers.
+The W layer turns |g...g> into a product state, a layer acts on every
+product term qubit by qubit, and a phase on one basis state adds one more
+product term: that basis state times (e^{i*beta} - 1) times its amplitude.
+So after k rounds the state is exactly sum_t c_t (x)_v u_{t,v}, a sum of
+T = 2k + 1 product terms (Vidal, PRL 91, 147902 (2003)).  The engine
+tabulates M_v^j u for j = 0..2k and the three start vectors u (W_v e_0,
+e_{x_v} and e_0), takes each term's amplitudes at x and at 0 from products
+of that table over the qubits, and gets the coefficients c_t from a scalar
+recurrence over those amplitudes.  Only then does it build the 2^n
+amplitudes, in one batched matrix product of two half Kronecker tables.  A
+run costs T*2^n multiply-adds for its amplitudes and O(T^2) for the
+recurrence.
 
-Runs of one register size and iteration count evolve together as a block of
-shape (B, 2^n), one row per run, each with its own factors (built in one
-`w_gate` call per convention in the block), so each matrix product covers
+Runs of one register size and iteration count evolve together as a block,
+one row of every array per run, each with its own gates (built in one
+`w_gate` call per convention in the block), so each numpy operation covers
 every point of the block at once.  Output is byte-identical from run to
 run, and a sweep row agrees with a standalone `report` of its point to
 1e-15 (bitwise on the x86-64 machine this was measured on, but that is not
@@ -34,19 +41,16 @@ from .basis import all_patterns, index_of, validate_pattern
 from .errors import DimensionMismatch
 from .gates import PhasePoint, check_convention, validate_rates, w_gate, whole_number
 
-# Amplitudes per block, each run's group factors counted too (see
-# points_per_block): 46 points at n=9, 7 at n=12.  GROUP is the number of
-# qubits per factor.  Evolution alone on a 2-core x86-64 VM, median of 11
-# round-robin runs: a 1000-point n=9 sweep took 0.23 / 0.21 / 0.23 / 0.33 s
-# with GROUP=3 at 2^13 / 2^14 / 2^15 / 2^16, and 40 single n=12 runs with
-# 11-50 iterations took 0.25-0.27 s (the former 2x2 sweeps took 1.24 s and
-# 1.29 s).  2^14 and 2^15 were level across repeats; 2^15 is kept.  GROUP=2
-# took 0.34 s and 0.37 s.  GROUP=4 and 5 took 0.26 s on the sweep and
-# 0.26-0.29 s on the n=12 runs, but there OpenBLAS ran the gemms on both
-# cores (process CPU time twice the wall time); with GROUP=3 it ran them in
-# one thread.
-BLOCK_AMPLITUDES = 2**15
-GROUP = 3
+# Array entries per block, as points_per_block counts them: 25 points at
+# n=9, 7 at n=12 with 11 iterations.  Counted so, a run's tracemalloc peak
+# was 10-25 bytes per entry at n=1-12 and 1-60 iterations, and the peak of
+# `summaries` on the TestMemory grids 0.78-1.10 MiB.  On a 2-core x86-64 VM,
+# `summaries` of a 1000-point n=9 sweep took 166 / 101 / 67-93 / 77 ms at
+# 2^14 / 2^15 / 2^16 / 2^17 (medians of 30 interleaved runs), and the
+# benchmark's sweep-n9 op_s.p50 was 0.032 s at 2^16 against 0.041 s at 2^15
+# in 3 of 3 pairs, with reproduce level.  2^16 is kept.
+BLOCK_AMPLITUDES = 2**16
+RUN_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -98,47 +102,71 @@ class ProbabilityReport:
         return self.survival - self.marked_prob
 
 
-def points_per_block(n: int) -> int:
-    """Runs per engine block at register size n.
+def points_per_block(n: int, iterations: int | None = None) -> int:
+    """Runs per engine block at register size n (``iterations`` defaults to
+    n - 1).
 
-    The budget counts each run's 2^n amplitudes and the 4^k entries of each
-    of its group factors, so a block of small registers does not carry
-    factors far larger than its states.
+    The budget counts what a run holds: its 2^n amplitudes, the T*(2^h +
+    2^(n-h)) entries of its two half tables (T = 2*iterations + 1 terms,
+    h = n//2), its slice of the power table, 6*n*T entries, 16*T entries for
+    the arrays of the recurrence, and RUN_ENTRIES for its share of the
+    block's Python objects.
     """
-    factors = sum(4 ** min(GROUP, n - lo) for lo in range(0, n, GROUP))
-    return max(1, BLOCK_AMPLITUDES // (2**n + factors))
+    terms = 2 * (max(1, n - 1) if iterations is None else iterations) + 1
+    held = 2**n + terms * (2 ** (n // 2) + 2 ** (n - n // 2) + 6 * n + 16) + RUN_ENTRIES
+    return max(1, BLOCK_AMPLITUDES // held)
 
 
-def _factors(mats: np.ndarray) -> list:
-    """Transposed Kronecker factor of each qubit group, per run.
-
-    ``mats`` holds one 2x2 gate per qubit and run, shape (n, 2, 2, B).  The
-    group of qubits v..v+k-1 (k <= GROUP) gets a factor of shape
-    (B, 2^k, 2^k) holding (M_v x ... x M_{v+k-1})^T, the transpose that
-    `_apply` multiplies by.
-    """
-    gates = mats.transpose(0, 3, 2, 1)
-    out = []
-    for lo in range(0, len(gates), GROUP):
-        f = gates[lo]
-        for g in gates[lo + 1:lo + GROUP]:
-            d = 2 * f.shape[1]
-            f = (f[:, :, None, :, None] * g[:, None, :, None, :]).reshape(-1, d, d)
-        out.append(np.ascontiguousarray(f))
+def _matvec(mats: np.ndarray, vecs: np.ndarray, out=None) -> np.ndarray:
+    """2x2 gates on 2-vectors, component axes first: ``mats`` (2, 2, ...)
+    and ``vecs`` (2, ...) broadcast to a (2, ...) array, new or ``out``."""
+    out = np.multiply(mats[:, 0], vecs[0], out=out)
+    out += mats[:, 1] * vecs[1]
     return out
 
 
-def _apply(amps: np.ndarray, factors: list) -> np.ndarray:
-    """Apply a layer to every row of ``amps`` (shape (B, 2^n)); new array.
+def _powers(mats: np.ndarray, vecs: np.ndarray, count: int) -> np.ndarray:
+    """M^j u for j = 0..count-1, shape (2, count, S, n, B).
 
-    Each matmul contracts the leading group of qubits with its factor and
-    rotates that group to the end, so after the last group the qubits are
-    back in order.
+    ``mats`` holds one 2x2 gate M per qubit and run, shape (2, 2, n, B), and
+    ``vecs`` S start vectors u per qubit and run, shape (2, S, n, B).  The
+    table doubles in length per step: the powers M^m..M^(2m-1) come from
+    M^m times the first m, so it takes ceil(log2(count)) steps.
     """
-    b = len(amps)
-    for f in factors:
-        amps = (amps.reshape(b, f.shape[1], -1).transpose(0, 2, 1) @ f).reshape(b, -1)
-    return amps
+    table = np.empty((2, count) + vecs.shape[1:], dtype=np.complex128)
+    table[:, 0] = vecs
+    power, done = mats, 1
+    while done < count:
+        new = min(done, count - done)
+        _matvec(power[:, :, None, None], table[:, :new], out=table[:, done:done + new])
+        done += new
+        if done < count:
+            power = _matvec(power[:, :, None], power)
+    return table
+
+
+def _kron(vecs: np.ndarray) -> np.ndarray:
+    """Kronecker products over qubits of ``vecs`` (q, 2, T, B), first qubit
+    most significant: shape (2^q, T, B)."""
+    table = np.ones((1,) + vecs.shape[2:], dtype=np.complex128)
+    for u in vecs:
+        table = (table[:, None] * u).reshape(-1, *vecs.shape[2:])
+    return table
+
+
+def _materialize(coeffs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Amplitudes of sum_t c_t (x)_v u_{t,v} per run, shape (B, 2^n).
+
+    ``coeffs`` is (B, T) and ``vecs`` (n, 2, T, B).  The Kronecker tables of
+    the first h = n//2 qubits, weighted by c, and of the rest, (B, 2^h, T)
+    and (B, T, 2^(n-h)), meet in one batched matrix product.
+    """
+    n, _, _, b = vecs.shape
+    left = _kron(vecs[:n // 2])
+    left *= coeffs.T
+    left = np.ascontiguousarray(left.transpose(2, 0, 1))
+    right = np.ascontiguousarray(_kron(vecs[n // 2:]).transpose(2, 1, 0))
+    return (left @ right).reshape(b, -1)
 
 
 def _evolve(configs, trace=None) -> np.ndarray:
@@ -147,42 +175,83 @@ def _evolve(configs, trace=None) -> np.ndarray:
     The runs must share n and the iteration count.  When ``trace`` is a
     list, the marked amplitudes (shape (B,)) are appended after each round.
     """
-    n, iterations = configs[0].n, configs[0].iterations
-    if any(c.n != n or c.iterations != iterations for c in configs):
+    n, k = configs[0].n, configs[0].iterations
+    if any(c.n != n or c.iterations != k for c in configs):
         raise DimensionMismatch("a block needs one register size and one iteration count")
-    rates = np.array([c.rates for c in configs]).T
-    w = np.empty((n, 2, 2, len(configs)), dtype=np.complex128)
-    for convention in {c.convention for c in configs}:
-        cols = [c.convention == convention for c in configs]
-        w[..., cols] = np.moveaxis(w_gate(rates[:, cols], convention), 1, -1)
+    b, t = len(configs), 2 * k + 1
+    rates = np.array([c.rates for c in configs])
+    w = w_gate(rates, configs[0].convention)
+    for convention in {c.convention for c in configs} - {configs[0].convention}:
+        rows = [c.convention == convention for c in configs]
+        w[rows] = w_gate(rates[rows], convention)
+    w = w.transpose(2, 3, 1, 0)
     beta = np.pi * np.array([c.phi for c in configs])
     m = w.copy()
-    m[:, :, 1] *= np.exp(-0.5 * (beta / 2**n) * rates)[:, None]
-    w, m = _factors(w), _factors(m)
-    phase = np.exp(1j * beta)
-    marked = (range(len(configs)), [index_of(c.marked) for c in configs])
+    m[:, 1] = w[:, 1] * np.exp(-0.5 * (beta / 2**n) * rates.T)
 
-    amps = np.zeros((len(configs), 2**n), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    amps = _apply(amps, w)
-    # Phases are applied out of place: numpy multiplies a one-element array
-    # in place with scalar arithmetic, which rounds complex products unlike
-    # its vector loop, so a one-point block would differ from a wider one.
-    for _ in range(iterations):
-        amps[marked] = amps[marked] * phase
-        amps = _apply(amps, m)
-        amps[:, 0] = amps[:, 0] * phase
-        amps = _apply(amps, m) * phase[:, None]
-        if trace is not None:
-            trace.append(amps[marked])
-    return amps
+    # Start vectors per qubit: W_v e_0 (the first term), e_{x_v} (each
+    # x-phase term) and e_0 (each 0-phase term).
+    x = np.array([[ch == "e" for ch in c.marked] for c in configs]).T
+    start = np.zeros((2, 3, n, b), dtype=np.complex128)
+    start[:, 0] = w[:, 0]
+    start[1, 1] = x
+    start[0, 1] = ~x
+    start[0, 2] = 1.0
+    table = _powers(m, start, t)
+    # Amplitude at x and at 0 of each start vector after j layers, (t, 3, B).
+    # The product over qubits is a loop of elementwise multiplies: numpy's
+    # multiply-reduce loop rounds complex products unlike its elementwise
+    # loop, and which of the two `prod` runs depends on strides that change
+    # with the block size, so a one-point block could round unlike a wider
+    # one.  Likewise numpy multiplies a one-element array in place with
+    # scalar arithmetic, so the per-run columns below are updated out of
+    # place (the in-place updates of _powers and _materialize act on at
+    # least three entries per run).
+    at_x, at_0 = np.where(x[0], table[1, :, :, 0], table[0, :, :, 0]), table[0, :, :, 0]
+    for v in range(1, n):
+        at_x = at_x * np.where(x[v], table[1, :, :, v], table[0, :, :, v])
+        at_0 = at_0 * table[0, :, :, v]
+    at_x, at_0 = at_x.transpose(2, 0, 1), at_0.transpose(2, 0, 1)
+
+    # Phase events e = 0..2k-1 alternate between x (even e) and 0 (odd e),
+    # with one M layer between consecutive events.  Event e adds the term
+    # t = e + 1 with coefficient (e^{i beta} - 1) times the amplitude at its
+    # target, where a term made at event s has age e - s.  So at an x event
+    # the x terms have even ages and the 0 terms odd ones, and the reverse
+    # at a 0 event; `kernels` holds each target's amplitudes by age,
+    # reversed and times e^{i beta} - 1, so one contiguous slice pairs with
+    # the amplitudes `amps` at the earlier events.  The recurrence drops the
+    # global phase e^{i beta} of each round, and the coefficients take
+    # e^{i k beta} at the end.
+    even = np.arange(t) % 2 == 0
+    first = np.where(even, at_x[..., 0], at_0[..., 0])
+    alpha = (np.exp(1j * beta) - 1.0)[:, None]
+    kernels = (alpha * np.where(even, at_x[..., 1], at_x[..., 2])[:, ::-1],
+               alpha * np.where(even, at_0[..., 2], at_0[..., 1])[:, ::-1])
+    amps = np.empty((b, t), dtype=np.complex128)
+    amps[:, 0] = first[:, 0]
+    for e in range(1, t):
+        terms = amps[:, :e] * kernels[e % 2][:, t - 1 - e:t - 1]
+        amps[:, e] = first[:, e] + np.add.reduce(terms, axis=1)
+    if trace is not None:
+        trace += list(amps[:, 2::2].T * np.exp(1j * np.arange(1, k + 1) * beta[:, None]).T)
+
+    # Term 0 has seen all 2k layers, term t >= 1 the 2k - t + 1 after its
+    # event; odd terms started at e_x, even ones at e_0.
+    ages = t - 1 - np.maximum(np.arange(t) - 1, 0)
+    kinds = 2 - np.arange(t) % 2
+    kinds[0] = 0
+    table = np.moveaxis(table, 3, 0)[:, :, ages, kinds]
+    coeffs = np.ones((b, t), dtype=np.complex128)
+    coeffs[:, 1:] = alpha * amps[:, :-1]
+    return _materialize(coeffs * np.exp(1j * k * beta)[:, None], table)
 
 
 def _blocks(configs):
     """Yield (runs, probabilities) per block; probabilities is (B, 2^n)."""
     configs = list(configs)
     if configs:
-        size = points_per_block(configs[0].n)
+        size = points_per_block(configs[0].n, configs[0].iterations)
         for lo in range(0, len(configs), size):
             block = configs[lo:lo + size]
             yield block, np.abs(_evolve(block)) ** 2

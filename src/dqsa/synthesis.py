@@ -62,29 +62,46 @@ def coupling_assignment(n: int, pattern: str) -> dict:
     return terms
 
 
-def build_hamiltonian(terms: dict, rates) -> np.ndarray:
-    """Diagonal energies of the couplings ``terms`` (as coupling_assignment
-    returns them) on n = len(rates) qubits, shape (2^n,): E[y] = -sum_tuples
-    J * prod z_s(y) - (i/2) * sum of excited rates, so imaginary parts
-    (damping) are <= 0.
+def _excited(n: int) -> np.ndarray:
+    """(2^n, n) 0/1 matrix: entry (y, v) is 1 when qubit v+1 is excited in y."""
+    return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def coupling_energies(terms: dict, n: int) -> np.ndarray:
+    """Real diagonal energies -sum_tuples J * prod z_s(y) of the couplings
+    ``terms`` on n qubits, shape (2^n,).
 
     Since z_s(y)^2 = 1, a tuple's product is -1 to the number of its
     odd-multiplicity qubits that are ground in y; all basis states are
-    evaluated at once.
+    evaluated at once.  A tuple naming a qubit outside 1..n raises
+    DimensionMismatch.
     """
-    rates = validate_rates(rates)
-    n = len(rates)
+    for tup in terms:
+        if not all(1 <= s <= n for s in tup):
+            raise DimensionMismatch(f"coupling {tup} names a qubit outside 1..{n}")
     shifts = np.arange(n - 1, -1, -1)
-    excited = (np.arange(2**n)[:, None] >> shifts) & 1
     # bit n - s of a tuple's mask is set when qubit s occurs in it an odd
     # number of times
     masks = np.array([functools.reduce(operator.xor, (1 << (n - s) for s in tup), 0)
                       for tup in terms], dtype=np.int64)
     odd = (masks[:, None] >> shifts) & 1
-    signs = 1 - 2 * (((1 - excited) @ odd.T) & 1)
-    real = signs @ np.array(list(terms.values()))
-    imag = -0.5 * (excited @ np.array(rates))
-    return -real + 1j * imag
+    signs = 1 - 2 * (((1 - _excited(n)) @ odd.T) & 1)
+    return -(signs @ np.array(list(terms.values())))
+
+
+def build_hamiltonian(terms: dict, rates) -> np.ndarray:
+    """Diagonal energies of the couplings ``terms`` (as coupling_assignment
+    returns them) on n = len(rates) qubits, shape (2^n,): E[y] = -sum_tuples
+    J * prod z_s(y) - (i/2) * sum of excited rates, so imaginary parts
+    (damping) are <= 0.  See coupling_energies for the real part.
+    """
+    rates = validate_rates(rates)
+    return _damped(coupling_energies(terms, len(rates)), rates)
+
+
+def _damped(couplings: np.ndarray, rates) -> np.ndarray:
+    """Coupling energies plus the damping part -(i/2) * sum of excited rates."""
+    return couplings + 1j * (-0.5 * (_excited(len(rates)) @ np.array(rates)))
 
 
 def evolve(energies: np.ndarray, phase: PhasePoint) -> np.ndarray:
@@ -94,6 +111,16 @@ def evolve(energies: np.ndarray, phase: PhasePoint) -> np.ndarray:
     return np.exp(-1j * energies * phase.tau)
 
 
+def _deviation(energies: np.ndarray, pattern: str, phase: PhasePoint, rates) -> float:
+    """Max |U - c*P| between the evolution U of ``energies`` and the oracle
+    P; see verify_gate_realization."""
+    u = evolve(energies, phase)
+    p = oracle_gate(pattern, phase, rates)
+    ref = 2**len(pattern) - 1 if pattern == "g" * len(pattern) else 0
+    c = u[ref] / p[ref]
+    return float(np.max(np.abs(u - c * p)))
+
+
 def verify_gate_realization(n: int, pattern: str, phase: PhasePoint, rates) -> float:
     """Max |U - c*P| between synthesized evolution U and the oracle P.
 
@@ -101,27 +128,29 @@ def verify_gate_realization(n: int, pattern: str, phase: PhasePoint, rates) -> f
     (the all-g state, or all-e when all-g is the marked state), so the
     marked entry's phase stays an untouched test quantity.
     """
-    u = evolve(build_hamiltonian(coupling_assignment(n, pattern), rates), phase)
-    p = oracle_gate(pattern, phase, rates)
-    ref = 2**n - 1 if pattern == "g" * n else 0
-    c = u[ref] / p[ref]
-    return float(np.max(np.abs(u - c * p)))
+    energies = build_hamiltonian(coupling_assignment(n, pattern), rates)
+    return _deviation(energies, pattern, phase, rates)
 
 
 def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
     """Verify every marked pattern for each n over random (phi, rates) draws.
 
     Returns a list of (pattern, worst deviation) rows in deterministic order;
-    phi is drawn from (0, 2) and each rate from [0, 1).
+    phi is drawn from (0, 2) and each rate from [0, 1).  Each pattern's
+    coupling energies are built once; a draw adds only its damping and
+    oracle, so every row equals the worst verify_gate_realization of its
+    draws.
     """
     rng = np.random.default_rng(seed)
     rows = []
     for n in ns:
         for pattern in all_patterns(n):
+            couplings = coupling_energies(coupling_assignment(n, pattern), n)
             # each draw takes phi, then the n rates
-            worst = max(verify_gate_realization(n, pattern, PhasePoint(rng.uniform(0.0, 2.0), n),
-                                                rng.uniform(0.0, 1.0, size=n).tolist())
-                        for _ in range(draws))
+            points = ((PhasePoint(rng.uniform(0.0, 2.0), n), rng.uniform(0.0, 1.0, size=n).tolist())
+                      for _ in range(draws))
+            worst = max(_deviation(_damped(couplings, rates), pattern, phase, rates)
+                        for phase, rates in points)
             rows.append((pattern, worst))
     return rows
 

@@ -2,9 +2,10 @@
 
 Everything here builds full 2^n x 2^n operators with numpy.kron and applies
 them by plain matrix multiplication — deliberately the slow, obviously
-correct formulation.  It also wraps the engine's layer kernel and its block
-split for the tests that check them, and builds the environment for tests
-that start a child process.
+correct formulation.  It also wraps the engine's kernels (the power table
+and the materialization of product terms) and its block split for the tests
+that check them, and builds the environment for tests that start a child
+process.
 """
 
 import os
@@ -72,10 +73,36 @@ def worst_row_vs_report(rows, spec) -> float:
     return worst
 
 
-def engine_layer(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """The engine's layer: gates ``mats`` (n, 2, 2, B) on the rows of
-    ``amps`` (B, 2^n), through the grouped Kronecker factors."""
-    return search._apply(amps, search._factors(mats))
+def random_terms(rng: np.random.Generator, n: int, b: int = 1, t: int = 3):
+    """Random sums of ``t`` product states for ``b`` runs, in the engine's
+    layout: coefficients (b, t) and per-qubit vectors (n, 2, t, b), scaled so
+    that each run's state has norm 1."""
+    coeffs = rng.normal(size=(b, t)) + 1j * rng.normal(size=(b, t))
+    vecs = rng.normal(size=(n, 2, t, b)) + 1j * rng.normal(size=(n, 2, t, b))
+    norms = np.linalg.norm(dense_terms(coeffs, vecs), axis=1)
+    return coeffs / norms[:, None], vecs
+
+
+def dense_terms(coeffs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """sum_t c_t u_{t,1} x ... x u_{t,n} per run, built with numpy.kron,
+    shape (B, 2^n)."""
+    n, _, t, b = vecs.shape
+    out = np.zeros((b, 2**n), dtype=np.complex128)
+    for j in range(b):
+        for k in range(t):
+            state = np.ones(1, dtype=np.complex128)
+            for v in range(n):
+                state = np.kron(state, vecs[v, :, k, j])
+            out[j] += coeffs[j, k] * state
+    return out
+
+
+def layer_on_terms(coeffs: np.ndarray, vecs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The engine's kernels on a sum of product states: gates ``mats``
+    (n, 2, 2, B) applied to every term by the power table (its j=1 entry),
+    then the terms materialized, shape (B, 2^n)."""
+    table = search._powers(mats.transpose(1, 2, 0, 3), vecs.transpose(1, 2, 0, 3), 2)
+    return search._materialize(coeffs, table[:, 1].transpose(2, 0, 1, 3))
 
 
 def record_blocks(monkeypatch) -> list:
@@ -89,11 +116,6 @@ def record_blocks(monkeypatch) -> list:
 
     monkeypatch.setattr(search, "_evolve", spy)
     return sizes
-
-
-def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
-    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return amps / np.linalg.norm(amps)
 
 
 def child_env(path_prefix=None, **extra) -> dict:

@@ -1,5 +1,6 @@
-"""Basis indexing and the engine's two elementary operations: a damping diagonal folded into the W layer, and a single-qubit
-gate applied on one tensor slot."""
+"""Basis indexing and the engine's two elementary operations on product
+terms: a damping diagonal folded into the W layer, and a single-qubit gate
+applied on one tensor slot."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from dqsa.basis import MAX_QUBITS, all_patterns, index_of, pattern_of, validate_
 from dqsa.errors import InvalidPattern
 from dqsa.gates import PhasePoint, damping_entries, w_gate
 
-from helpers import dense_single_qubit, dense_walsh, engine_layer, random_state
+from helpers import dense_single_qubit, dense_terms, dense_walsh, layer_on_terms, random_terms
 
 
 def one_slot(n: int, qubit: int, gate2) -> np.ndarray:
@@ -72,23 +73,29 @@ class TestOperations:
         d = np.exp(-0.5 * phase.tau * np.array(rates))
         mats = w_gate(rates)
         mats[:, :, 1] *= d[:, None]
-        amps = random_state(rng, n)
-        out = engine_layer(amps[None], mats[..., None])[0]
-        ref = dense_walsh(n, rates) @ (damping_entries(n, phase, rates) * amps)
+        coeffs, vecs = random_terms(rng, n)
+        out = layer_on_terms(coeffs, vecs, mats[..., None])[0]
+        ref = dense_walsh(n, rates) @ (damping_entries(n, phase, rates) * dense_terms(coeffs, vecs)[0])
         np.testing.assert_allclose(out, ref, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_apply_single_qubit_matches_dense(self, n):
         rng = np.random.default_rng(n)
-        amps = random_state(rng, n)
+        coeffs, vecs = random_terms(rng, n)
+        amps = dense_terms(coeffs, vecs)[0]
         gate2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         for qubit in range(1, n + 1):
-            out = engine_layer(amps[None], one_slot(n, qubit, gate2))[0]
+            out = layer_on_terms(coeffs, vecs, one_slot(n, qubit, gate2))[0]
             ref = dense_single_qubit(n, qubit, gate2) @ amps
             np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_apply_single_qubit_does_not_mutate_input(self):
-        amps = np.eye(1, 4, dtype=np.complex128)
-        before = amps.copy()
-        engine_layer(amps, one_slot(2, 1, np.array([[0, 1], [1, 0]])))
-        np.testing.assert_array_equal(amps, before)
+        # one product term, |gg>
+        coeffs = np.ones((1, 1), dtype=np.complex128)
+        vecs = np.zeros((2, 2, 1, 1), dtype=np.complex128)
+        vecs[:, 0] = 1.0
+        before = coeffs.copy(), vecs.copy()
+        out = layer_on_terms(coeffs, vecs, one_slot(2, 1, np.array([[0, 1], [1, 0]])))
+        np.testing.assert_array_equal(out, [[0, 0, 1, 0]])
+        np.testing.assert_array_equal(coeffs, before[0])
+        np.testing.assert_array_equal(vecs, before[1])

@@ -11,7 +11,7 @@ import pytest
 
 from dqsa.cli import config_from_dict, config_to_dict, load_config, main
 from dqsa.errors import MalformedConfig
-from dqsa.experiments import SweepSpec
+from dqsa.experiments import SweepSpec, sweep
 from dqsa.search import RunConfig
 
 from helpers import child_env
@@ -258,9 +258,18 @@ class TestConfigFiles:
         SweepSpec(n=2, marked="ee", axis="phase", start=0.1, stop=1.0, steps=5),
         SweepSpec(n=2, marked="ge", axis="dissipation", start=0.0, stop=0.9,
                   steps=4, phi=0.5, weights=(1.0, 0.5)),
+        SweepSpec(n=2, marked="ge", axis="dissipation", start=0.0, stop=0.9,
+                  steps=4, weights=(0.0, 0.0)),
     ])
     def test_round_trip(self, cfg):
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_zero_weights_sweep_without_damping(self):
+        # all-zero gammas in a gbar config are weights of 0, not "use 1"
+        spec = config_from_dict({"n": 2, "marked": "ee", "phi": 0.7, "gammas": [0, 0],
+                                 "gbar": {"start": 0.0, "stop": 0.9, "steps": 4}})
+        assert spec.weights == (0.0, 0.0)
+        assert [row[-1] for row in sweep(spec)] == pytest.approx([1.0] * 4, abs=1e-12)
 
 
 class TestComparisons:

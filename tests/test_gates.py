@@ -20,7 +20,7 @@ from dqsa.gates import (
 )
 from dqsa.search import RunConfig, run, summaries
 
-from helpers import dense_diffusion, dense_walsh, engine_layer
+from helpers import dense_diffusion, dense_terms, dense_walsh, layer_on_terms, random_terms
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -139,9 +139,9 @@ class TestWalshLayer:
     def test_sweeps_match_dense(self):
         rng = np.random.default_rng(3)
         rates = (0.1, 0.5, 0.9)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        out = engine_layer(amps[None], w_gate(rates)[..., None])[0]
-        ref = dense_walsh(3, rates) @ amps
+        coeffs, vecs = random_terms(rng, 3, t=4)
+        out = layer_on_terms(coeffs, vecs, w_gate(rates)[..., None])[0]
+        ref = dense_walsh(3, rates) @ dense_terms(coeffs, vecs)[0]
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_state_size_checked(self):

@@ -1,14 +1,11 @@
-"""The engine's kernel: a layer of per-qubit gates applied as one matmul per
-group of up to GROUP qubits, and its determinism."""
-
-import math
+"""The engine's kernels: the power table of per-qubit gates on product
+terms, the materialization of the terms into amplitudes, and their
+determinism."""
 
 import numpy as np
 import pytest
 
-from dqsa.search import GROUP, _factors
-
-from helpers import dense_single_qubit, engine_layer, random_state
+from helpers import dense_single_qubit, dense_terms, layer_on_terms, random_terms
 
 
 def random_gates(rng, n: int, b: int) -> np.ndarray:
@@ -18,32 +15,28 @@ def random_gates(rng, n: int, b: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_sweep_matches_dense(n):
-    # every column gets its own gate per qubit; the layer must equal the
-    # product of the dense single-qubit operators, column by column.  The
-    # sizes cover n < GROUP and every n mod GROUP.
+    # every column gets its own gate per qubit and its own product terms;
+    # the gates applied to the terms, then materialized, must equal the
+    # product of the dense single-qubit operators on the dense state.  The
+    # sizes cover both halves of odd and even registers, and n=1 with an
+    # empty first half.
     rng = np.random.default_rng(42 + n)
     b = 5
     mats = random_gates(rng, n, b)
-    amps = np.stack([random_state(rng, n) for _ in range(b)])
-    out = engine_layer(amps, mats)
+    coeffs, vecs = random_terms(rng, n, b, t=4)
+    out = layer_on_terms(coeffs, vecs, mats)
+    start = dense_terms(coeffs, vecs)
     for j in range(b):
-        ref = amps[j]
+        ref = start[j]
         for qubit in range(1, n + 1):
             ref = dense_single_qubit(n, qubit, mats[qubit - 1, :, :, j]) @ ref
         np.testing.assert_allclose(out[j], ref, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12])
-def test_one_factor_per_group(n):
-    sizes = [f.shape for f in _factors(np.zeros((n, 2, 2, 3), dtype=np.complex128))]
-    assert len(sizes) == math.ceil(n / GROUP)
-    assert sum(math.log2(d) for _, d, _ in sizes) == n
-    assert all(b == 3 and d == e <= 2**GROUP for b, d, e in sizes)
-
-
 def test_engine_is_bitwise_deterministic():
     rng = np.random.default_rng(11)
     mats = random_gates(rng, 6, 4)
-    start = np.stack([random_state(rng, 6) for _ in range(4)])
-    first, second = engine_layer(start, mats), engine_layer(start.copy(), mats)
+    coeffs, vecs = random_terms(rng, 6, 4)
+    first = layer_on_terms(coeffs, vecs, mats)
+    second = layer_on_terms(coeffs.copy(), vecs.copy(), mats.copy())
     assert np.array_equal(first, second)

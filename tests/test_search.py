@@ -6,11 +6,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dqsa.basis import index_of
 from dqsa.errors import DimensionMismatch, InvalidPattern, OverdampedQubit
 from dqsa.search import (
     RunConfig,
+    _evolve,
     marked_amplitude_trace,
     points_per_block,
     report,
@@ -19,6 +22,17 @@ from dqsa.search import (
 )
 
 from helpers import dense_run
+
+
+@st.composite
+def damped_configs(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    marked = "".join(draw(st.sampled_from("ge")) for _ in range(n))
+    phi = draw(st.floats(min_value=0.0, max_value=2.0))
+    rates = tuple(draw(st.floats(min_value=0.0, max_value=1.5)) for _ in range(n))
+    iterations = draw(st.integers(min_value=1, max_value=12))
+    convention = draw(st.sampled_from(("composite", "tabulated")))
+    return RunConfig(n, marked, phi, rates, iterations, convention)
 
 
 class TestRunConfig:
@@ -181,23 +195,60 @@ class TestDenseCrossCheck:
             assert abs(surv - probs.sum()) <= 1e-12
 
 
+def summaries_peak(configs) -> int:
+    """tracemalloc peak, in bytes, of one ``summaries`` call."""
+    tracemalloc.start()
+    try:
+        summaries(configs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestProductEngine:
+    @given(cfg=damped_configs())
+    def test_run_equals_dense(self, cfg):
+        ref = dense_run(cfg.n, cfg.marked, cfg.phi, cfg.rates, cfg.iterations, cfg.convention)
+        np.testing.assert_allclose(run(cfg), ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_undamped_marked_probability_closed_form(self, n):
+        # phi=1 without damping is Grover's search: sin^2((2k+1) asin 2^(-n/2))
+        marked = "".join("ge"[(n * v) % 3 == 1] for v in range(n))
+        angle = math.asin(2 ** (-n / 2))
+        for k in (1, 2, 3, 5, 8, 13, 21, 34, 50):
+            rho = summaries([RunConfig(n, marked, 1.0, iterations=k)])[0][0]
+            assert abs(rho - math.sin((2 * k + 1) * angle) ** 2) <= 1e-12
+
+    def test_block_rows_equal_one_point_blocks(self):
+        # a row of a full block is bitwise the run evolved alone
+        rng = np.random.default_rng(9)
+        configs = [RunConfig(9, "".join(rng.choice(["g", "e"], 9)), float(rng.uniform(0.0, 2.0)),
+                             tuple(rng.uniform(0.0, 1.0, 9).tolist()),
+                             convention=("composite", "tabulated")[k % 2])
+                   for k in range(points_per_block(9))]
+        block = _evolve(configs)
+        for row, config in zip(block, configs):
+            assert np.array_equal(row, _evolve([config])[0])
+
+
 class TestMemory:
-    # A block holds at most BLOCK_AMPLITUDES amplitudes (0.5 MiB) plus its
-    # group factors; its peak stayed at or below 1.8 MiB on every grid here.
-    # Blocks sized by amplitudes alone peaked at 3.6-4.0 MiB on the n=3-6
-    # grids, whose 8x8 factors outweigh their states.
+    # A block's budget counts each run's amplitudes, half tables, power
+    # table and recurrence entries (see points_per_block); its peak stayed
+    # at or below 1.1 MiB on every grid here, and at 0.93 MiB at n=12 with
+    # 50 iterations.
     @pytest.mark.parametrize("n,points", [(2, 1000), (3, 1000), (4, 1000), (6, 1000),
                                           (9, 1000), (12, 40)])
     def test_summaries_peak_is_bounded(self, n, points):
         configs = [RunConfig(n, "e" * n, 0.001 + 1.999 * k / points, (0.1,) * n)
                    for k in range(points)]
-        tracemalloc.start()
-        try:
-            summaries(configs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * 2**20
+        assert summaries_peak(configs) <= 2.5 * 2**20
+
+    def test_deep_n12_peak_is_bounded(self):
+        # the largest register at the deepest iteration count of the benchmark
+        configs = [RunConfig(12, "e" * 12, 0.1 + 0.4 * k, (0.1,) * 12, iterations=50)
+                   for k in range(5)]
+        assert summaries_peak(configs) <= 2.5 * 2**20
 
 
 class TestConcurrency:

@@ -136,6 +136,28 @@ class TestHamiltonian:
         b = verification_sweep(ns=(2,), draws=2, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [7, 20240])
+    def test_sweep_rows_equal_per_draw_verification(self, seed):
+        # the sweep builds each pattern's couplings once; its rows must be
+        # exactly the worst of verify_gate_realization over the same draws
+        rng = np.random.default_rng(seed)
+        rows = []
+        for n in (2, 3, 4):
+            for pattern in all_patterns(n):
+                rows.append((pattern, max(
+                    verify_gate_realization(n, pattern, PhasePoint(rng.uniform(0.0, 2.0), n),
+                                            rng.uniform(0.0, 1.0, size=n).tolist())
+                    for _ in range(20))))
+        assert verification_sweep(seed=seed) == rows
+
+    @pytest.mark.parametrize("terms,rates,bad", [
+        ({(0,): 1.0}, (0.0, 0.0), r"\(0,\)"),
+        (coupling_assignment(3, "ege"), (0.0, 0.0), r"\(3,\)"),
+    ])
+    def test_qubit_outside_register_rejected(self, terms, rates, bad):
+        with pytest.raises(DimensionMismatch, match=bad):
+            build_hamiltonian(terms, rates)
+
 
 class TestPulses:
     def test_v1_zero_duration(self):

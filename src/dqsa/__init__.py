@@ -14,7 +14,6 @@ from .errors import (
 )
 from .gates import (
     CONVENTIONS,
-    PhasePoint,
     oracle_gate,
     w_gate,
     xi_factor,

@@ -11,19 +11,22 @@ restored by renormalization.
 
 from functools import lru_cache
 
-from .errors import InvalidPattern
+from .errors import DimensionMismatch, InvalidPattern
 
 MAX_QUBITS = 12
 
 
-def validate_pattern(pattern: str) -> str:
-    """Return the pattern unchanged if it is a valid g/e string, else raise."""
+def validate_pattern(pattern: str, n: int | None = None) -> str:
+    """Return the pattern unchanged if it is a valid g/e string, of length n
+    when n is given, else raise."""
     if not isinstance(pattern, str) or not 1 <= len(pattern) <= MAX_QUBITS:
         raise InvalidPattern(
             f"pattern must be a g/e string of length 1..{MAX_QUBITS}, got {pattern!r}"
         )
     if any(c not in "ge" for c in pattern):
         raise InvalidPattern(f"pattern symbols must be 'g' or 'e', got {pattern!r}")
+    if n is not None and len(pattern) != n:
+        raise DimensionMismatch(f"pattern length {len(pattern)} vs n={n}")
     return pattern
 
 

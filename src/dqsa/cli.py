@@ -7,6 +7,7 @@ offending field), 2 when a comparison subcommand has at least one failing row.
 
 import argparse
 import json
+import math
 import sys
 
 from . import experiments
@@ -232,7 +233,8 @@ def _cmd_run(args) -> int:
         raise MalformedConfig("run needs a scalar 'phi' (use the sweep subcommand for grids)")
     rep = report(cfg)
     if args.format == "csv":
-        sample = [(cfg.phi, cfg.phase.tau, rep.marked_prob, rep.sum_unmarked, rep.survival)]
+        tau = cfg.phi * math.pi / 2**cfg.n
+        sample = [(cfg.phi, tau, rep.marked_prob, rep.sum_unmarked, rep.survival)]
         _emit(experiments.sweep_to_csv(sample), args.out)
     else:
         doc = {"n": cfg.n, "marked": cfg.marked, "phi": cfg.phi,
@@ -291,8 +293,8 @@ def _cmd_verify_gates(args) -> int:
 
 
 def _cmd_peak(args) -> int:
-    marked = args.marked if args.marked else "g" * args.n
-    rates = _parse_gammas(args.gammas) if args.gammas else ()
+    marked = "g" * args.n if args.marked is None else args.marked
+    rates = () if args.gammas is None else _parse_gammas(args.gammas)
     phi, rho = experiments.peak_search(args.n, marked, rates)
     print(json.dumps({"phi": phi, "rho": rho}))
     return 0

@@ -3,9 +3,10 @@ sweeps, peak location, and comparison against the bundled reference tables.
 
 Every multi-point computation here hands all of its runs of one register
 size to the batched engine in one call (``search.summaries``, or
-``search.reports`` where the per-pattern probabilities are needed).  Results
-come back in grid order, and all output is deterministic: the same inputs
-produce byte-identical CSV/JSON.
+``search.reports`` for per-pattern probabilities): a `RunConfig` for what
+the runs share, and arrays for what varies.  Results come back in grid
+order, and all output is deterministic: the same inputs produce
+byte-identical CSV/JSON.
 """
 
 import json
@@ -15,9 +16,9 @@ from fractions import Fraction
 from importlib import resources
 
 from .basis import validate_pattern
-from .errors import DimensionMismatch, UnknownTable, UnsupportedSize
-from .gates import check_convention, finite_real, validate_rates, whole_number
-from .search import RunConfig, report, reports, summaries
+from .errors import OverdampedQubit, UnknownTable, UnsupportedSize
+from .gates import check_convention, check_phi, finite_real, validate_rates, whole_number
+from .search import RunConfig, reports, summaries
 
 # Reference summary row per size: the peak phase coefficient phi_p, the peak
 # ("present") success probability, and the phi=1 ("grover") probability.
@@ -77,8 +78,7 @@ def table1(n: int) -> tuple:
     if n not in SUMMARY_PHI_P:
         raise UnsupportedSize(f"summary table covers n=2..9, got {n}")
     phi_p = SUMMARY_PHI_P[n]
-    (present, *_), (grover, *_) = summaries(
-        [RunConfig(n, "e" * n, phi_p), RunConfig(n, "e" * n, 1.0)])
+    (present, *_), (grover, *_) = summaries(RunConfig(n, "e" * n, 1.0), phi=[phi_p, 1.0])
     return (phi_p, present, grover)
 
 
@@ -93,11 +93,6 @@ def table1_comparison(ns=None, present_tolerance: float = PRESENT_TOLERANCE,
     return ComparisonReport(tuple(rows), present_tolerance)
 
 
-def grover_closed_form(n: int) -> float:
-    """sin^2((2k+1) asin(2^(-n/2))) with k = n-1 iterations."""
-    return math.sin((2 * (n - 1) + 1) * math.asin(2 ** (-n / 2))) ** 2
-
-
 def peak_search(n: int, marked: str, rates=(), convention: str = "composite") -> tuple:
     """(phi, rho) maximizing the marked probability over phi in (0, 1].
 
@@ -105,8 +100,8 @@ def peak_search(n: int, marked: str, rates=(), convention: str = "composite") ->
     smaller phi), then refines with one three-point parabolic fit.
     """
     grid = [k * 1e-3 for k in range(1, 1001)]
-    configs = [RunConfig(n, marked, phi, rates, convention=convention) for phi in grid]
-    rhos = [rho for rho, _, _ in summaries(configs)]
+    config = RunConfig(n, marked, 1.0, rates, convention=convention)
+    rhos = [rho for rho, _, _ in summaries(config, phi=grid)]
     best = max(range(len(grid)), key=lambda i: (rhos[i], -i))
     phi0, rho0 = grid[best], rhos[best]
     if 0 < best < len(grid) - 1:
@@ -115,7 +110,7 @@ def peak_search(n: int, marked: str, rates=(), convention: str = "composite") ->
         if denom < 0:
             phi_c = phi0 + 0.5e-3 * (ym - yp) / denom
             phi_c = min(max(phi_c, 1e-3), 1.0)
-            rho_c = report(RunConfig(n, marked, phi_c, rates, convention=convention)).marked_prob
+            rho_c = summaries(config, phi=[phi_c])[0][0]
             if rho_c > rho0:
                 return (phi_c, rho_c)
     return (phi0, rho0)
@@ -158,13 +153,12 @@ class SweepSpec:
         if self.axis == "phase":
             object.__setattr__(self, "rates", validate_rates(self.rates or (0.0,) * n, n))
         else:
-            phi = 1.0 if self.phi is None else self.phi
-            object.__setattr__(self, "phi", finite_real(phi, "phi"))
+            object.__setattr__(self, "phi", check_phi(1.0 if self.phi is None else self.phi))
             object.__setattr__(self, "weights", validate_rates(self.weights or (1.0,) * n, n))
-        validate_pattern(self.marked)
-        if len(self.marked) != n:
-            raise DimensionMismatch(f"marked pattern length {len(self.marked)} vs n={n}")
+        validate_pattern(self.marked, n)
         check_convention(self.convention)
+        if self.axis == "dissipation" and self.stop * max(self.weights) >= 4:
+            raise OverdampedQubit(f"rate {self.stop * max(self.weights)} (gbar stop times weight) >= 4")
 
     def grid(self) -> list:
         step = (self.stop - self.start) / (self.steps - 1)
@@ -180,14 +174,14 @@ def sweep(spec: SweepSpec) -> list:
     """
     grid = spec.grid()
     if spec.axis == "phase":
-        configs = [RunConfig(spec.n, spec.marked, phi, spec.rates, convention=spec.convention)
-                   for phi in grid]
+        config = RunConfig(spec.n, spec.marked, spec.start, spec.rates, convention=spec.convention)
+        samples = summaries(config, phi=grid)
         keys = [(phi, phi * math.pi / 2**spec.n) for phi in grid]
     else:
-        configs = [RunConfig(spec.n, spec.marked, spec.phi, tuple(g * w for w in spec.weights),
-                             convention=spec.convention) for g in grid]
+        config = RunConfig(spec.n, spec.marked, spec.phi, convention=spec.convention)
+        samples = summaries(config, rates=[[g * w for w in spec.weights] for g in grid])
         keys = [(g, spec.phi, spec.phi * math.pi / 2**spec.n) for g in grid]
-    return [(*key, *sample) for key, sample in zip(keys, summaries(configs))]
+    return [(*key, *sample) for key, sample in zip(keys, samples)]
 
 
 def _load_table(table_id: int):
@@ -228,8 +222,9 @@ def appendix_reproduce(table_id: int, tolerance: float = TABLE_TOLERANCE,
     """
     n, rates, phis, marked, unmarked = _load_table(table_id)
     cells = sorted(marked.items())
-    computed = reports([RunConfig(n, pat, phi, rates, convention=convention)
-                        for (pat, phi), _ in cells])
+    (pattern, phi), _ = cells[0]
+    computed = reports(RunConfig(n, pattern, phi, rates, convention=convention),
+                       phi=[phi for (_, phi), _ in cells], marked=[pat for (pat, _), _ in cells])
     rows = []
     for ((pat, phi), ref), rep in zip(cells, computed):
         prefix = f"table{table_id:02d} {pat} phi={phi:g}"

@@ -5,8 +5,9 @@ A one-qubit W gate is a (2, 2) complex array in (g, e) ordering, and
 factors, qubit 1 first.  The oracle is diagonal, so it is its (2^n,) array
 of entries in basis-index order.  Nothing here keeps state.
 
-All times enter through the dimensionless control phase ``phi`` = beta/pi;
-the matching evolution time in natural units is ``tau`` = phi*pi/2^n.
+All times enter through the control phase ``phi`` = beta/pi, a float (see
+`check_phi`); each use computes the matching evolution time in natural
+units, ``tau`` = phi*pi/2^n, from its own register size.
 Dissipation rates ``g_v`` are dimensionless and must stay below 4, where the
 detuning factor xi = sqrt(16 - g^2)/4 becomes non-real.
 
@@ -28,7 +29,6 @@ table's rates, which stay below 1), and amplifies beyond that.
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,27 +54,13 @@ def whole_number(value, name: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Control phase phi (in units of pi) for an n-qubit register."""
-
-    phi: float
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", finite_real(self.phi, "phi"))
-        if self.phi < 0:
-            raise NegativePhase(f"phi must be non-negative, got {self.phi}")
-
-    @property
-    def beta(self) -> float:
-        """Oracle phase in radians: beta = phi*pi."""
-        return self.phi * math.pi
-
-    @property
-    def tau(self) -> float:
-        """Evolution time in natural units: tau = phi*pi/2^n."""
-        return self.phi * math.pi / 2**self.n
+def check_phi(phi) -> float:
+    """``phi`` as a float; bools, non-numbers, NaN, +-inf and negative values
+    are rejected."""
+    phi = finite_real(phi, "phi")
+    if phi < 0:
+        raise NegativePhase(f"phi must be non-negative, got {phi}")
+    return phi
 
 
 def validate_rates(rates, n: int | None = None) -> tuple[float, ...]:
@@ -124,21 +110,18 @@ def w_gate(g, convention: str = "composite") -> np.ndarray:
     return np.moveaxis(pre * gate, (0, 1), (-2, -1))
 
 
-def damping_entries(n: int, phase: PhasePoint, rates) -> np.ndarray:
+def damping_entries(n: int, phi: float, rates) -> np.ndarray:
     """Per-basis-state damping factors exp(-(tau/2) * sum of excited rates),
-    shape (2^n,)."""
+    tau = phi*pi/2^n, shape (2^n,)."""
+    tau = check_phi(phi) * math.pi / 2**n
     rates = validate_rates(rates, n)
     excited = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-    return np.exp(-0.5 * phase.tau * (excited @ np.asarray(rates, dtype=np.float64)))
+    return np.exp(-0.5 * tau * (excited @ np.asarray(rates, dtype=np.float64)))
 
 
-def oracle_gate(x: str, phase: PhasePoint, rates) -> np.ndarray:
+def oracle_gate(x: str, phi: float, rates) -> np.ndarray:
     """Diagonal phase oracle's (2^n,) entries: damping on every state, extra
-    e^{i*beta} on x."""
-    validate_pattern(x)
-    n = len(x)
-    if phase.n != n:
-        raise DimensionMismatch(f"pattern length {n} vs phase n={phase.n}")
-    entries = damping_entries(n, phase, rates).astype(np.complex128)
-    entries[index_of(x)] *= np.exp(1j * phase.beta)
+    e^{i*beta} (beta = phi*pi) on x."""
+    entries = damping_entries(len(validate_pattern(x)), phi, rates).astype(np.complex128)
+    entries[index_of(x)] *= np.exp(1j * (phi * math.pi))
     return entries

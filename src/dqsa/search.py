@@ -24,13 +24,13 @@ amplitudes, in one batched matrix product of two half Kronecker tables.  A
 run costs T*2^n multiply-adds for its amplitudes and O(T^2) for the
 recurrence.
 
-Runs of one register size and iteration count evolve together as a block,
-one row of every array per run, each with its own gates (built in one
-`w_gate` call per convention in the block), so each numpy operation covers
-every point of the block at once.  Output is byte-identical from run to
-run, and a sweep row agrees with a standalone `report` of its point to
-1e-15 (bitwise on the x86-64 machine this was measured on, but that is not
-promised).
+A batch is one `RunConfig` (n, iteration count, convention) plus per-run
+arrays of phases, rates and marked patterns.  Its runs evolve together in
+blocks, one row of every array per run, each with its own gates (one
+`w_gate` call per block), so each numpy operation covers every point of the
+block at once.  Output is byte-identical from run to run, and a sweep row
+agrees with a standalone `report` of its point to 1e-15 (bitwise on the
+x86-64 machine this was measured on, but that is not promised).
 """
 
 from dataclasses import dataclass
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import all_patterns, index_of, validate_pattern
-from .errors import DimensionMismatch
-from .gates import PhasePoint, check_convention, validate_rates, w_gate, whole_number
+from .errors import DimensionMismatch, NegativePhase
+from .gates import check_convention, check_phi, validate_rates, w_gate, whole_number
 
 # Array entries per block, as points_per_block counts them: 25 points at
 # n=9, 7 at n=12 with 11 iterations.  Counted so, a run's tracemalloc peak
@@ -55,7 +55,7 @@ RUN_ENTRIES = 64
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parameters of one search run.
+    """Parameters of one search run, or the shared ones of a batch.
 
     ``iterations`` defaults to n - 1, the count that recovers the standard
     Grover success probabilities at phi=1 with no dissipation.
@@ -69,22 +69,14 @@ class RunConfig:
     convention: str = "composite"
 
     def __post_init__(self):
-        validate_pattern(self.marked)
-        if len(self.marked) != whole_number(self.n, "n"):
-            raise DimensionMismatch(
-                f"marked pattern length {len(self.marked)} vs n={self.n}"
-            )
+        validate_pattern(self.marked, whole_number(self.n, "n"))
         object.__setattr__(self, "rates", validate_rates(self.rates or (0.0,) * self.n, self.n))
-        object.__setattr__(self, "phi", self.phase.phi)
+        object.__setattr__(self, "phi", check_phi(self.phi))
         if self.iterations is None:
             object.__setattr__(self, "iterations", max(1, self.n - 1))
         if whole_number(self.iterations, "iterations") < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         check_convention(self.convention)
-
-    @property
-    def phase(self) -> PhasePoint:
-        return PhasePoint(self.phi, self.n)
 
 
 @dataclass(frozen=True)
@@ -169,29 +161,55 @@ def _materialize(coeffs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (left @ right).reshape(b, -1)
 
 
-def _evolve(configs, trace=None) -> np.ndarray:
+def _reals(values, name: str, shape: tuple, negative=ValueError) -> np.ndarray:
+    """``values`` as a contiguous float64 array of ``shape``; rejects bool and
+    non-numeric dtypes, NaN, +-inf and (raising ``negative``) values < 0."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {array.dtype}")
+    if array.shape != shape:
+        raise DimensionMismatch(f"{name}: expected shape {shape}, got {array.shape}")
+    array = np.ascontiguousarray(array, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got {array[~np.isfinite(array)][0]}")
+    if (array < 0).any():
+        raise negative(f"{name} must be non-negative, got {array[array < 0][0]}")
+    return array
+
+
+def _batch(config, phi=None, rates=None, marked=None):
+    """The runs of a batch (see `summaries`) as checked arrays: marked basis
+    indices (B,), phi (B,) and rates (B, n).  B is the length of the first
+    array given, else 1."""
+    n = config.n
+    b = len(next((a for a in (phi, rates, marked) if a is not None), [config]))
+    phi = _reals(np.full(b, config.phi) if phi is None else phi, "phi", (b,), NegativePhase)
+    rates = _reals(np.full((b, n), config.rates) if rates is None else rates,
+                   "dissipation rates", (b, n))
+    marked = [config.marked] * b if marked is None else list(marked)
+    if len(marked) != b:
+        raise DimensionMismatch(f"marked: expected {b} patterns, got {len(marked)}")
+    index = {p: index_of(validate_pattern(p, n)) for p in dict.fromkeys(marked)}
+    return np.array([index[p] for p in marked], dtype=int), phi, rates
+
+
+def _evolve(config, marked, phi, rates, trace=None) -> np.ndarray:
     """Final (unnormalized) amplitudes of a block of runs, shape (B, 2^n).
 
-    The runs must share n and the iteration count.  When ``trace`` is a
-    list, the marked amplitudes (shape (B,)) are appended after each round.
+    ``config`` gives n, the iteration count and the convention, and the
+    arrays, as `_batch` returns them, each run's own values.  When ``trace``
+    is a list, the marked amplitudes (shape (B,)) are appended per round.
     """
-    n, k = configs[0].n, configs[0].iterations
-    if any(c.n != n or c.iterations != k for c in configs):
-        raise DimensionMismatch("a block needs one register size and one iteration count")
-    b, t = len(configs), 2 * k + 1
-    rates = np.array([c.rates for c in configs])
-    w = w_gate(rates, configs[0].convention)
-    for convention in {c.convention for c in configs} - {configs[0].convention}:
-        rows = [c.convention == convention for c in configs]
-        w[rows] = w_gate(rates[rows], convention)
-    w = w.transpose(2, 3, 1, 0)
-    beta = np.pi * np.array([c.phi for c in configs])
+    n, k = config.n, config.iterations
+    b, t = len(phi), 2 * k + 1
+    w = w_gate(rates, config.convention).transpose(2, 3, 1, 0)
+    beta = np.pi * phi
     m = w.copy()
     m[:, 1] = w[:, 1] * np.exp(-0.5 * (beta / 2**n) * rates.T)
 
     # Start vectors per qubit: W_v e_0 (the first term), e_{x_v} (each
     # x-phase term) and e_0 (each 0-phase term).
-    x = np.array([[ch == "e" for ch in c.marked] for c in configs]).T
+    x = ((marked >> np.arange(n - 1, -1, -1)[:, None]) & 1).astype(bool)
     start = np.zeros((2, 3, n, b), dtype=np.complex128)
     start[:, 0] = w[:, 0]
     start[1, 1] = x
@@ -247,55 +265,56 @@ def _evolve(configs, trace=None) -> np.ndarray:
     return _materialize(coeffs * np.exp(1j * k * beta)[:, None], table)
 
 
-def _blocks(configs):
-    """Yield (runs, probabilities) per block; probabilities is (B, 2^n)."""
-    configs = list(configs)
-    if configs:
-        size = points_per_block(configs[0].n, configs[0].iterations)
-        for lo in range(0, len(configs), size):
-            block = configs[lo:lo + size]
-            yield block, np.abs(_evolve(block)) ** 2
+def _blocks(config, phi, rates, marked):
+    """Yield (marked indices, probabilities) per block of the batch;
+    probabilities is (B, 2^n)."""
+    marked, phi, rates = _batch(config, phi, rates, marked)
+    size = points_per_block(config.n, config.iterations)
+    for lo in range(0, len(phi), size):
+        rows = slice(lo, lo + size)
+        yield marked[rows], np.abs(_evolve(config, marked[rows], phi[rows], rates[rows])) ** 2
 
 
-def summaries(configs) -> list:
-    """(marked_prob, sum_unmarked, survival) per run, in order.
+def summaries(config: RunConfig, phi=None, rates=None, marked=None) -> list:
+    """(marked_prob, sum_unmarked, survival) per run of the batch, in order.
 
-    The runs must share n and the iteration count; no per-pattern dict is
-    built.
-    """
+    ``config`` fixes n, the iteration count and the convention of every run;
+    ``phi`` (B,), ``rates`` (B, n) and ``marked`` (B patterns) set each run's
+    own values, the config's standing in for any omitted.  No per-pattern
+    dict is built."""
     out = []
-    for block, probs in _blocks(configs):
-        marked = probs[range(len(block)), [index_of(c.marked) for c in block]]
+    for indices, probs in _blocks(config, phi, rates, marked):
+        hits = probs[np.arange(len(probs)), indices]
         survival = probs.sum(axis=1)
-        out += zip(marked.tolist(), (survival - marked).tolist(), survival.tolist())
+        out += zip(hits.tolist(), (survival - hits).tolist(), survival.tolist())
     return out
 
 
-def reports(configs) -> list:
-    """Probability report per run, in order; the runs must share n and the
-    iteration count."""
+def reports(config: RunConfig, phi=None, rates=None, marked=None) -> list:
+    """Probability report per run of the batch, in order; the batch is given
+    as to `summaries`."""
     out = []
-    for block, probs in _blocks(configs):
-        labels = all_patterns(block[0].n)
-        for config, values, survival in zip(block, probs.tolist(), probs.sum(axis=1).tolist()):
-            ix = index_of(config.marked)
+    for indices, probs in _blocks(config, phi, rates, marked):
+        labels = all_patterns(config.n)
+        for ix, values, survival in zip(indices.tolist(), probs.tolist(),
+                                        probs.sum(axis=1).tolist()):
             unmarked = {labels[i]: p for i, p in enumerate(values) if i != ix}
-            out.append(ProbabilityReport(config.marked, values[ix], unmarked, survival))
+            out.append(ProbabilityReport(labels[ix], values[ix], unmarked, survival))
     return out
 
 
 def run(config: RunConfig) -> np.ndarray:
     """Final (unnormalized) amplitudes of the search run, shape (2^n,)."""
-    return _evolve([config])[0]
+    return _evolve(config, *_batch(config))[0]
 
 
 def report(config: RunConfig) -> ProbabilityReport:
     """Probabilities of the final state, split marked vs remaining."""
-    return reports([config])[0]
+    return reports(config)[0]
 
 
 def marked_amplitude_trace(config: RunConfig) -> list:
     """Marked-state amplitude after each iteration (length = iterations)."""
     trace = []
-    _evolve([config], trace)
+    _evolve(config, *_batch(config), trace)
     return [complex(a[0]) for a in trace]

@@ -8,7 +8,8 @@ over ordered index tuples in a canonical way (see coupling_assignment); the
 couplings are a plain dict from tuple to J.  Evolving for time tau then
 reproduces the oracle exactly, which verify_gate_realization checks
 numerically.  Energies and their evolutions are (2^n,) arrays of diagonal
-entries in basis-index order, like the oracle of gates.oracle_gate.
+entries in basis-index order, like the oracle of gates.oracle_gate, and the
+phase phi is a float, as there.
 
 The one-qubit W gate is likewise realized as a composition of three timed
 pulses (two bare sigma-z pulses around one rotated damped pulse); compose_w
@@ -25,7 +26,7 @@ import numpy as np
 
 from .basis import all_patterns, validate_pattern
 from .errors import DimensionMismatch, OverdampedQubit, UnsupportedSize
-from .gates import PhasePoint, oracle_gate, validate_rates, xi_factor
+from .gates import check_phi, oracle_gate, validate_rates, xi_factor
 
 THETA = 1.0  # coupling energy scale in natural units
 
@@ -44,9 +45,7 @@ def coupling_assignment(n: int, pattern: str) -> dict:
     """
     if n not in (2, 3, 4):
         raise UnsupportedSize(f"coupling synthesis supports n in {{2,3,4}}, got {n}")
-    validate_pattern(pattern)
-    if len(pattern) != n:
-        raise DimensionMismatch(f"pattern length {len(pattern)} vs n={n}")
+    validate_pattern(pattern, n)
 
     z = tuple(1.0 if c == "e" else -1.0 for c in pattern)
     terms = {(s,): z[s - 1] * THETA for s in range(1, n + 1)}
@@ -104,24 +103,23 @@ def _damped(couplings: np.ndarray, rates) -> np.ndarray:
     return couplings + 1j * (-0.5 * (_excited(len(rates)) @ np.array(rates)))
 
 
-def evolve(energies: np.ndarray, phase: PhasePoint) -> np.ndarray:
-    """Diagonal time evolution exp(-i * E[y] * tau), shape (2^n,)."""
-    if len(energies) != 2**phase.n:
-        raise DimensionMismatch(f"{len(energies)} energies vs phase n={phase.n}")
-    return np.exp(-1j * energies * phase.tau)
+def evolve(energies: np.ndarray, phi: float) -> np.ndarray:
+    """Diagonal time evolution exp(-i * E[y] * tau), tau = phi*pi/2^n with
+    2^n = len(energies), shape (2^n,)."""
+    return np.exp(-1j * energies * (check_phi(phi) * math.pi / len(energies)))
 
 
-def _deviation(energies: np.ndarray, pattern: str, phase: PhasePoint, rates) -> float:
+def _deviation(energies: np.ndarray, pattern: str, phi: float, rates) -> float:
     """Max |U - c*P| between the evolution U of ``energies`` and the oracle
     P; see verify_gate_realization."""
-    u = evolve(energies, phase)
-    p = oracle_gate(pattern, phase, rates)
+    u = evolve(energies, phi)
+    p = oracle_gate(pattern, phi, rates)
     ref = 2**len(pattern) - 1 if pattern == "g" * len(pattern) else 0
     c = u[ref] / p[ref]
     return float(np.max(np.abs(u - c * p)))
 
 
-def verify_gate_realization(n: int, pattern: str, phase: PhasePoint, rates) -> float:
+def verify_gate_realization(n: int, pattern: str, phi: float, rates) -> float:
     """Max |U - c*P| between synthesized evolution U and the oracle P.
 
     The alignment scalar c is fixed by matching one unmarked reference entry
@@ -129,7 +127,7 @@ def verify_gate_realization(n: int, pattern: str, phase: PhasePoint, rates) -> f
     marked entry's phase stays an untouched test quantity.
     """
     energies = build_hamiltonian(coupling_assignment(n, pattern), rates)
-    return _deviation(energies, pattern, phase, rates)
+    return _deviation(energies, pattern, phi, rates)
 
 
 def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
@@ -147,10 +145,10 @@ def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
         for pattern in all_patterns(n):
             couplings = coupling_energies(coupling_assignment(n, pattern), n)
             # each draw takes phi, then the n rates
-            points = ((PhasePoint(rng.uniform(0.0, 2.0), n), rng.uniform(0.0, 1.0, size=n).tolist())
+            points = ((rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0, size=n).tolist())
                       for _ in range(draws))
-            worst = max(_deviation(_damped(couplings, rates), pattern, phase, rates)
-                        for phase, rates in points)
+            worst = max(_deviation(_damped(couplings, rates), pattern, phi, rates)
+                        for phi, rates in points)
             rows.append((pattern, worst))
     return rows
 

@@ -8,6 +8,7 @@ that check them, and builds the environment for tests that start a child
 process.
 """
 
+import math
 import os
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 
 import dqsa
 from dqsa import search
-from dqsa.gates import PhasePoint, oracle_gate, w_gate
+from dqsa.gates import oracle_gate, w_gate
 from dqsa.search import RunConfig, report
 
 # Directory holding the ``dqsa`` package this process imported: ``src`` when
@@ -39,23 +40,29 @@ def dense_walsh(n: int, rates, convention: str = "composite") -> np.ndarray:
     return mat
 
 
-def dense_diffusion(n: int, phase: PhasePoint, rates, convention: str = "composite") -> np.ndarray:
-    """Dense diffusion gate e^{i*beta} * W_layer * P_{g...g} * W_layer."""
+def dense_diffusion(n: int, phi: float, rates, convention: str = "composite") -> np.ndarray:
+    """Dense diffusion gate e^{i*beta} * W_layer * P_{g...g} * W_layer,
+    beta = phi*pi."""
     w = dense_walsh(n, rates, convention)
-    p = oracle_gate("g" * n, phase, rates)
-    return np.exp(1j * phase.beta) * (w * p[None, :]) @ w
+    p = oracle_gate("g" * n, phi, rates)
+    return np.exp(1j * (phi * math.pi)) * (w * p[None, :]) @ w
 
 
 def dense_run(n, marked, phi, rates=None, iterations=None, convention="composite"):
     """Final state amplitudes computed with dense operators only."""
     rates = tuple(rates) if rates else (0.0,) * n
     iterations = iterations if iterations is not None else max(1, n - 1)
-    phase = PhasePoint(phi, n)
-    step = dense_diffusion(n, phase, rates, convention) * oracle_gate(marked, phase, rates)
+    step = dense_diffusion(n, phi, rates, convention) * oracle_gate(marked, phi, rates)
     state = dense_walsh(n, rates, convention)[:, 0].copy()
     for _ in range(iterations):
         state = step @ state
     return state
+
+
+def grover_closed_form(n: int) -> float:
+    """sin^2((2k+1) asin(2^(-n/2))) with k = n-1 iterations: the undamped
+    phi=1 success probability."""
+    return math.sin((2 * (n - 1) + 1) * math.asin(2 ** (-n / 2))) ** 2
 
 
 def worst_row_vs_report(rows, spec) -> float:
@@ -110,9 +117,9 @@ def record_blocks(monkeypatch) -> list:
     sizes = []
     evolve = search._evolve
 
-    def spy(configs, trace=None):
-        sizes.append(len(configs))
-        return evolve(configs, trace)
+    def spy(config, marked, phi, rates, trace=None):
+        sizes.append(len(phi))
+        return evolve(config, marked, phi, rates, trace)
 
     monkeypatch.setattr(search, "_evolve", spy)
     return sizes

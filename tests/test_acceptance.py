@@ -19,15 +19,14 @@ from dqsa.experiments import (
     SUMMARY_PRESENT,
     SweepSpec,
     appendix_reproduce,
-    grover_closed_form,
     sweep,
     sweep_to_csv,
 )
-from dqsa.gates import PhasePoint, w_gate
+from dqsa.gates import w_gate
 from dqsa.search import RunConfig, points_per_block, report
 from dqsa.synthesis import compose_w, verification_sweep
 
-from helpers import dense_diffusion, record_blocks, worst_row_vs_report
+from helpers import dense_diffusion, grover_closed_form, record_blocks, worst_row_vs_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -135,10 +134,10 @@ def test_criterion_6_invariant_suite():
     worst_sym, worst_diag = 0.0, 0.0
     for _ in range(15):
         n = int(rng.integers(2, 5))
-        phase = PhasePoint(float(rng.uniform(0, 2)), n)
-        d = dense_diffusion(n, phase, tuple(rng.uniform(0, 3.5, size=n)))
+        phi = float(rng.uniform(0, 2))
+        d = dense_diffusion(n, phi, tuple(rng.uniform(0, 3.5, size=n)))
         worst_sym = max(worst_sym, float(np.max(np.abs(d - d.T))))
-        d0 = np.diag(dense_diffusion(n, phase, (0.0,) * n))
+        d0 = np.diag(dense_diffusion(n, phi, (0.0,) * n))
         worst_diag = max(worst_diag, float(np.max(np.abs(d0 - d0[0]))))
     checks["diffusion symmetric"] = worst_sym <= 1e-12
     checks["uniform diagonal at rates 0"] = worst_diag <= 1e-12

@@ -2,12 +2,14 @@
 terms: a damping diagonal folded into the W layer, and a single-qubit gate
 applied on one tensor slot."""
 
+import math
+
 import numpy as np
 import pytest
 
 from dqsa.basis import MAX_QUBITS, all_patterns, index_of, pattern_of, validate_pattern
 from dqsa.errors import InvalidPattern
-from dqsa.gates import PhasePoint, damping_entries, w_gate
+from dqsa.gates import damping_entries, w_gate
 
 from helpers import dense_single_qubit, dense_terms, dense_walsh, layer_on_terms, random_terms
 
@@ -69,13 +71,13 @@ class TestOperations:
         # W_v diag(1, d_v) applied on every qubit is the W layer applied after
         # the entrywise damping diagonal exp(-(tau/2) * excited rates)
         rng = np.random.default_rng(1)
-        n, rates, phase = 3, (0.3, 0.9, 0.5), PhasePoint(0.8, 3)
-        d = np.exp(-0.5 * phase.tau * np.array(rates))
+        n, rates, phi = 3, (0.3, 0.9, 0.5), 0.8
+        d = np.exp(-0.5 * (phi * math.pi / 2**n) * np.array(rates))
         mats = w_gate(rates)
         mats[:, :, 1] *= d[:, None]
         coeffs, vecs = random_terms(rng, n)
         out = layer_on_terms(coeffs, vecs, mats[..., None])[0]
-        ref = dense_walsh(n, rates) @ (damping_entries(n, phase, rates) * dense_terms(coeffs, vecs)[0])
+        ref = dense_walsh(n, rates) @ (damping_entries(n, phi, rates) * dense_terms(coeffs, vecs)[0])
         np.testing.assert_allclose(out, ref, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dqsa.cli import config_from_dict, config_to_dict, load_config, main
 from dqsa.errors import MalformedConfig
@@ -205,6 +207,38 @@ class TestSweep:
         assert len(out.strip().split("\n")) == 8
 
 
+def _reals(low, high):
+    return st.floats(min_value=low, max_value=high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    return RunConfig(n, draw(st.text("ge", min_size=n, max_size=n)), draw(_reals(0.0, 10.0)),
+                     tuple(draw(st.lists(_reals(0.0, 3.99), min_size=n, max_size=n))),
+                     draw(st.none() | st.integers(min_value=1, max_value=60)),
+                     draw(st.sampled_from(("composite", "tabulated"))))
+
+
+@st.composite
+def sweep_specs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    marked = draw(st.text("ge", min_size=n, max_size=n))
+    axis = draw(st.sampled_from(("phase", "dissipation")))
+    start, stop = sorted(draw(st.lists(_reals(0.0, 2.0 if axis == "phase" else 3.99),
+                                       min_size=2, max_size=2)))
+    common = dict(n=n, marked=marked, axis=axis, start=start, stop=stop,
+                  steps=draw(st.integers(min_value=2, max_value=1000)),
+                  convention=draw(st.sampled_from(("composite", "tabulated"))))
+    rates = tuple(draw(st.lists(_reals(0.0, 3.99), min_size=n, max_size=n)))
+    if axis == "phase":
+        return SweepSpec(**common, rates=rates)
+    # weights of zero, as in a gbar config without damping, and rates below 4
+    weights = tuple(draw(st.sampled_from((0.0, g))) for g in rates)
+    assume(stop * max(weights) < 4)
+    return SweepSpec(**common, phi=draw(st.none() | _reals(0.0, 10.0)), weights=weights)
+
+
 class TestConfigFiles:
     def test_load_run_config(self, tmp_path):
         path = tmp_path / "run.json"
@@ -262,6 +296,10 @@ class TestConfigFiles:
                   steps=4, weights=(0.0, 0.0)),
     ])
     def test_round_trip(self, cfg):
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @given(cfg=run_configs() | sweep_specs())
+    def test_round_trip_property(self, cfg):
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_zero_weights_sweep_without_damping(self):
@@ -328,6 +366,14 @@ class TestComparisons:
         doc = json.loads(out)
         assert doc["rho"] >= 0.9999
         assert 0 < doc["phi"] <= 1
+
+    @pytest.mark.parametrize("flag,field", [("--gammas", "--gammas"), ("--marked", "pattern")])
+    def test_peak_empty_value_exits_1(self, capsys, flag, field):
+        # an empty value is bad input, as in run, not "use the default"
+        code, out, err = run_cli(capsys, ["peak", "--n", "2", flag, ""])
+        assert code == 1
+        assert out == ""
+        assert field in err
 
 
 class TestInstalledEntryPoint:

@@ -5,7 +5,14 @@ import math
 
 import pytest
 
-from dqsa.errors import DimensionMismatch, InvalidPattern, UnknownTable, UnsupportedSize
+from dqsa.errors import (
+    DimensionMismatch,
+    InvalidPattern,
+    NegativePhase,
+    OverdampedQubit,
+    UnknownTable,
+    UnsupportedSize,
+)
 from dqsa.search import RunConfig, points_per_block, report
 from dqsa.experiments import (
     AVAILABLE_TABLES,
@@ -17,7 +24,6 @@ from dqsa.experiments import (
     appendix_reproduce,
     comparison_to_csv,
     comparison_to_json,
-    grover_closed_form,
     peak_search,
     sweep,
     sweep_to_csv,
@@ -26,7 +32,7 @@ from dqsa.experiments import (
     table1_comparison,
 )
 
-from helpers import record_blocks, worst_row_vs_report
+from helpers import grover_closed_form, record_blocks, worst_row_vs_report
 
 
 class TestSummaryTable:
@@ -134,6 +140,17 @@ class TestSweepSpec:
         args = dict(n=2, marked="ee", start=0.0, stop=1.0, steps=3) | kwargs
         with pytest.raises(ValueError, match=field):
             SweepSpec(**args)
+
+    def test_negative_phi_rejected(self):
+        # rejected when the spec is built, not when the sweep runs
+        with pytest.raises(NegativePhase):
+            SweepSpec(n=2, marked="ee", axis="dissipation", phi=-0.5)
+
+    def test_overdamped_top_rate_rejected(self):
+        # the last grid point would give qubit 1 the rate 3.5 * 1.5 = 5.25
+        with pytest.raises(OverdampedQubit, match="5.25"):
+            SweepSpec(n=2, marked="ee", axis="dissipation", stop=3.5, weights=(1.5, 1.0))
+        assert SweepSpec(n=2, marked="ee", axis="dissipation", stop=3.5, weights=(1.1, 1.0))
 
     def test_dissipation_phi_defaults_to_1(self):
         spec = SweepSpec(n=2, marked="ee", axis="dissipation", steps=3)
@@ -292,6 +309,34 @@ class TestSerialization:
     def test_csv_emission_is_deterministic(self):
         spec = SweepSpec(n=3, marked="geg", start=0.1, stop=1.5, steps=9)
         assert sweep_to_csv(sweep(spec)) == sweep_to_csv(sweep(spec))
+
+
+class TestRunConfigCount:
+    # a multi-point computation checks its shared parameters once, in one
+    # RunConfig, and passes what varies as arrays
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        post_init = RunConfig.__post_init__
+
+        def counting(config):
+            built.append(config)
+            post_init(config)
+
+        monkeypatch.setattr(RunConfig, "__post_init__", counting)
+        return built
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(n=9, marked="e" * 9, start=0.001, stop=2.0, steps=1000),
+        SweepSpec(n=9, marked="e" * 9, axis="dissipation", stop=0.9, steps=1000),
+    ])
+    def test_sweep(self, built, spec):
+        assert len(sweep(spec)) == 1000
+        assert len(built) <= 2
+
+    def test_peak_search(self, built):
+        peak_search(4, "egee", (0.1, 0.0, 0.2, 0.05))
+        assert len(built) <= 2
 
 
 class TestBlocks:

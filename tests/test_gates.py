@@ -1,4 +1,4 @@
-"""Gate constructors: phase bookkeeping, W gate, oracle; and the dense
+"""Gate constructors: phase checks, W gate, oracle; and the dense
 diffusion built from them."""
 
 import functools
@@ -11,37 +11,46 @@ from dqsa.basis import index_of
 from dqsa.errors import DimensionMismatch, NegativePhase, OverdampedQubit
 from dqsa.gates import (
     CONVENTIONS,
-    PhasePoint,
+    check_phi,
     damping_entries,
     oracle_gate,
     validate_rates,
     w_gate,
     xi_factor,
 )
-from dqsa.search import RunConfig, run, summaries
+from dqsa.search import RunConfig, run
 
 from helpers import dense_diffusion, dense_terms, dense_walsh, layer_on_terms, random_terms
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 
-class TestPhasePoint:
+class TestPhase:
     def test_beta_and_tau(self):
-        p = PhasePoint(0.5, 3)
-        assert p.beta == pytest.approx(0.5 * math.pi, abs=1e-15)
-        assert p.tau == pytest.approx(0.5 * math.pi / 8, abs=1e-15)
+        # the oracle's marked entry carries e^{i*beta}, beta = phi*pi, and its
+        # damping exp(-(tau/2) * excited rates), tau = phi*pi/2^n
+        entries = oracle_gate("ege", 0.5, (0.2, 0.4, 0.6))
+        assert entries[index_of("ege")] == pytest.approx(
+            np.exp(1j * 0.5 * math.pi) * math.exp(-0.25 * math.pi / 8 * 0.8), abs=1e-15)
+        assert entries[index_of("gge")] == pytest.approx(
+            math.exp(-0.25 * math.pi / 8 * 0.6), abs=1e-15)
 
     def test_negative_phase_rejected(self):
         with pytest.raises(NegativePhase):
-            PhasePoint(-0.1, 2)
+            check_phi(-0.1)
+        with pytest.raises(NegativePhase):
+            oracle_gate("ee", -0.1, (0.0, 0.0))
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, True, "1.0"])
     def test_non_finite_or_non_number_phase_rejected(self, phi):
         with pytest.raises(ValueError, match="phi"):
-            PhasePoint(phi, 2)
+            check_phi(phi)
+        with pytest.raises(ValueError, match="phi"):
+            damping_entries(2, phi, (0.0, 0.0))
 
     def test_zero_phase_allowed(self):
-        assert PhasePoint(0.0, 2).beta == 0.0
+        assert check_phi(0.0) == 0.0
+        assert check_phi(1) == 1.0 and type(check_phi(1)) is float
 
 
 class TestRates:
@@ -144,11 +153,6 @@ class TestWalshLayer:
         ref = dense_walsh(3, rates) @ dense_terms(coeffs, vecs)[0]
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
-    def test_state_size_checked(self):
-        # one engine block holds one register size
-        with pytest.raises(DimensionMismatch):
-            summaries([RunConfig(2, "ee", 1.0), RunConfig(3, "eee", 1.0)])
-
     def test_zero_rates_squares_to_identity(self):
         w = functools.reduce(np.kron, w_gate((0.0,) * 3))
         np.testing.assert_allclose(w @ w, np.eye(8), atol=1e-12)
@@ -158,65 +162,61 @@ class TestOracle:
     def test_known_entries(self):
         # n=2, marked ee, phi=1: tau/2 = pi/8, marked picks up e^{i pi} = -1
         ga, gb = 1 / 113, 1 / 90
-        e = oracle_gate("ee", PhasePoint(1.0, 2), (ga, gb))
+        e = oracle_gate("ee", 1.0, (ga, gb))
         assert e[index_of("gg")] == pytest.approx(1.0, abs=1e-15)
         assert e[index_of("ge")] == pytest.approx(math.exp(-math.pi / 8 * gb), abs=1e-15)
         assert e[index_of("eg")] == pytest.approx(math.exp(-math.pi / 8 * ga), abs=1e-15)
         assert e[index_of("ee")] == pytest.approx(-math.exp(-math.pi / 8 * (ga + gb)), abs=1e-12)
 
     def test_zero_phase_is_identity(self):
-        gate = oracle_gate("eg", PhasePoint(0.0, 2), (0.7, 0.3))
+        gate = oracle_gate("eg", 0.0, (0.7, 0.3))
         np.testing.assert_allclose(gate, np.ones(4), atol=1e-15)
 
     def test_zero_rates_is_pure_phase_flip(self):
-        gate = oracle_gate("ge", PhasePoint(1.0, 2), (0.0, 0.0))
+        gate = oracle_gate("ge", 1.0, (0.0, 0.0))
         expected = np.ones(4, dtype=complex)
         expected[index_of("ge")] = -1.0
         np.testing.assert_allclose(gate, expected, atol=1e-12)
 
     def test_damping_entries_bounded(self):
-        d = damping_entries(3, PhasePoint(1.7, 3), (0.9, 0.4, 0.2))
+        d = damping_entries(3, 1.7, (0.9, 0.4, 0.2))
         assert np.all(d <= 1.0 + 1e-15)
         assert np.all(d > 0.0)
 
     def test_oracle_flips_uniform_state_component(self):
         # H x H |gg> then the phase oracle for ee: last amplitude negated
-        gate = oracle_gate("ee", PhasePoint(1.0, 2), (0.0, 0.0))
+        gate = oracle_gate("ee", 1.0, (0.0, 0.0))
         out = gate * np.full(4, 0.5)
         np.testing.assert_allclose(out, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
-
-    def test_phase_size_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            oracle_gate("ee", PhasePoint(1.0, 3), (0.0, 0.0))
 
 
 class TestDiffusion:
     def test_grover_limit(self):
         # rates 0, phi=1: 2|s><s| - 1 with |s> uniform
         n = 3
-        d = dense_diffusion(n, PhasePoint(1.0, n), (0.0,) * n)
+        d = dense_diffusion(n, 1.0, (0.0,) * n)
         s = np.full((8, 1), 1 / math.sqrt(8))
         np.testing.assert_allclose(d, 2 * s @ s.T - np.eye(8), atol=1e-12)
 
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_symmetric_at_any_rates(self, convention):
-        d = dense_diffusion(3, PhasePoint(0.73, 3), (0.9, 0.2, 0.5), convention)
+        d = dense_diffusion(3, 0.73, (0.9, 0.2, 0.5), convention)
         np.testing.assert_allclose(d, d.T, atol=1e-12)
 
     def test_equal_diagonal_at_zero_rates(self):
-        d = dense_diffusion(3, PhasePoint(0.4, 3), (0.0,) * 3)
+        d = dense_diffusion(3, 0.4, (0.0,) * 3)
         np.testing.assert_allclose(np.diag(d), np.full(8, d[0, 0]), atol=1e-12)
 
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_contraction(self, convention):
-        d = dense_diffusion(2, PhasePoint(1.3, 2), (1.5, 0.8), convention)
+        d = dense_diffusion(2, 1.3, (1.5, 0.8), convention)
         assert np.linalg.norm(d, ord=2) <= 1 + 1e-9
 
     def test_matrix_free_matches_dense(self):
         # one engine round after the W layer: dense diffusion after the oracle
         n, marked, rates = 3, "egg", (0.3, 0.6, 0.1)
-        phase = PhasePoint(0.9, n)
-        out = run(RunConfig(n, marked, phase.phi, rates, iterations=1))
+        phi = 0.9
+        out = run(RunConfig(n, marked, phi, rates, iterations=1))
         start = dense_walsh(n, rates)[:, 0]
-        ref = dense_diffusion(n, phase, rates) @ (oracle_gate(marked, phase, rates) * start)
+        ref = dense_diffusion(n, phi, rates) @ (oracle_gate(marked, phi, rates) * start)
         np.testing.assert_allclose(out, ref, atol=1e-12)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqsa.basis import index_of, pattern_of
-from dqsa.gates import PhasePoint, oracle_gate
+from dqsa.gates import oracle_gate
 from dqsa.search import RunConfig, report
 
 from helpers import dense_diffusion
@@ -60,13 +60,13 @@ def test_survival_splits_into_probabilities(cfg):
        rates=st.lists(rate_values, min_size=4, max_size=4),
        convention=st.sampled_from(["composite", "tabulated"]))
 def test_diffusion_is_symmetric_at_any_rates(n, phi, rates, convention):
-    d = dense_diffusion(n, PhasePoint(phi, n), tuple(rates[:n]), convention)
+    d = dense_diffusion(n, phi, tuple(rates[:n]), convention)
     assert np.max(np.abs(d - d.T)) <= 1e-12
 
 
 @given(n=st.integers(min_value=2, max_value=4), phi=phis)
 def test_diffusion_diagonal_is_uniform_at_zero_rates(n, phi):
-    d = dense_diffusion(n, PhasePoint(phi, n), (0.0,) * n)
+    d = dense_diffusion(n, phi, (0.0,) * n)
     diag = np.diag(d)
     assert np.max(np.abs(diag - diag[0])) <= 1e-12
 
@@ -106,7 +106,7 @@ def test_all_ground_beats_all_excited_under_uniform_damping(phi, g):
        rates=st.lists(rate_values, min_size=6, max_size=6))
 def test_oracle_entries_never_amplify(pattern, phi, rates):
     n = len(pattern)
-    gate = oracle_gate(pattern, PhasePoint(phi, n), tuple(rates[:n]))
+    gate = oracle_gate(pattern, phi, tuple(rates[:n]))
     assert np.all(np.abs(gate) <= 1.0 + 1e-12)
 
 

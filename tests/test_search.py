@@ -10,9 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dqsa.basis import index_of
-from dqsa.errors import DimensionMismatch, InvalidPattern, OverdampedQubit
+from dqsa.errors import (
+    DimensionMismatch,
+    DqsaError,
+    InvalidPattern,
+    NegativePhase,
+    OverdampedQubit,
+)
 from dqsa.search import (
     RunConfig,
+    _batch,
     _evolve,
     marked_amplitude_trace,
     points_per_block,
@@ -80,10 +87,52 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             RunConfig(**args)
 
-    def test_phase_accessor(self):
-        cfg = RunConfig(3, "ege", 0.5)
-        assert cfg.phase.n == 3
-        assert cfg.phase.phi == 0.5
+    def test_negative_phase_rejected(self):
+        with pytest.raises(NegativePhase):
+            RunConfig(2, "ee", -0.5)
+
+
+class TestBatch:
+    def test_omitted_arrays_take_the_config_values(self):
+        config = RunConfig(3, "gge", 0.43, (0.2, 0.1, 0.4))
+        assert summaries(config) == summaries(config, phi=[0.43], rates=[config.rates],
+                                              marked=["gge"])
+
+    def test_rows_equal_standalone_reports(self):
+        config = RunConfig(3, "ggg", 1.0, iterations=4)
+        phi, rates, marked = [0.3, 1.7], [(0.1, 0.0, 0.5), (0.9, 0.2, 0.0)], ["ege", "gee"]
+        for k, (rho, rest, surv) in enumerate(summaries(config, phi, rates, marked)):
+            rep = report(RunConfig(3, marked[k], phi[k], rates[k], iterations=4))
+            assert (rho, rest, surv) == pytest.approx(
+                (rep.marked_prob, rep.sum_unmarked, rep.survival), rel=0, abs=1e-15)
+
+    def test_empty_batch(self):
+        assert summaries(RunConfig(2, "ee", 1.0), phi=[]) == []
+
+    # each bad per-run value raises what RunConfig raises for it
+    @pytest.mark.parametrize("field,bad,match", [
+        ("phi", math.nan, "phi"), ("phi", math.inf, "phi"), ("phi", True, "phi"),
+        ("phi", -0.5, "phi"), ("phi", 1j, "phi"),
+        ("rates", (math.nan, 0.0), "rate"), ("rates", (0.1, -math.inf), "rate"),
+        ("rates", (True, False), "rate"), ("rates", (-0.1, 0.0), "rate"),
+        ("rates", (0.1,), "rates"), ("rates", (0.1, 0.2, 0.3), "rates"),
+        ("marked", "xq", "pattern"), ("marked", "eee", "pattern"), ("marked", "", "pattern"),
+    ])
+    def test_bad_per_run_value_rejected_as_by_run_config(self, field, bad, match):
+        with pytest.raises((ValueError, DqsaError)) as by_config:
+            RunConfig(**(dict(n=2, marked="ee", phi=1.0) | {field: bad}))
+        with pytest.raises(by_config.type, match=match):
+            summaries(RunConfig(2, "ee", 1.0), **{field: [bad, bad]})
+
+    @pytest.mark.parametrize("arrays", [
+        dict(phi=[0.1, 0.2], marked=["ee"]),
+        dict(phi=[0.1], rates=[(0.0, 0.0), (0.1, 0.1)]),
+        dict(phi=[[0.1, 0.2]]),
+        dict(rates=[0.1, 0.2]),
+    ])
+    def test_batch_shape_checked(self, arrays):
+        with pytest.raises(DimensionMismatch):
+            summaries(RunConfig(2, "ee", 1.0), **arrays)
 
 
 class TestKnownOutcomes:
@@ -178,28 +227,29 @@ class TestDenseCrossCheck:
         np.testing.assert_allclose(state, ref, atol=1e-12)
 
     def test_block_columns_equal_dense(self):
-        # one engine block whose columns differ in pattern, phase, rates and
-        # convention: each summary equals the dense run of its own column
+        # one engine block per convention whose columns differ in pattern,
+        # phase and rates: each summary equals the dense run of its column
         rng = np.random.default_rng(8)
-        configs = [RunConfig(5, "".join(rng.choice(["g", "e"], 5)), float(rng.uniform(0.1, 1.9)),
-                             tuple(rng.uniform(0.0, 0.9, 5).tolist()), iterations=6,
-                             convention=("composite", "tabulated")[k % 2])
-                   for k in range(7)]
-        assert len(configs) <= points_per_block(5)
-        for c, (rho, rest, surv) in zip(configs, summaries(configs)):
-            probs = np.abs(dense_run(c.n, c.marked, c.phi, c.rates, c.iterations,
-                                     c.convention)) ** 2
-            marked = probs[index_of(c.marked)]
-            assert abs(rho - marked) <= 1e-12
-            assert abs(rest - (probs.sum() - marked)) <= 1e-12
-            assert abs(surv - probs.sum()) <= 1e-12
+        for convention in ("composite", "tabulated"):
+            patterns = ["".join(rng.choice(["g", "e"], 5)) for _ in range(7)]
+            phis = rng.uniform(0.1, 1.9, 7)
+            rates = rng.uniform(0.0, 0.9, (7, 5))
+            assert len(patterns) <= points_per_block(5, 6)
+            config = RunConfig(5, "ggggg", 1.0, iterations=6, convention=convention)
+            rows = summaries(config, phi=phis, rates=rates, marked=patterns)
+            for pattern, phi, g, (rho, rest, surv) in zip(patterns, phis, rates, rows):
+                probs = np.abs(dense_run(5, pattern, phi, tuple(g), 6, convention)) ** 2
+                marked = probs[index_of(pattern)]
+                assert abs(rho - marked) <= 1e-12
+                assert abs(rest - (probs.sum() - marked)) <= 1e-12
+                assert abs(surv - probs.sum()) <= 1e-12
 
 
-def summaries_peak(configs) -> int:
+def summaries_peak(config, **arrays) -> int:
     """tracemalloc peak, in bytes, of one ``summaries`` call."""
     tracemalloc.start()
     try:
-        summaries(configs)
+        summaries(config, **arrays)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -217,19 +267,24 @@ class TestProductEngine:
         marked = "".join("ge"[(n * v) % 3 == 1] for v in range(n))
         angle = math.asin(2 ** (-n / 2))
         for k in (1, 2, 3, 5, 8, 13, 21, 34, 50):
-            rho = summaries([RunConfig(n, marked, 1.0, iterations=k)])[0][0]
+            rho = summaries(RunConfig(n, marked, 1.0, iterations=k))[0][0]
             assert abs(rho - math.sin((2 * k + 1) * angle) ** 2) <= 1e-12
 
     def test_block_rows_equal_one_point_blocks(self):
-        # a row of a full block is bitwise the run evolved alone
+        # a row of a full block is bitwise the run evolved alone, under each
+        # convention
         rng = np.random.default_rng(9)
-        configs = [RunConfig(9, "".join(rng.choice(["g", "e"], 9)), float(rng.uniform(0.0, 2.0)),
-                             tuple(rng.uniform(0.0, 1.0, 9).tolist()),
-                             convention=("composite", "tabulated")[k % 2])
-                   for k in range(points_per_block(9))]
-        block = _evolve(configs)
-        for row, config in zip(block, configs):
-            assert np.array_equal(row, _evolve([config])[0])
+        b = points_per_block(9)
+        for convention in ("composite", "tabulated"):
+            config = RunConfig(9, "g" * 9, 1.0, convention=convention)
+            patterns = ["".join(rng.choice(["g", "e"], 9)) for _ in range(b)]
+            marked, phi, rates = _batch(config, rng.uniform(0.0, 2.0, b),
+                                        rng.uniform(0.0, 1.0, (b, 9)), patterns)
+            block = _evolve(config, marked, phi, rates)
+            for k, row in enumerate(block):
+                alone = RunConfig(9, patterns[k], float(phi[k]), tuple(rates[k].tolist()),
+                                  convention=convention)
+                assert np.array_equal(row, run(alone))
 
 
 class TestMemory:
@@ -240,15 +295,13 @@ class TestMemory:
     @pytest.mark.parametrize("n,points", [(2, 1000), (3, 1000), (4, 1000), (6, 1000),
                                           (9, 1000), (12, 40)])
     def test_summaries_peak_is_bounded(self, n, points):
-        configs = [RunConfig(n, "e" * n, 0.001 + 1.999 * k / points, (0.1,) * n)
-                   for k in range(points)]
-        assert summaries_peak(configs) <= 2.5 * 2**20
+        phi = [0.001 + 1.999 * k / points for k in range(points)]
+        assert summaries_peak(RunConfig(n, "e" * n, 1.0, (0.1,) * n), phi=phi) <= 2.5 * 2**20
 
     def test_deep_n12_peak_is_bounded(self):
         # the largest register at the deepest iteration count of the benchmark
-        configs = [RunConfig(12, "e" * 12, 0.1 + 0.4 * k, (0.1,) * 12, iterations=50)
-                   for k in range(5)]
-        assert summaries_peak(configs) <= 2.5 * 2**20
+        config = RunConfig(12, "e" * 12, 1.0, (0.1,) * 12, iterations=50)
+        assert summaries_peak(config, phi=[0.1 + 0.4 * k for k in range(5)]) <= 2.5 * 2**20
 
 
 class TestConcurrency:

@@ -7,8 +7,8 @@ import pytest
 import scipy.linalg
 
 from dqsa.basis import all_patterns, index_of
-from dqsa.errors import DimensionMismatch, OverdampedQubit, UnsupportedSize
-from dqsa.gates import PhasePoint, oracle_gate, w_gate, xi_factor
+from dqsa.errors import DimensionMismatch, NegativePhase, OverdampedQubit, UnsupportedSize
+from dqsa.gates import oracle_gate, w_gate, xi_factor
 from dqsa.synthesis import (
     THETA,
     build_hamiltonian,
@@ -98,15 +98,16 @@ class TestHamiltonian:
 
     def test_evolution_matches_expm(self):
         h = build_hamiltonian(coupling_assignment(3, "ege"), (0.2, 0.0, 0.7))
-        phase = PhasePoint(0.83, 3)
-        got = evolve(h, phase)
-        ref = np.diag(scipy.linalg.expm(-1j * phase.tau * np.diag(h)))
+        got = evolve(h, 0.83)
+        ref = np.diag(scipy.linalg.expm(-1j * (0.83 * math.pi / 8) * np.diag(h)))
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
-    def test_evolution_size_checked(self):
+    @pytest.mark.parametrize("phi,error", [(-0.5, NegativePhase), (math.nan, ValueError),
+                                           (True, ValueError)])
+    def test_evolution_phase_checked(self, phi, error):
         h = build_hamiltonian(coupling_assignment(2, "ee"), (0.0, 0.0))
-        with pytest.raises(DimensionMismatch):
-            evolve(h, PhasePoint(0.5, 3))
+        with pytest.raises(error, match="phi"):
+            evolve(h, phi)
 
     @pytest.mark.parametrize("pattern,rates", [
         ("ee", (0.0, 0.0)),
@@ -116,12 +117,12 @@ class TestHamiltonian:
     ])
     def test_evolution_realizes_oracle(self, pattern, rates):
         n = len(pattern)
-        phase = PhasePoint(0.77, n)
-        dev = verify_gate_realization(n, pattern, phase, rates)
+        phi = 0.77
+        dev = verify_gate_realization(n, pattern, phi, rates)
         assert dev < 1e-12
         # and directly: entries equal the oracle's up to one global scalar
-        u = evolve(build_hamiltonian(coupling_assignment(n, pattern), rates), phase)
-        p = oracle_gate(pattern, phase, rates)
+        u = evolve(build_hamiltonian(coupling_assignment(n, pattern), rates), phi)
+        p = oracle_gate(pattern, phi, rates)
         c = u[0] / p[0]
         np.testing.assert_allclose(u, c * p, atol=1e-12)
         assert abs(c - 1.0) < 1e-10  # the scalar itself is trivial
@@ -145,7 +146,7 @@ class TestHamiltonian:
         for n in (2, 3, 4):
             for pattern in all_patterns(n):
                 rows.append((pattern, max(
-                    verify_gate_realization(n, pattern, PhasePoint(rng.uniform(0.0, 2.0), n),
+                    verify_gate_realization(n, pattern, rng.uniform(0.0, 2.0),
                                             rng.uniform(0.0, 1.0, size=n).tolist())
                     for _ in range(20))))
         assert verification_sweep(seed=seed) == rows

@@ -11,6 +11,8 @@ restored by renormalization.
 
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DimensionMismatch, InvalidPattern
 
 MAX_QUBITS = 12
@@ -37,6 +39,13 @@ def index_of(pattern: str) -> int:
     for c in pattern:
         idx = (idx << 1) | (c == "e")
     return idx
+
+
+def bits(n: int, index=None) -> np.ndarray:
+    """0/1 qubit values of n-qubit basis indices (default: all 2^n), shape
+    np.shape(index) + (n,): entry [..., v] is 1 when qubit v+1 is excited."""
+    index = np.arange(2**n) if index is None else np.asarray(index)
+    return (index[..., None] >> np.arange(n - 1, -1, -1)) & 1
 
 
 def pattern_of(index: int, n: int) -> str:

@@ -7,13 +7,12 @@ offending field), 2 when a comparison subcommand has at least one failing row.
 
 import argparse
 import json
-import math
 import sys
 
 from . import experiments
 from .basis import validate_pattern
 from .errors import DqsaError, MalformedConfig
-from .gates import CONVENTIONS, finite_real, validate_rates, whole_number
+from .gates import CONVENTIONS, check_reals, tau, whole_number
 from .search import RunConfig, report
 from .synthesis import verification_sweep
 
@@ -78,7 +77,7 @@ def config_from_dict(raw: dict):
     if len(gammas) != n:
         raise MalformedConfig(f"field 'gammas' has {len(gammas)} entries, expected n={n}")
     try:
-        gammas = validate_rates(gammas)
+        check_reals(gammas, "gammas", (n,))
     except ValueError as e:
         raise MalformedConfig(f"field 'gammas': {e}") from e
     convention = raw.get("convention", "composite")
@@ -233,8 +232,8 @@ def _cmd_run(args) -> int:
         raise MalformedConfig("run needs a scalar 'phi' (use the sweep subcommand for grids)")
     rep = report(cfg)
     if args.format == "csv":
-        tau = cfg.phi * math.pi / 2**cfg.n
-        sample = [(cfg.phi, tau, rep.marked_prob, rep.sum_unmarked, rep.survival)]
+        sample = [(cfg.phi, tau(cfg.phi, cfg.n), rep.marked_prob, rep.sum_unmarked,
+                   rep.survival)]
         _emit(experiments.sweep_to_csv(sample), args.out)
     else:
         doc = {"n": cfg.n, "marked": cfg.marked, "phi": cfg.phi,
@@ -313,9 +312,8 @@ _DISPATCH = {
 def _check_comparison_flags(args):
     """Reject a --tolerance or --draws that would make a comparison vacuous:
     NaN, infinite or negative tolerances, and fewer than one draw."""
-    tolerance = getattr(args, "tolerance", None)
-    if tolerance is not None and finite_real(tolerance, "--tolerance") < 0:
-        raise ValueError(f"--tolerance must be non-negative, got {tolerance!r}")
+    if getattr(args, "tolerance", None) is not None:
+        check_reals(args.tolerance, "--tolerance")
     if getattr(args, "draws", 1) < 1:
         raise ValueError(f"--draws must be >= 1, got {args.draws}")
 

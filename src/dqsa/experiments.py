@@ -10,14 +10,13 @@ byte-identical CSV/JSON.
 """
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from .basis import validate_pattern
-from .errors import OverdampedQubit, UnknownTable, UnsupportedSize
-from .gates import check_convention, check_phi, finite_real, validate_rates, whole_number
+from .errors import UnknownTable, UnsupportedSize
+from .gates import check_convention, check_phi, check_rates, check_reals, tau, whole_number
 from .search import RunConfig, reports, summaries
 
 # Reference summary row per size: the peak phase coefficient phi_p, the peak
@@ -141,24 +140,26 @@ class SweepSpec:
             if getattr(self, name) not in (None, ()):
                 raise ValueError(f"a {self.axis} sweep does not use {name}")
         grid = "phi" if self.axis == "phase" else "gbar"
-        object.__setattr__(self, "start", finite_real(self.start, f"{grid} start"))
-        object.__setattr__(self, "stop", finite_real(self.stop, f"{grid} stop"))
+        object.__setattr__(self, "start", check_reals(self.start, f"{grid} start"))
+        object.__setattr__(self, "stop", check_reals(self.stop, f"{grid} stop"))
         if whole_number(self.steps, "steps") < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if self.axis == "phase" and not 0 <= self.start <= self.stop <= 2:
+        if self.axis == "phase" and not self.start <= self.stop <= 2:
             raise ValueError(f"phase grid must lie in [0, 2], got [{self.start}, {self.stop}]")
-        if self.axis == "dissipation" and not 0 <= self.start <= self.stop < 4:
+        if self.axis == "dissipation" and not self.start <= self.stop < 4:
             raise ValueError(f"rate grid must lie in [0, 4), got [{self.start}, {self.stop}]")
         n = whole_number(self.n, "n")
         if self.axis == "phase":
-            object.__setattr__(self, "rates", validate_rates(self.rates or (0.0,) * n, n))
+            rates = check_rates(self.rates or (0.0,) * n, (n,))
+            object.__setattr__(self, "rates", tuple(rates.tolist()))
         else:
             object.__setattr__(self, "phi", check_phi(1.0 if self.phi is None else self.phi))
-            object.__setattr__(self, "weights", validate_rates(self.weights or (1.0,) * n, n))
+            weights = check_reals(self.weights or (1.0,) * n, "rate weights", (n,))
+            object.__setattr__(self, "weights", tuple(weights.tolist()))
         validate_pattern(self.marked, n)
         check_convention(self.convention)
-        if self.axis == "dissipation" and self.stop * max(self.weights) >= 4:
-            raise OverdampedQubit(f"rate {self.stop * max(self.weights)} (gbar stop times weight) >= 4")
+        if self.axis == "dissipation":
+            check_rates(self.stop * max(self.weights), name="gbar stop times weight")
 
     def grid(self) -> list:
         step = (self.stop - self.start) / (self.steps - 1)
@@ -176,11 +177,11 @@ def sweep(spec: SweepSpec) -> list:
     if spec.axis == "phase":
         config = RunConfig(spec.n, spec.marked, spec.start, spec.rates, convention=spec.convention)
         samples = summaries(config, phi=grid)
-        keys = [(phi, phi * math.pi / 2**spec.n) for phi in grid]
+        keys = [(phi, tau(phi, spec.n)) for phi in grid]
     else:
         config = RunConfig(spec.n, spec.marked, spec.phi, convention=spec.convention)
         samples = summaries(config, rates=[[g * w for w in spec.weights] for g in grid])
-        keys = [(g, spec.phi, spec.phi * math.pi / 2**spec.n) for g in grid]
+        keys = [(g, spec.phi, tau(spec.phi, spec.n)) for g in grid]
     return [(*key, *sample) for key, sample in zip(keys, samples)]
 
 

@@ -1,15 +1,17 @@
-"""Gate constructors: the damped Walsh gate and the phase oracle, as arrays.
+"""Gate constructors, the damped Walsh gate and the phase oracle, as arrays;
+and the one rule for real inputs.
 
 A one-qubit W gate is a (2, 2) complex array in (g, e) ordering, and
 `w_gate` of n rates is the W layer: the (n, 2, 2) array of its tensor
 factors, qubit 1 first.  The oracle is diagonal, so it is its (2^n,) array
 of entries in basis-index order.  Nothing here keeps state.
 
-All times enter through the control phase ``phi`` = beta/pi, a float (see
-`check_phi`); each use computes the matching evolution time in natural
-units, ``tau`` = phi*pi/2^n, from its own register size.
-Dissipation rates ``g_v`` are dimensionless and must stay below 4, where the
-detuning factor xi = sqrt(16 - g^2)/4 becomes non-real.
+All times enter through the control phase ``phi`` = beta/pi; `tau` gives
+the evolution time phi*pi/2^n in natural units.  Dissipation rates ``g_v``
+are dimensionless and must stay below 4, where the detuning factor
+xi = sqrt(16 - g^2)/4 becomes non-real.  `check_reals` is the one check of
+every phase, rate and tolerance, scalar or array; `check_phi` and
+`check_rates` name its two uses.
 
 Two conventions exist for how the rate enters the one-qubit W gate:
 
@@ -27,24 +29,16 @@ tabulated variant is one only up to g ~ 2.28 (well past every bundled
 table's rates, which stay below 1), and amplifies beyond that.
 """
 
+import itertools
 import math
 import numbers
 
 import numpy as np
 
-from .basis import index_of, validate_pattern
+from .basis import bits, index_of, validate_pattern
 from .errors import DimensionMismatch, NegativePhase, OverdampedQubit
 
 CONVENTIONS = ("composite", "tabulated")
-
-
-def finite_real(value, name: str) -> float:
-    """``value`` as a float; bools, non-numbers, NaN and +-inf are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
 
 
 def whole_number(value, name: str) -> int:
@@ -54,23 +48,51 @@ def whole_number(value, name: str) -> int:
     return int(value)
 
 
-def check_phi(phi) -> float:
-    """``phi`` as a float; bools, non-numbers, NaN, +-inf and negative values
-    are rejected."""
-    phi = finite_real(phi, "phi")
-    if phi < 0:
-        raise NegativePhase(f"phi must be non-negative, got {phi}")
-    return phi
+def check_reals(values, name: str, shape: tuple = (), negative=ValueError, below=math.inf):
+    """``values`` as a float when ``shape`` is (), else as a contiguous
+    float64 array of ``shape``, if each is an int or float (not a bool, also
+    inside a list), finite, >= 0 (else ``negative`` is raised) and < ``below``
+    (else OverdampedQubit).  Each error message names ``name``."""
+    if type(values) in (float, int) and not shape and 0 <= values < below:
+        return float(values)  # a plain number skips numpy
+    array = np.asarray(values)
+    types = ()
+    if array.ndim and not isinstance(values, np.ndarray):  # bools hidden in a list
+        items = values
+        for _ in range(array.ndim - 1):
+            items = itertools.chain.from_iterable(items)
+        types = set(map(type, items))
+    if array.dtype.kind not in "iuf" or bool in types or np.bool_ in types:
+        bad = next((v for v in np.asarray(values, dtype=object).flat
+                    if np.asarray(v).dtype.kind not in "iuf"), values)
+        raise ValueError(f"{name} must be an int or float, got {bad!r}")
+    if array.shape != shape:
+        raise DimensionMismatch(f"{name}: expected shape {shape}, got {array.shape}")
+    array = np.asarray(array, dtype=np.float64, order="C")
+    if array.size and not (0 <= array.min() and array.max() < below):
+        for bad, error, rule in ((~np.isfinite(array), ValueError, "finite"),
+                                 (array < 0, negative, "non-negative"),
+                                 (array >= below, OverdampedQubit, f"below {below:g}")):
+            if bad.any():
+                raise error(f"{name} must be {rule}, got {array[bad].flat[0]}")
+    return float(array) if not shape else array
 
 
-def validate_rates(rates, n: int | None = None) -> tuple[float, ...]:
-    """Normalize rates to a tuple of finite non-negative floats, checking length."""
-    out = tuple(finite_real(g, "dissipation rate") for g in rates)
-    if any(g < 0 for g in out):
-        raise ValueError(f"dissipation rates must be non-negative, got {out}")
-    if n is not None and len(out) != n:
-        raise DimensionMismatch(f"expected {n} rates, got {len(out)}")
-    return out
+def check_phi(phi, shape: tuple = ()):
+    """Phases by the real-input rule (see `check_reals`); a negative one
+    raises NegativePhase."""
+    return check_reals(phi, "phi", shape, NegativePhase)
+
+
+def check_rates(rates, shape: tuple = (), name: str = "rates"):
+    """Dissipation rates by the real-input rule (see `check_reals`); a rate
+    >= 4 raises OverdampedQubit."""
+    return check_reals(rates, name, shape, below=4.0)
+
+
+def tau(phi, n: int):
+    """Evolution time phi*pi/2^n of phase(s) ``phi`` on n qubits."""
+    return phi * math.pi / 2**n
 
 
 def check_convention(convention: str) -> str:
@@ -83,11 +105,7 @@ def check_convention(convention: str) -> str:
 def xi_factor(g):
     """Detuning factor xi = sqrt(16 - g^2)/4 of a rate or an array of rates;
     requires 0 <= g < 4."""
-    g = np.asarray(g, dtype=np.float64)
-    if np.any(g >= 4):
-        raise OverdampedQubit(f"rate {g[g >= 4].flat[0]} >= 4: xi non-real, W gate undefined")
-    if np.any(g < 0):
-        raise ValueError(f"dissipation rate must be non-negative, got {g[g < 0].flat[0]}")
+    g = check_rates(g, np.shape(g))
     return np.sqrt(16.0 - g * g) / 4.0
 
 
@@ -98,8 +116,8 @@ def w_gate(g, convention: str = "composite") -> np.ndarray:
     At g=0 both conventions reduce to the Hadamard gate.
     """
     check_convention(convention)
-    g = np.asarray(g, dtype=np.float64)
     xi = xi_factor(g)
+    g = np.asarray(g, dtype=np.float64)
     if convention == "composite":
         asym = g / (4.0 * xi)
         pre = np.exp(-np.pi * g / (16.0 * xi)) / math.sqrt(2.0)
@@ -113,10 +131,7 @@ def w_gate(g, convention: str = "composite") -> np.ndarray:
 def damping_entries(n: int, phi: float, rates) -> np.ndarray:
     """Per-basis-state damping factors exp(-(tau/2) * sum of excited rates),
     tau = phi*pi/2^n, shape (2^n,)."""
-    tau = check_phi(phi) * math.pi / 2**n
-    rates = validate_rates(rates, n)
-    excited = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-    return np.exp(-0.5 * tau * (excited @ np.asarray(rates, dtype=np.float64)))
+    return np.exp(-0.5 * tau(check_phi(phi), n) * (bits(n) @ check_rates(rates, (n,))))
 
 
 def oracle_gate(x: str, phi: float, rates) -> np.ndarray:

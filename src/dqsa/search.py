@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import all_patterns, index_of, validate_pattern
-from .errors import DimensionMismatch, NegativePhase
-from .gates import check_convention, check_phi, validate_rates, w_gate, whole_number
+from .basis import all_patterns, bits, index_of, validate_pattern
+from .errors import DimensionMismatch
+from .gates import check_convention, check_phi, check_rates, tau, w_gate, whole_number
 
 # Array entries per block, as points_per_block counts them: 25 points at
 # n=9, 7 at n=12 with 11 iterations.  Counted so, a run's tracemalloc peak
@@ -70,7 +70,8 @@ class RunConfig:
 
     def __post_init__(self):
         validate_pattern(self.marked, whole_number(self.n, "n"))
-        object.__setattr__(self, "rates", validate_rates(self.rates or (0.0,) * self.n, self.n))
+        rates = check_rates(self.rates or (0.0,) * self.n, (self.n,))
+        object.__setattr__(self, "rates", tuple(rates.tolist()))
         object.__setattr__(self, "phi", check_phi(self.phi))
         if self.iterations is None:
             object.__setattr__(self, "iterations", max(1, self.n - 1))
@@ -161,31 +162,14 @@ def _materialize(coeffs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (left @ right).reshape(b, -1)
 
 
-def _reals(values, name: str, shape: tuple, negative=ValueError) -> np.ndarray:
-    """``values`` as a contiguous float64 array of ``shape``; rejects bool and
-    non-numeric dtypes, NaN, +-inf and (raising ``negative``) values < 0."""
-    array = np.asarray(values)
-    if array.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be real numbers, got dtype {array.dtype}")
-    if array.shape != shape:
-        raise DimensionMismatch(f"{name}: expected shape {shape}, got {array.shape}")
-    array = np.ascontiguousarray(array, dtype=np.float64)
-    if not np.isfinite(array).all():
-        raise ValueError(f"{name} must be finite, got {array[~np.isfinite(array)][0]}")
-    if (array < 0).any():
-        raise negative(f"{name} must be non-negative, got {array[array < 0][0]}")
-    return array
-
-
 def _batch(config, phi=None, rates=None, marked=None):
     """The runs of a batch (see `summaries`) as checked arrays: marked basis
     indices (B,), phi (B,) and rates (B, n).  B is the length of the first
     array given, else 1."""
     n = config.n
     b = len(next((a for a in (phi, rates, marked) if a is not None), [config]))
-    phi = _reals(np.full(b, config.phi) if phi is None else phi, "phi", (b,), NegativePhase)
-    rates = _reals(np.full((b, n), config.rates) if rates is None else rates,
-                   "dissipation rates", (b, n))
+    phi = np.full(b, config.phi) if phi is None else check_phi(phi, (b,))
+    rates = np.full((b, n), config.rates) if rates is None else check_rates(rates, (b, n))
     marked = [config.marked] * b if marked is None else list(marked)
     if len(marked) != b:
         raise DimensionMismatch(f"marked: expected {b} patterns, got {len(marked)}")
@@ -205,11 +189,11 @@ def _evolve(config, marked, phi, rates, trace=None) -> np.ndarray:
     w = w_gate(rates, config.convention).transpose(2, 3, 1, 0)
     beta = np.pi * phi
     m = w.copy()
-    m[:, 1] = w[:, 1] * np.exp(-0.5 * (beta / 2**n) * rates.T)
+    m[:, 1] = w[:, 1] * np.exp(-0.5 * tau(phi, n) * rates.T)
 
     # Start vectors per qubit: W_v e_0 (the first term), e_{x_v} (each
     # x-phase term) and e_0 (each 0-phase term).
-    x = ((marked >> np.arange(n - 1, -1, -1)[:, None]) & 1).astype(bool)
+    x = bits(n, marked).T.astype(bool)
     start = np.zeros((2, 3, n, b), dtype=np.complex128)
     start[:, 0] = w[:, 0]
     start[1, 1] = x

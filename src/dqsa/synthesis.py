@@ -24,9 +24,9 @@ import operator
 
 import numpy as np
 
-from .basis import all_patterns, validate_pattern
-from .errors import DimensionMismatch, OverdampedQubit, UnsupportedSize
-from .gates import check_phi, oracle_gate, validate_rates, xi_factor
+from .basis import all_patterns, bits, validate_pattern
+from .errors import DimensionMismatch, UnsupportedSize
+from .gates import check_phi, check_rates, oracle_gate, tau, xi_factor
 
 THETA = 1.0  # coupling energy scale in natural units
 
@@ -61,11 +61,6 @@ def coupling_assignment(n: int, pattern: str) -> dict:
     return terms
 
 
-def _excited(n: int) -> np.ndarray:
-    """(2^n, n) 0/1 matrix: entry (y, v) is 1 when qubit v+1 is excited in y."""
-    return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-
-
 def coupling_energies(terms: dict, n: int) -> np.ndarray:
     """Real diagonal energies -sum_tuples J * prod z_s(y) of the couplings
     ``terms`` on n qubits, shape (2^n,).
@@ -78,13 +73,11 @@ def coupling_energies(terms: dict, n: int) -> np.ndarray:
     for tup in terms:
         if not all(1 <= s <= n for s in tup):
             raise DimensionMismatch(f"coupling {tup} names a qubit outside 1..{n}")
-    shifts = np.arange(n - 1, -1, -1)
     # bit n - s of a tuple's mask is set when qubit s occurs in it an odd
     # number of times
     masks = np.array([functools.reduce(operator.xor, (1 << (n - s) for s in tup), 0)
                       for tup in terms], dtype=np.int64)
-    odd = (masks[:, None] >> shifts) & 1
-    signs = 1 - 2 * (((1 - _excited(n)) @ odd.T) & 1)
+    signs = 1 - 2 * (((1 - bits(n)) @ bits(n, masks).T) & 1)
     return -(signs @ np.array(list(terms.values())))
 
 
@@ -94,19 +87,19 @@ def build_hamiltonian(terms: dict, rates) -> np.ndarray:
     J * prod z_s(y) - (i/2) * sum of excited rates, so imaginary parts
     (damping) are <= 0.  See coupling_energies for the real part.
     """
-    rates = validate_rates(rates)
+    rates = check_rates(rates, (len(rates),))
     return _damped(coupling_energies(terms, len(rates)), rates)
 
 
 def _damped(couplings: np.ndarray, rates) -> np.ndarray:
     """Coupling energies plus the damping part -(i/2) * sum of excited rates."""
-    return couplings + 1j * (-0.5 * (_excited(len(rates)) @ np.array(rates)))
+    return couplings + 1j * (-0.5 * (bits(len(rates)) @ np.array(rates)))
 
 
 def evolve(energies: np.ndarray, phi: float) -> np.ndarray:
     """Diagonal time evolution exp(-i * E[y] * tau), tau = phi*pi/2^n with
     2^n = len(energies), shape (2^n,)."""
-    return np.exp(-1j * energies * (check_phi(phi) * math.pi / len(energies)))
+    return np.exp(-1j * energies * tau(check_phi(phi), len(energies).bit_length() - 1))
 
 
 def _deviation(energies: np.ndarray, pattern: str, phi: float, rates) -> float:
@@ -176,8 +169,7 @@ def v1_gate(duration: float) -> np.ndarray:
 
 def v2_gate(duration: float, g: float) -> np.ndarray:
     """Rotated damped pulse exp(-i * H * duration), H = sigma_x - i(g/2)|e><e|."""
-    if g >= 4:
-        raise OverdampedQubit(f"rate {g} >= 4: pulse composition undefined")
+    g = check_rates(g)
     h = np.array([[0.0, 1.0], [1.0, -0.5j * g]], dtype=np.complex128)
     return _expm2(-1j * duration * h)
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dqsa.basis import MAX_QUBITS, all_patterns, index_of, pattern_of, validate_pattern
+from dqsa.basis import MAX_QUBITS, all_patterns, bits, index_of, pattern_of, validate_pattern
 from dqsa.errors import InvalidPattern
 from dqsa.gates import damping_entries, w_gate
 
@@ -31,6 +31,12 @@ class TestIndexing:
     def test_known_indices(self, pattern, index):
         assert index_of(pattern) == index
         assert pattern_of(index, len(pattern)) == pattern
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_bits_spell_the_patterns(self, n):
+        expected = [[int(c == "e") for c in pat] for pat in all_patterns(n)]
+        assert bits(n).tolist() == expected
+        assert bits(n, [2**n - 1, 0]).tolist() == [expected[-1], expected[0]]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_bijection(self, n):

@@ -146,6 +146,11 @@ class TestSweepSpec:
         with pytest.raises(NegativePhase):
             SweepSpec(n=2, marked="ee", axis="dissipation", phi=-0.5)
 
+    @pytest.mark.parametrize("rates", [(5.0, 0.0), (0.1, 4.0)])
+    def test_overdamped_rate_rejected_when_built(self, rates):
+        with pytest.raises(OverdampedQubit):
+            SweepSpec(n=2, marked="ee", rates=rates)
+
     def test_overdamped_top_rate_rejected(self):
         # the last grid point would give qubit 1 the rate 3.5 * 1.5 = 5.25
         with pytest.raises(OverdampedQubit, match="5.25"):

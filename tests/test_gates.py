@@ -12,9 +12,10 @@ from dqsa.errors import DimensionMismatch, NegativePhase, OverdampedQubit
 from dqsa.gates import (
     CONVENTIONS,
     check_phi,
+    check_rates,
     damping_entries,
     oracle_gate,
-    validate_rates,
+    tau,
     w_gate,
     xi_factor,
 )
@@ -35,6 +36,10 @@ class TestPhase:
         assert entries[index_of("gge")] == pytest.approx(
             math.exp(-0.25 * math.pi / 8 * 0.6), abs=1e-15)
 
+    def test_tau(self):
+        assert tau(0.5, 3) == 0.5 * math.pi / 8
+        np.testing.assert_array_equal(tau(np.array([0.5, 1.0]), 3), [tau(0.5, 3), tau(1.0, 3)])
+
     def test_negative_phase_rejected(self):
         with pytest.raises(NegativePhase):
             check_phi(-0.1)
@@ -54,21 +59,27 @@ class TestPhase:
 
 
 class TestRates:
-    def test_validate_rates_normalizes(self):
-        assert validate_rates([1, 0.5], 2) == (1.0, 0.5)
+    def test_check_rates_normalizes(self):
+        rates = check_rates([1, 0.5], (2,))
+        assert rates.dtype == np.float64 and rates.tolist() == [1.0, 0.5]
 
     def test_length_checked(self):
         with pytest.raises(DimensionMismatch):
-            validate_rates((0.1,), 2)
+            check_rates((0.1,), (2,))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            validate_rates((-0.1, 0.0), 2)
+            check_rates((-0.1, 0.0), (2,))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
     def test_non_finite_or_bool_rejected(self, bad):
         with pytest.raises(ValueError, match="rate"):
-            validate_rates((bad, 0.0), 2)
+            check_rates((bad, 0.0), (2,))
+
+    @pytest.mark.parametrize("bad", [4.0, 4.5])
+    def test_overdamped_rejected(self, bad):
+        with pytest.raises(OverdampedQubit, match=str(bad)):
+            check_rates((0.0, bad), (2,))
 
 
 class TestWGate:
@@ -86,6 +97,13 @@ class TestWGate:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             w_gate(-0.5)
+
+    @pytest.mark.parametrize("g", [True, [0.5, True], np.array([True, False])])
+    def test_bool_rate_rejected(self, g):
+        with pytest.raises(ValueError, match="rate"):
+            w_gate(g)
+        with pytest.raises(ValueError, match="rate"):
+            xi_factor(g)
 
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_zero_rate_is_hadamard(self, convention):

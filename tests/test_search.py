@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,6 +92,11 @@ class TestRunConfig:
         with pytest.raises(NegativePhase):
             RunConfig(2, "ee", -0.5)
 
+    @pytest.mark.parametrize("rates", [(4.0, 0.0), (0.1, 5.0)])
+    def test_overdamped_rate_rejected_when_built(self, rates):
+        with pytest.raises(OverdampedQubit):
+            RunConfig(2, "ee", 1.0, rates)
+
 
 class TestBatch:
     def test_omitted_arrays_take_the_config_values(self):
@@ -109,7 +115,8 @@ class TestBatch:
     def test_empty_batch(self):
         assert summaries(RunConfig(2, "ee", 1.0), phi=[]) == []
 
-    # each bad per-run value raises what RunConfig raises for it
+    # each bad per-run value raises what RunConfig raises for it; a list is
+    # the per-run array itself, its first entry the value RunConfig gets
     @pytest.mark.parametrize("field,bad,match", [
         ("phi", math.nan, "phi"), ("phi", math.inf, "phi"), ("phi", True, "phi"),
         ("phi", -0.5, "phi"), ("phi", 1j, "phi"),
@@ -117,12 +124,23 @@ class TestBatch:
         ("rates", (True, False), "rate"), ("rates", (-0.1, 0.0), "rate"),
         ("rates", (0.1,), "rates"), ("rates", (0.1, 0.2, 0.3), "rates"),
         ("marked", "xq", "pattern"), ("marked", "eee", "pattern"), ("marked", "", "pattern"),
+        ("phi", [True, 0.5], "phi"), ("phi", [np.True_, 0.5], "phi"),
+        ("rates", [(True, 0.0), (0.1, 0.1)], "rate"),
+        ("rates", (4.0, 0.0), "rate"),
     ])
     def test_bad_per_run_value_rejected_as_by_run_config(self, field, bad, match):
+        runs = bad if isinstance(bad, list) else [bad, bad]
         with pytest.raises((ValueError, DqsaError)) as by_config:
-            RunConfig(**(dict(n=2, marked="ee", phi=1.0) | {field: bad}))
+            RunConfig(**(dict(n=2, marked="ee", phi=1.0) | {field: runs[0]}))
         with pytest.raises(by_config.type, match=match):
-            summaries(RunConfig(2, "ee", 1.0), **{field: [bad, bad]})
+            summaries(RunConfig(2, "ee", 1.0), **{field: runs})
+
+    def test_fraction_phase_treated_as_by_run_config(self):
+        # a Fraction is neither an int nor a float number: both reject it
+        with pytest.raises(ValueError, match="phi"):
+            RunConfig(2, "ee", Fraction(1, 2))
+        with pytest.raises(ValueError, match="phi"):
+            summaries(RunConfig(2, "ee", 1.0), phi=[Fraction(1, 2), 0.5])
 
     @pytest.mark.parametrize("arrays", [
         dict(phi=[0.1, 0.2], marked=["ee"]),

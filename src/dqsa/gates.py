@@ -35,7 +35,7 @@ import numbers
 
 import numpy as np
 
-from .basis import bits, index_of, validate_pattern
+from .basis import bits, index_of
 from .errors import DimensionMismatch, NegativePhase, OverdampedQubit
 
 CONVENTIONS = ("composite", "tabulated")
@@ -51,11 +51,15 @@ def whole_number(value, name: str) -> int:
 def check_reals(values, name: str, shape: tuple = (), negative=ValueError, below=math.inf):
     """``values`` as a float when ``shape`` is (), else as a contiguous
     float64 array of ``shape``, if each is an int or float (not a bool, also
-    inside a list), finite, >= 0 (else ``negative`` is raised) and < ``below``
-    (else OverdampedQubit).  Each error message names ``name``."""
-    if type(values) in (float, int) and not shape and 0 <= values < below:
-        return float(values)  # a plain number skips numpy
-    array = np.asarray(values)
+    inside a list; an int only below 2**64, as numpy holds it), finite, >= 0
+    (else ``negative`` is raised) and < ``below`` (else OverdampedQubit).
+    Each error message names ``name``."""
+    if type(values) in (float, int) and not shape and 0 <= values < below and values < 2**63:
+        return float(values)  # a float, or an int within int64, skips numpy
+    try:
+        array = np.asarray(values)
+    except ValueError:  # nested sequences of unequal lengths
+        raise DimensionMismatch(f"{name}: expected shape {shape}, got a ragged array") from None
     types = ()
     if array.ndim and not isinstance(values, np.ndarray):  # bools hidden in a list
         items = values
@@ -137,6 +141,6 @@ def damping_entries(n: int, phi: float, rates) -> np.ndarray:
 def oracle_gate(x: str, phi: float, rates) -> np.ndarray:
     """Diagonal phase oracle's (2^n,) entries: damping on every state, extra
     e^{i*beta} (beta = phi*pi) on x."""
-    entries = damping_entries(len(validate_pattern(x)), phi, rates).astype(np.complex128)
-    entries[index_of(x)] *= np.exp(1j * (phi * math.pi))
+    ix, entries = index_of(x), damping_entries(len(x), phi, rates).astype(np.complex128)
+    entries[ix] *= np.exp(1j * (phi * math.pi))
     return entries

@@ -173,7 +173,7 @@ def _batch(config, phi=None, rates=None, marked=None):
     marked = [config.marked] * b if marked is None else list(marked)
     if len(marked) != b:
         raise DimensionMismatch(f"marked: expected {b} patterns, got {len(marked)}")
-    index = {p: index_of(validate_pattern(p, n)) for p in dict.fromkeys(marked)}
+    index = {p: index_of(p, n) for p in dict.fromkeys(marked)}
     return np.array([index[p] for p in marked], dtype=int), phi, rates
 
 
@@ -277,9 +277,8 @@ def summaries(config: RunConfig, phi=None, rates=None, marked=None) -> list:
 def reports(config: RunConfig, phi=None, rates=None, marked=None) -> list:
     """Probability report per run of the batch, in order; the batch is given
     as to `summaries`."""
-    out = []
+    out, labels = [], all_patterns(config.n)
     for indices, probs in _blocks(config, phi, rates, marked):
-        labels = all_patterns(config.n)
         for ix, values, survival in zip(indices.tolist(), probs.tolist(),
                                         probs.sum(axis=1).tolist()):
             unmarked = {labels[i]: p for i, p in enumerate(values) if i != ix}

@@ -17,10 +17,8 @@ reproduces the closed-form gate of gates.w_gate (composite convention).
 Pulses are (2, 2) arrays in (g, e) ordering.
 """
 
-import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -73,11 +71,9 @@ def coupling_energies(terms: dict, n: int) -> np.ndarray:
     for tup in terms:
         if not all(1 <= s <= n for s in tup):
             raise DimensionMismatch(f"coupling {tup} names a qubit outside 1..{n}")
-    # bit n - s of a tuple's mask is set when qubit s occurs in it an odd
-    # number of times
-    masks = np.array([functools.reduce(operator.xor, (1 << (n - s) for s in tup), 0)
-                      for tup in terms], dtype=np.int64)
-    signs = 1 - 2 * (((1 - bits(n)) @ bits(n, masks).T) & 1)
+    # entry [t, s - 1] is 1 when qubit s occurs in tuple t an odd number of times
+    odd = np.array([tup.count(s) % 2 for tup in terms for s in range(1, n + 1)], dtype=int)
+    signs = 1 - 2 * (((1 - bits(n)) @ odd.reshape(len(terms), n).T) & 1)
     return -(signs @ np.array(list(terms.values())))
 
 

@@ -38,13 +38,14 @@ class TestIndexing:
         assert bits(n).tolist() == expected
         assert bits(n, [2**n - 1, 0]).tolist() == [expected[-1], expected[0]]
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
     def test_bijection(self, n):
         pats = all_patterns(n)
         assert len(pats) == 2**n
         assert len(set(pats)) == 2**n
         for i, pat in enumerate(pats):
             assert index_of(pat) == i
+            assert pattern_of(i, n) == pat
 
     def test_first_qubit_most_significant(self):
         # flipping qubit 1 moves the index by 2^(n-1)
@@ -53,6 +54,11 @@ class TestIndexing:
 
     def test_all_patterns_order(self):
         assert all_patterns(2) == ("gg", "ge", "eg", "ee")
+
+    @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1])
+    def test_all_patterns_qubit_count_checked(self, n):
+        with pytest.raises(InvalidPattern):
+            all_patterns(n)
 
     @pytest.mark.parametrize("bad", ["", "gx", "xq", "GE", "g e", 3, None,
                                      "g" * (MAX_QUBITS + 1)])

@@ -152,6 +152,16 @@ class TestRun:
         assert "MalformedConfig" in err
         assert field in err
 
+    def test_int_too_large_for_a_float_exits_1(self, capsys, tmp_path):
+        # JSON reads the 401-digit phi as an exact int, which float() overflows
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 2, "marked": "ee", "phi": 1%s}' % ("0" * 400))
+        code, out, err = run_cli(capsys, ["run", "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "MalformedConfig" in err
+        assert "phi" in err
+
     def test_grid_phi_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["run", "--n", "2", "--marked", "ee",
                                         "--phi", "0:1:5"])
@@ -409,14 +419,24 @@ class TestInstalledEntryPoint:
 
 
 class TestDocumentedCommands:
-    """Every bash code block in the README must execute cleanly."""
+    """Every bash and Python code block in the README must execute cleanly."""
 
-    def _bash_blocks(self):
+    def _blocks(self, language):
         text = (REPO_ROOT / "README.md").read_text()
-        return re.findall(r"```bash\n(.*?)```", text, flags=re.DOTALL)
+        return re.findall(rf"```{language}\n(.*?)```", text, flags=re.DOTALL)
 
     def test_readme_has_bash_examples(self):
-        assert len(self._bash_blocks()) >= 3
+        assert len(self._blocks("bash")) >= 3
+
+    def test_readme_python_blocks_run(self, tmp_path):
+        blocks = self._blocks("python")
+        assert len(blocks) >= 3
+        for i, block in enumerate(blocks):
+            proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path,
+                                  env=child_env(), capture_output=True, text=True)
+            assert proc.returncode == 0, (
+                f"README python block {i} failed\n--- block ---\n{block}\n"
+                f"--- stderr ---\n{proc.stderr}")
 
     def test_readme_bash_blocks_exit_0(self, tmp_path):
         # The documented `dqsa` command, run as `python -m dqsa` so that the
@@ -426,7 +446,7 @@ class TestDocumentedCommands:
         shim = bin_dir / "dqsa"
         shim.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} -m dqsa "$@"\n')
         shim.chmod(0o755)
-        for i, block in enumerate(self._bash_blocks()):
+        for i, block in enumerate(self._blocks("bash")):
             proc = subprocess.run(["bash", "-euo", "pipefail", "-c", block],
                                   cwd=tmp_path, env=child_env(path_prefix=bin_dir),
                                   capture_output=True, text=True)

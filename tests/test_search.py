@@ -82,6 +82,7 @@ class TestRunConfig:
         ("rate", dict(rates=(False, 0.0))),
         ("iterations", dict(iterations=True)), ("iterations", dict(iterations=2.0)),
         ("n", dict(n=True, marked="e")),
+        ("phi", dict(phi=10**400)),  # finite, but float() of it overflows
     ])
     def test_non_finite_or_bool_rejected(self, field, kwargs):
         args = dict(n=2, marked="ee", phi=1.0) | kwargs
@@ -127,6 +128,7 @@ class TestBatch:
         ("phi", [True, 0.5], "phi"), ("phi", [np.True_, 0.5], "phi"),
         ("rates", [(True, 0.0), (0.1, 0.1)], "rate"),
         ("rates", (4.0, 0.0), "rate"),
+        pytest.param("phi", 10**400, "phi", id="phi-int-too-large-for-a-float"),
     ])
     def test_bad_per_run_value_rejected_as_by_run_config(self, field, bad, match):
         runs = bad if isinstance(bad, list) else [bad, bad]
@@ -147,9 +149,11 @@ class TestBatch:
         dict(phi=[0.1], rates=[(0.0, 0.0), (0.1, 0.1)]),
         dict(phi=[[0.1, 0.2]]),
         dict(rates=[0.1, 0.2]),
+        dict(rates=[(0.1,), (0.1, 0.2)]),
     ])
     def test_batch_shape_checked(self, arrays):
-        with pytest.raises(DimensionMismatch):
+        # the error names the array at fault, the last one given
+        with pytest.raises(DimensionMismatch, match=list(arrays)[-1]):
             summaries(RunConfig(2, "ee", 1.0), **arrays)
 
 

@@ -11,6 +11,7 @@ renormalization.
 """
 
 import itertools
+import numbers
 
 import numpy as np
 
@@ -48,7 +49,11 @@ def bits(n: int, index=None) -> np.ndarray:
 
 
 def pattern_of(index: int, n: int) -> str:
-    """Inverse of index_of for an n-qubit register."""
+    """Inverse of index_of for an n-qubit register; ``index`` and ``n`` must
+    be integers (a bool or float is rejected, as `gates.whole_number` does)."""
+    for name, value in (("index", index), ("qubit count", n)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidPattern(f"{name} must be an integer, got {value!r}")
     if not 1 <= n <= MAX_QUBITS:
         raise InvalidPattern(f"qubit count must be 1..{MAX_QUBITS}, got {n}")
     if not 0 <= index < 2**n:

@@ -310,12 +310,15 @@ _DISPATCH = {
 
 
 def _check_comparison_flags(args):
-    """Reject a --tolerance or --draws that would make a comparison vacuous:
-    NaN, infinite or negative tolerances, and fewer than one draw."""
+    """Reject a --tolerance or --draws that would make a comparison vacuous
+    (NaN, infinite or negative tolerances, and fewer than one draw), and a
+    negative --seed, which the random generator cannot take."""
     if getattr(args, "tolerance", None) is not None:
         check_reals(args.tolerance, "--tolerance")
     if getattr(args, "draws", 1) < 1:
         raise ValueError(f"--draws must be >= 1, got {args.draws}")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
 
 
 def parse_and_dispatch(argv) -> int:

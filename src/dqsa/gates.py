@@ -69,6 +69,9 @@ def check_reals(values, name: str, shape: tuple = (), negative=ValueError, below
     if array.dtype.kind not in "iuf" or bool in types or np.bool_ in types:
         bad = next((v for v in np.asarray(values, dtype=object).flat
                     if np.asarray(v).dtype.kind not in "iuf"), values)
+        if type(bad) is int:  # an int numpy cannot hold: echo its size, not its digits
+            raise ValueError(f"{name}: an int of {abs(bad).bit_length()} bits is too large "
+                             "(numpy holds ints in [-2**63, 2**64))")
         raise ValueError(f"{name} must be an int or float, got {bad!r}")
     if array.shape != shape:
         raise DimensionMismatch(f"{name}: expected shape {shape}, got {array.shape}")
@@ -132,15 +135,17 @@ def w_gate(g, convention: str = "composite") -> np.ndarray:
     return np.moveaxis(pre * gate, (0, 1), (-2, -1))
 
 
-def damping_entries(n: int, phi: float, rates) -> np.ndarray:
+def damping_entries(n: int, phi, rates) -> np.ndarray:
     """Per-basis-state damping factors exp(-(tau/2) * sum of excited rates),
-    tau = phi*pi/2^n, shape (2^n,)."""
-    return np.exp(-0.5 * tau(check_phi(phi), n) * (bits(n) @ check_rates(rates, (n,))))
+    tau = phi*pi/2^n: shape (2^n,), or (D, 2^n) for phi (D,) and rates (D, n)."""
+    phi = check_phi(phi, np.shape(phi)[:1])
+    excited = bits(n) @ check_rates(rates, np.shape(phi) + (n,))[..., None]  # one product per row
+    return np.exp(-0.5 * np.asarray(tau(phi, n))[..., None] * excited[..., 0])
 
 
-def oracle_gate(x: str, phi: float, rates) -> np.ndarray:
-    """Diagonal phase oracle's (2^n,) entries: damping on every state, extra
-    e^{i*beta} (beta = phi*pi) on x."""
+def oracle_gate(x: str, phi, rates) -> np.ndarray:
+    """Diagonal phase oracle's entries, shaped as by `damping_entries`:
+    damping on every state, extra e^{i*beta} (beta = phi*pi) on x."""
     ix, entries = index_of(x), damping_entries(len(x), phi, rates).astype(np.complex128)
-    entries[ix] *= np.exp(1j * (phi * math.pi))
+    entries[..., ix] *= np.exp(1j * (np.asarray(phi, dtype=np.float64) * math.pi))
     return entries

@@ -7,9 +7,9 @@ projector: sum_tuples J * prod(sigma_z) = theta * 2^n * |x><x|, distributed
 over ordered index tuples in a canonical way (see coupling_assignment); the
 couplings are a plain dict from tuple to J.  Evolving for time tau then
 reproduces the oracle exactly, which verify_gate_realization checks
-numerically.  Energies and their evolutions are (2^n,) arrays of diagonal
-entries in basis-index order, like the oracle of gates.oracle_gate, and the
-phase phi is a float, as there.
+numerically.  Energies, their evolutions and gates.oracle_gate are (2^n,)
+arrays of diagonal entries in basis-index order, or (D, 2^n) for D draws of
+phi (D,) and rates (D, n), which verification_sweep checks in blocks.
 
 The one-qubit W gate is likewise realized as a composition of three timed
 pulses (two bare sigma-z pulses around one rotated damped pulse); compose_w
@@ -25,6 +25,7 @@ import numpy as np
 from .basis import all_patterns, bits, validate_pattern
 from .errors import DimensionMismatch, UnsupportedSize
 from .gates import check_phi, check_rates, oracle_gate, tau, xi_factor
+from .search import BLOCK_AMPLITUDES
 
 THETA = 1.0  # coupling energy scale in natural units
 
@@ -59,53 +60,53 @@ def coupling_assignment(n: int, pattern: str) -> dict:
     return terms
 
 
-def coupling_energies(terms: dict, n: int) -> np.ndarray:
-    """Real diagonal energies -sum_tuples J * prod z_s(y) of the couplings
-    ``terms`` on n qubits, shape (2^n,).
+def coupling_signs(terms, n: int) -> np.ndarray:
+    """Products prod z_s(y) of the coupling tuples ``terms`` over every
+    basis state y of n qubits, shape (2^n, len(terms)).
 
     Since z_s(y)^2 = 1, a tuple's product is -1 to the number of its
-    odd-multiplicity qubits that are ground in y; all basis states are
-    evaluated at once.  A tuple naming a qubit outside 1..n raises
-    DimensionMismatch.
+    odd-multiplicity qubits that are ground in y.  A tuple naming a qubit
+    outside 1..n raises DimensionMismatch.
     """
     for tup in terms:
         if not all(1 <= s <= n for s in tup):
             raise DimensionMismatch(f"coupling {tup} names a qubit outside 1..{n}")
     # entry [t, s - 1] is 1 when qubit s occurs in tuple t an odd number of times
     odd = np.array([tup.count(s) % 2 for tup in terms for s in range(1, n + 1)], dtype=int)
-    signs = 1 - 2 * (((1 - bits(n)) @ odd.reshape(len(terms), n).T) & 1)
-    return -(signs @ np.array(list(terms.values())))
+    return 1 - 2 * (((1 - bits(n)) @ odd.reshape(len(terms), n).T) & 1)
 
 
 def build_hamiltonian(terms: dict, rates) -> np.ndarray:
     """Diagonal energies of the couplings ``terms`` (as coupling_assignment
     returns them) on n = len(rates) qubits, shape (2^n,): E[y] = -sum_tuples
     J * prod z_s(y) - (i/2) * sum of excited rates, so imaginary parts
-    (damping) are <= 0.  See coupling_energies for the real part.
+    (damping) are <= 0.  See coupling_signs for the real part.
     """
     rates = check_rates(rates, (len(rates),))
-    return _damped(coupling_energies(terms, len(rates)), rates)
+    return _energies(terms, coupling_signs(terms, len(rates)), rates)
 
 
-def _damped(couplings: np.ndarray, rates) -> np.ndarray:
-    """Coupling energies plus the damping part -(i/2) * sum of excited rates."""
-    return couplings + 1j * (-0.5 * (bits(len(rates)) @ np.array(rates)))
+def _energies(terms: dict, signs: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """build_hamiltonian from given signs, for checked rates (n,) or (D, n)."""
+    excited = (bits(rates.shape[-1]) @ rates[..., None])[..., 0]  # as in gates.damping_entries
+    return -(signs @ np.array(list(terms.values()))) + 1j * (-0.5 * excited)
 
 
-def evolve(energies: np.ndarray, phi: float) -> np.ndarray:
-    """Diagonal time evolution exp(-i * E[y] * tau), tau = phi*pi/2^n with
-    2^n = len(energies), shape (2^n,)."""
-    return np.exp(-1j * energies * tau(check_phi(phi), len(energies).bit_length() - 1))
+def evolve(energies: np.ndarray, phi) -> np.ndarray:
+    """Diagonal time evolution exp(-i * E[y] * tau), tau = phi*pi/2^n, of
+    energies of shape (2^n,), or (D, 2^n) with phases of shape (D,)."""
+    t = tau(check_phi(phi, np.shape(phi)[:1]), np.shape(energies)[-1].bit_length() - 1)
+    return np.exp(-1j * energies * np.asarray(t)[..., None])
 
 
-def _deviation(energies: np.ndarray, pattern: str, phi: float, rates) -> float:
-    """Max |U - c*P| between the evolution U of ``energies`` and the oracle
-    P; see verify_gate_realization."""
-    u = evolve(energies, phi)
+def _realization_errors(signs: np.ndarray, pattern: str, phi, rates: np.ndarray) -> np.ndarray:
+    """verify_gate_realization of D draws, phi (D,) and float rates (D, n),
+    given the coupling_signs of n qubits: shape (D,)."""
+    u = evolve(_energies(coupling_assignment(len(pattern), pattern), signs, rates), phi)
     p = oracle_gate(pattern, phi, rates)
     ref = 2**len(pattern) - 1 if pattern == "g" * len(pattern) else 0
-    c = u[ref] / p[ref]
-    return float(np.max(np.abs(u - c * p)))
+    c = u[:, ref] / p[:, ref]
+    return np.max(np.abs(u - c[:, None] * p), axis=1)
 
 
 def verify_gate_realization(n: int, pattern: str, phi: float, rates) -> float:
@@ -115,30 +116,29 @@ def verify_gate_realization(n: int, pattern: str, phi: float, rates) -> float:
     (the all-g state, or all-e when all-g is the marked state), so the
     marked entry's phase stays an untouched test quantity.
     """
-    energies = build_hamiltonian(coupling_assignment(n, pattern), rates)
-    return _deviation(energies, pattern, phi, rates)
+    signs = coupling_signs(coupling_assignment(n, pattern), n)
+    return float(_realization_errors(signs, pattern, [phi], check_rates([rates], (1, n)))[0])
 
 
 def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
     """Verify every marked pattern for each n over random (phi, rates) draws.
 
-    Returns a list of (pattern, worst deviation) rows in deterministic order;
-    phi is drawn from (0, 2) and each rate from [0, 1).  Each pattern's
-    coupling energies are built once; a draw adds only its damping and
-    oracle, so every row equals the worst verify_gate_realization of its
-    draws.
+    Returns a list of (pattern, worst deviation) rows in deterministic order,
+    each the worst verify_gate_realization of its draws.  A draw is a row of
+    rng.random: phi = 2 * its first entry, in (0, 2), and the n rates, in
+    [0, 1), the rest.  Draws go in blocks of at most BLOCK_AMPLITUDES // 2^n;
+    the coupling signs, alike for every pattern of n, are built once per n.
     """
     rng = np.random.default_rng(seed)
     rows = []
     for n in ns:
+        size, signs = BLOCK_AMPLITUDES // 2**n, coupling_signs(coupling_assignment(n, "g" * n), n)
         for pattern in all_patterns(n):
-            couplings = coupling_energies(coupling_assignment(n, pattern), n)
-            # each draw takes phi, then the n rates
-            points = ((rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0, size=n).tolist())
-                      for _ in range(draws))
-            worst = max(_deviation(_damped(couplings, rates), pattern, phi, rates)
-                        for phi, rates in points)
-            rows.append((pattern, worst))
+            blocks = (rng.random((min(size, draws - start), n + 1))
+                      for start in range(0, draws, size))
+            worst = max(_realization_errors(signs, pattern, 2.0 * b[:, 0], b[:, 1:]).max()
+                        for b in blocks)
+            rows.append((pattern, float(worst)))
     return rows
 
 

@@ -2,10 +2,10 @@
 
 Everything here builds full 2^n x 2^n operators with numpy.kron and applies
 them by plain matrix multiplication — deliberately the slow, obviously
-correct formulation.  It also wraps the engine's kernels (the power table
-and the materialization of product terms) and its block split for the tests
-that check them, and builds the environment for tests that start a child
-process.
+correct formulation.  It also checks gate synthesis one draw at a time,
+wraps the engine's kernels (the power table and the materialization of
+product terms) and its block split for the tests that check them, and
+builds the environment for tests that start a child process.
 """
 
 import math
@@ -16,8 +16,10 @@ import numpy as np
 
 import dqsa
 from dqsa import search
+from dqsa.basis import all_patterns
 from dqsa.gates import oracle_gate, w_gate
 from dqsa.search import RunConfig, report
+from dqsa.synthesis import build_hamiltonian, coupling_assignment, evolve
 
 # Directory holding the ``dqsa`` package this process imported: ``src`` when
 # the suite runs uninstalled, site-packages when it runs installed.
@@ -63,6 +65,31 @@ def grover_closed_form(n: int) -> float:
     """sin^2((2k+1) asin(2^(-n/2))) with k = n-1 iterations: the undamped
     phi=1 success probability."""
     return math.sin((2 * (n - 1) + 1) * math.asin(2 ** (-n / 2))) ** 2
+
+
+def draw_deviation(pattern: str, phi: float, rates) -> float:
+    """Max |U - c*P| of one (phi, rates) draw, by the scalar gate functions:
+    the evolution U of the pattern's coupling Hamiltonian against its oracle
+    P, aligned on the all-g entry (all-e when all-g is marked)."""
+    n = len(pattern)
+    u = evolve(build_hamiltonian(coupling_assignment(n, pattern), rates), phi)
+    p = oracle_gate(pattern, phi, rates)
+    ref = 2**n - 1 if pattern == "g" * n else 0
+    c = u[ref] / p[ref]
+    return float(np.max(np.abs(u - c * p)))
+
+
+def per_draw_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240) -> list:
+    """verification_sweep one draw at a time: each draw takes phi from
+    uniform(0, 2), then its n rates from uniform(0, 1)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n in ns:
+        for pattern in all_patterns(n):
+            rows.append((pattern, max(
+                draw_deviation(pattern, rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0, n).tolist())
+                for _ in range(draws))))
+    return rows
 
 
 def worst_row_vs_report(rows, spec) -> float:

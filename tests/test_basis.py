@@ -77,6 +77,14 @@ class TestIndexing:
         with pytest.raises(InvalidPattern):
             pattern_of(0, 0)
 
+    @pytest.mark.parametrize("index,n", [(1.0, 2), (True, 1), (np.float64(0.0), 1), (0, 2.0)])
+    def test_pattern_of_rejects_non_integers(self, index, n):
+        with pytest.raises(InvalidPattern, match="must be an integer"):
+            pattern_of(index, n)
+
+    def test_pattern_of_takes_numpy_integers(self):
+        assert pattern_of(np.int64(2), np.int64(2)) == "eg"
+
 
 class TestOperations:
     def test_apply_diagonal_is_entrywise(self):

@@ -110,6 +110,14 @@ class TestRun:
         assert out == ""
         assert field in err
 
+    @pytest.mark.parametrize("seed", ["-1", "-20240"])
+    def test_negative_seed_exits_1(self, capsys, seed):
+        # numpy's generator rejects it with a message that names no flag
+        code, out, err = run_cli(capsys, ["verify-gates", "--n", "2", "--seed", seed])
+        assert code == 1
+        assert out == ""
+        assert "--seed" in err
+
     @pytest.mark.parametrize("argv", [
         ["run", "--n", "2", "--marked", "ee", "--phi", "abc"],
         ["sweep", "--n", "2", "--marked", "ee", "--phi", "0:1:x"],
@@ -161,6 +169,9 @@ class TestRun:
         assert out == ""
         assert "MalformedConfig" in err
         assert "phi" in err
+        # the message says the int is too large, without echoing its 401 digits
+        assert "too large" in err
+        assert len(err) < 160
 
     def test_grid_phi_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["run", "--n", "2", "--marked", "ee",
@@ -416,6 +427,20 @@ class TestInstalledEntryPoint:
         code, _, err = run_cli(capsys, argv)
         assert out.returncode == code == 1
         assert out.stderr == err
+
+
+class TestDeterminism:
+    def test_run_json_bytes_do_not_depend_on_blas_threads(self):
+        # at n=12 OpenBLAS may split the amplitude product over two threads;
+        # README promises byte-identical output all the same
+        argv = [sys.executable, "-m", "dqsa", "run", "--n", "12", "--marked", "egeeggegeege",
+                "--phi", "0.9", "--gammas", ",".join(["0.05"] * 12), "--iterations", "50",
+                "--format", "json"]
+        outs = [subprocess.run(argv, env=child_env(OPENBLAS_NUM_THREADS=threads),
+                               capture_output=True, check=True).stdout
+                for threads in ("1", "2")]
+        assert len(outs[0]) > 100_000
+        assert outs[0] == outs[1]
 
 
 class TestDocumentedCommands:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dqsa.basis import index_of
+from dqsa.basis import bits, index_of
 from dqsa.errors import DimensionMismatch, NegativePhase, OverdampedQubit
 from dqsa.gates import (
     CONVENTIONS,
@@ -200,6 +200,40 @@ class TestOracle:
         d = damping_entries(3, 1.7, (0.9, 0.4, 0.2))
         assert np.all(d <= 1.0 + 1e-15)
         assert np.all(d > 0.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 8, 12])
+    def test_batch_rows_are_bitwise_single_calls(self, n):
+        # rates of mixed magnitudes, where the order of a sum shows in its last bits
+        rng = np.random.default_rng(n)
+        phi = rng.uniform(0.0, 2.0, 64)
+        rates = rng.uniform(0.0, 1.0, (64, n)) * 10.0 ** rng.integers(-3, 1, (64, n))
+        batch = damping_entries(n, phi, rates)
+        for row in range(64):
+            single = damping_entries(n, float(phi[row]), rates[row].tolist())
+            assert batch[row].tobytes() == single.tobytes()
+            # and a single call keeps its formula: one matrix-vector product
+            ref = np.exp(-0.5 * tau(float(phi[row]), n) * (bits(n) @ rates[row]))
+            assert single.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("phi,rates", [
+        ([0.5, 1.0], [(0.1, 0.2)]),            # one row of rates for two phases
+        ([0.5, 1.0], [(0.1, 0.2, 0.3)] * 2),  # three rates on two qubits
+        ([0.5, 1.0], (0.1, 0.2)),             # one phase's rates for a batch
+        ([[0.5], [1.0]], [(0.1, 0.2)] * 2),   # phases of more than one axis
+    ])
+    def test_batch_shapes_checked(self, phi, rates):
+        with pytest.raises(DimensionMismatch):
+            damping_entries(2, phi, rates)
+        with pytest.raises(DimensionMismatch):
+            oracle_gate("ee", phi, rates)
+
+    def test_batch_values_checked(self):
+        with pytest.raises(NegativePhase):
+            oracle_gate("ee", [0.5, -1.0], [(0.1, 0.2)] * 2)
+        with pytest.raises(OverdampedQubit):
+            oracle_gate("ee", [0.5, 1.0], [(0.1, 0.2), (4.0, 0.0)])
+        with pytest.raises(ValueError, match="phi"):
+            damping_entries(2, [0.5, True], [(0.1, 0.2)] * 2)
 
     def test_oracle_flips_uniform_state_component(self):
         # H x H |gg> then the phase oracle for ee: last amplitude negated

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqsa.basis import index_of, pattern_of
-from dqsa.gates import oracle_gate
+from dqsa.gates import damping_entries, oracle_gate
 from dqsa.search import RunConfig, report
 
 from helpers import dense_diffusion
@@ -114,3 +114,18 @@ def test_oracle_entries_never_amplify(pattern, phi, rates):
 def test_index_pattern_bijection(n, index):
     index %= 2**n
     assert index_of(pattern_of(index, n)) == index
+
+
+@given(pattern=patterns(max_n=4),
+       draws=st.lists(st.tuples(phis, st.lists(rate_values, min_size=4, max_size=4)),
+                      min_size=1, max_size=5))
+def test_batched_gate_rows_equal_scalar_calls(pattern, draws):
+    # bitwise: a batch of draws is D single calls, not a reordered sum
+    n = len(pattern)
+    phi = [p for p, _ in draws]
+    rates = [r[:n] for _, r in draws]
+    damping, oracle = damping_entries(n, phi, rates), oracle_gate(pattern, phi, rates)
+    assert damping.shape == oracle.shape == (len(draws), 2**n)
+    for row, (p, r) in enumerate(zip(phi, rates)):
+        assert damping[row].tobytes() == damping_entries(n, p, r).tobytes()
+        assert oracle[row].tobytes() == oracle_gate(pattern, p, r).tobytes()

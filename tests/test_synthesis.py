@@ -1,14 +1,17 @@
 """Coupling assignment, Hamiltonian synthesis, and pulse compositions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from dqsa import synthesis
 from dqsa.basis import all_patterns, index_of
 from dqsa.errors import DimensionMismatch, NegativePhase, OverdampedQubit, UnsupportedSize
 from dqsa.gates import oracle_gate, w_gate, xi_factor
+from dqsa.search import BLOCK_AMPLITUDES
 from dqsa.synthesis import (
     THETA,
     build_hamiltonian,
@@ -20,6 +23,8 @@ from dqsa.synthesis import (
     verification_sweep,
     verify_gate_realization,
 )
+
+from helpers import per_draw_sweep
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -150,6 +155,40 @@ class TestHamiltonian:
                                             rng.uniform(0.0, 1.0, size=n).tolist())
                     for _ in range(20))))
         assert verification_sweep(seed=seed) == rows
+
+    @pytest.mark.parametrize("seed", [7, 20240])
+    @pytest.mark.parametrize("draws", [1, 20])
+    def test_sweep_rows_equal_per_draw_reference(self, seed, draws):
+        # the sweep checks a pattern's draws as one batch; its rows must be
+        # exactly those of one check per draw on the same random numbers
+        assert verification_sweep(draws=draws, seed=seed) == per_draw_sweep(draws=draws, seed=seed)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 20])
+    def test_block_size_does_not_change_rows(self, monkeypatch, rows):
+        # blocks of `rows` draws at n=4 (more at n=2 and 3), the last one short
+        monkeypatch.setattr(synthesis, "BLOCK_AMPLITUDES", 16 * rows)
+        assert verification_sweep(draws=20, seed=7) == per_draw_sweep(draws=20, seed=7)
+
+    def test_second_block_at_full_size(self, monkeypatch):
+        # one draw more than a block holds at n=4 against all draws in one block
+        draws = BLOCK_AMPLITUDES // 16 + 1
+        blocked = verification_sweep(ns=(4,), draws=draws, seed=20240)
+        monkeypatch.setattr(synthesis, "BLOCK_AMPLITUDES", 16 * draws)
+        assert blocked == verification_sweep(ns=(4,), draws=draws, seed=20240)
+
+    def test_sweep_peak_is_bounded(self):
+        # a block of BLOCK_AMPLITUDES // 16 draws peaked at 4.4 MiB; the
+        # 20000 draws in one block took 21 MiB
+        tracemalloc.start()
+        try:
+            verification_sweep(ns=(4,), draws=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+
+    def test_verify_gate_realization_returns_a_float(self):
+        assert type(verify_gate_realization(2, "ge", 0.77, (0.1, 0.2))) is float
 
     @pytest.mark.parametrize("terms,rates,bad", [
         ({(0,): 1.0}, (0.0, 0.0), r"\(0,\)"),

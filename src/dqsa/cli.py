@@ -13,7 +13,7 @@ from . import experiments
 from .basis import validate_pattern
 from .errors import DqsaError, MalformedConfig
 from .gates import CONVENTIONS, check_reals, tau, whole_number
-from .search import RunConfig, report
+from .search import RunConfig, reports, summaries
 from .synthesis import verification_sweep
 
 
@@ -222,6 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--marked")
     p.add_argument("--gammas")
+    p.add_argument("--convention", choices=CONVENTIONS, default="composite",
+                   help="W-gate damping convention (see README)")
 
     return ap
 
@@ -230,17 +232,12 @@ def _cmd_run(args) -> int:
     cfg = _merged_config(args)
     if not isinstance(cfg, RunConfig):
         raise MalformedConfig("run needs a scalar 'phi' (use the sweep subcommand for grids)")
-    rep = report(cfg)
     if args.format == "csv":
-        sample = [(cfg.phi, tau(cfg.phi, cfg.n), rep.marked_prob, rep.sum_unmarked,
-                   rep.survival)]
+        sample = [(cfg.phi, tau(cfg.phi, cfg.n), *summaries(cfg)[0])]
         _emit(experiments.sweep_to_csv(sample), args.out)
     else:
-        doc = {"n": cfg.n, "marked": cfg.marked, "phi": cfg.phi,
-               "iterations": cfg.iterations, "gammas": list(cfg.rates),
-               "marked_prob": rep.marked_prob, "sum_unmarked": rep.sum_unmarked,
-               "survival": rep.survival, "unmarked": rep.unmarked}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        (marked,), (row,) = reports(cfg)
+        _emit(experiments.run_to_json(cfg, marked, row), args.out)
     return 0
 
 
@@ -294,7 +291,7 @@ def _cmd_verify_gates(args) -> int:
 def _cmd_peak(args) -> int:
     marked = "g" * args.n if args.marked is None else args.marked
     rates = () if args.gammas is None else _parse_gammas(args.gammas)
-    phi, rho = experiments.peak_search(args.n, marked, rates)
+    phi, rho = experiments.peak_search(args.n, marked, rates, args.convention)
     print(json.dumps({"phi": phi, "rho": rho}))
     return 0
 

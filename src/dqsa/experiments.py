@@ -3,10 +3,10 @@ sweeps, peak location, and comparison against the bundled reference tables.
 
 Every multi-point computation here hands all of its runs of one register
 size to the batched engine in one call (``search.summaries``, or
-``search.reports`` for per-pattern probabilities): a `RunConfig` for what
-the runs share, and arrays for what varies.  Results come back in grid
-order, and all output is deterministic: the same inputs produce
-byte-identical CSV/JSON.
+``search.reports`` for probability rows): a `RunConfig` for what the runs
+share, and arrays for what varies.  Results come back in grid order, and
+all output, written from those arrays, is deterministic: the same inputs
+produce byte-identical CSV/JSON.
 """
 
 import json
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .basis import validate_pattern
+from .basis import all_patterns, validate_pattern
 from .errors import UnknownTable, UnsupportedSize
 from .gates import check_convention, check_phi, check_rates, check_reals, tau, whole_number
 from .search import RunConfig, reports, summaries
@@ -224,18 +224,15 @@ def appendix_reproduce(table_id: int, tolerance: float = TABLE_TOLERANCE,
     n, rates, phis, marked, unmarked = _load_table(table_id)
     cells = sorted(marked.items())
     (pattern, phi), _ = cells[0]
-    computed = reports(RunConfig(n, pattern, phi, rates, convention=convention),
-                       phi=[phi for (_, phi), _ in cells], marked=[pat for (pat, _), _ in cells])
+    indices, probs = reports(RunConfig(n, pattern, phi, rates, convention=convention),
+                             phi=[p for (_, p), _ in cells], marked=[p for (p, _), _ in cells])
     rows = []
-    for ((pat, phi), ref), rep in zip(cells, computed):
+    for ((pat, phi), ref), ix, rest in zip(cells, indices.tolist(), probs.tolist()):
         prefix = f"table{table_id:02d} {pat} phi={phi:g}"
-        rows.append(_row(f"{prefix} marked", ref, rep.marked_prob, tolerance))
-        group = unmarked.get((pat, phi))
-        if group:
-            ref_sorted = sorted(group, reverse=True)
-            comp_sorted = sorted(rep.unmarked.values(), reverse=True)
-            for k, (rv, cv) in enumerate(zip(ref_sorted, comp_sorted)):
-                rows.append(_row(f"{prefix} unmarked[{k}]", rv, cv, tolerance))
+        rows.append(_row(f"{prefix} marked", ref, rest.pop(ix), tolerance))
+        pairs = zip(sorted(unmarked.get((pat, phi), ()), reverse=True), sorted(rest, reverse=True))
+        for k, (rv, cv) in enumerate(pairs):
+            rows.append(_row(f"{prefix} unmarked[{k}]", rv, cv, tolerance))
     return ComparisonReport(tuple(rows), tolerance)
 
 
@@ -268,6 +265,20 @@ def sweep_to_csv(samples: list, axis: str = "phase") -> str:
     for sample in samples:
         lines.append(",".join(repr(float(v)) for v in sample))
     return "\n".join(lines) + "\n"
+
+
+def run_to_json(config: RunConfig, marked: int, row) -> str:
+    """One run's report, from its marked index and probability row, as
+    json.dumps(indent=2) writes it, but with the 2^n - 1 entries written as
+    lines: ``indent`` would walk them in json's pure-Python encoder."""
+    values, survival = row.tolist(), float(row.sum())
+    head = json.dumps({"n": config.n, "marked": config.marked, "phi": config.phi,
+                       "iterations": config.iterations, "gammas": list(config.rates),
+                       "marked_prob": values[marked], "sum_unmarked": survival - values[marked],
+                       "survival": survival}, indent=2)
+    lines = [f'    "{label}": {p!r}' for label, p in zip(all_patterns(config.n), values)]
+    del lines[marked]
+    return head[:-2] + ',\n  "unmarked": {\n' + ",\n".join(lines) + "\n  }\n}\n"
 
 
 def sweep_to_json(samples: list, axis: str = "phase") -> str:

@@ -85,6 +85,15 @@ def check_reals(values, name: str, shape: tuple = (), negative=ValueError, below
     return float(array) if not shape else array
 
 
+def shape_of(values, name: str) -> tuple:
+    """``np.shape(values)``; nested sequences of unequal lengths raise
+    DimensionMismatch naming ``name``, as in `check_reals`."""
+    try:
+        return np.shape(values)
+    except ValueError:
+        raise DimensionMismatch(f"{name}: got a ragged array") from None
+
+
 def check_phi(phi, shape: tuple = ()):
     """Phases by the real-input rule (see `check_reals`); a negative one
     raises NegativePhase."""
@@ -112,7 +121,7 @@ def check_convention(convention: str) -> str:
 def xi_factor(g):
     """Detuning factor xi = sqrt(16 - g^2)/4 of a rate or an array of rates;
     requires 0 <= g < 4."""
-    g = check_rates(g, np.shape(g))
+    g = check_rates(g, shape_of(g, "rates"))
     return np.sqrt(16.0 - g * g) / 4.0
 
 
@@ -138,7 +147,7 @@ def w_gate(g, convention: str = "composite") -> np.ndarray:
 def damping_entries(n: int, phi, rates) -> np.ndarray:
     """Per-basis-state damping factors exp(-(tau/2) * sum of excited rates),
     tau = phi*pi/2^n: shape (2^n,), or (D, 2^n) for phi (D,) and rates (D, n)."""
-    phi = check_phi(phi, np.shape(phi)[:1])
+    phi = check_phi(phi, shape_of(phi, "phi")[:1])
     excited = bits(n) @ check_rates(rates, np.shape(phi) + (n,))[..., None]  # one product per row
     return np.exp(-0.5 * np.asarray(tau(phi, n))[..., None] * excited[..., 0])
 

@@ -28,9 +28,10 @@ A batch is one `RunConfig` (n, iteration count, convention) plus per-run
 arrays of phases, rates and marked patterns.  Its runs evolve together in
 blocks, one row of every array per run, each with its own gates (one
 `w_gate` call per block), so each numpy operation covers every point of the
-block at once.  Output is byte-identical from run to run, and a sweep row
-agrees with a standalone `report` of its point to 1e-15 (bitwise on the
-x86-64 machine this was measured on, but that is not promised).
+block at once; `reports` returns each run's probabilities, `summaries` their
+sums.  Output is byte-identical from run to run, and a sweep row agrees with
+a standalone `report` of its point to 1e-15 (bitwise on the x86-64 machine
+this was measured on, but that is not promised).
 """
 
 from dataclasses import dataclass
@@ -274,16 +275,12 @@ def summaries(config: RunConfig, phi=None, rates=None, marked=None) -> list:
     return out
 
 
-def reports(config: RunConfig, phi=None, rates=None, marked=None) -> list:
-    """Probability report per run of the batch, in order; the batch is given
-    as to `summaries`."""
-    out, labels = [], all_patterns(config.n)
-    for indices, probs in _blocks(config, phi, rates, marked):
-        for ix, values, survival in zip(indices.tolist(), probs.tolist(),
-                                        probs.sum(axis=1).tolist()):
-            unmarked = {labels[i]: p for i, p in enumerate(values) if i != ix}
-            out.append(ProbabilityReport(labels[ix], values[ix], unmarked, survival))
-    return out
+def reports(config: RunConfig, phi=None, rates=None, marked=None) -> tuple:
+    """The batch, given as to `summaries`, as marked basis indices (B,) and
+    probability rows (B, 2^n); a row sums to its survival in `summaries`."""
+    empty = np.zeros(0, dtype=int), np.zeros((0, 2**config.n))
+    indices, probs = zip(empty, *_blocks(config, phi, rates, marked))
+    return np.concatenate(indices), np.concatenate(probs)
 
 
 def run(config: RunConfig) -> np.ndarray:
@@ -293,7 +290,9 @@ def run(config: RunConfig) -> np.ndarray:
 
 def report(config: RunConfig) -> ProbabilityReport:
     """Probabilities of the final state, split marked vs remaining."""
-    return reports(config)[0]
+    _, (row,) = reports(config)
+    rest = dict(zip(all_patterns(config.n), row.tolist()))
+    return ProbabilityReport(config.marked, rest.pop(config.marked), rest, float(row.sum()))
 
 
 def marked_amplitude_trace(config: RunConfig) -> list:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import all_patterns, bits, validate_pattern
 from .errors import DimensionMismatch, UnsupportedSize
-from .gates import check_phi, check_rates, oracle_gate, tau, xi_factor
+from .gates import check_phi, check_rates, oracle_gate, shape_of, tau, xi_factor
 from .search import BLOCK_AMPLITUDES
 
 THETA = 1.0  # coupling energy scale in natural units
@@ -95,7 +95,8 @@ def _energies(terms: dict, signs: np.ndarray, rates: np.ndarray) -> np.ndarray:
 def evolve(energies: np.ndarray, phi) -> np.ndarray:
     """Diagonal time evolution exp(-i * E[y] * tau), tau = phi*pi/2^n, of
     energies of shape (2^n,), or (D, 2^n) with phases of shape (D,)."""
-    t = tau(check_phi(phi, np.shape(phi)[:1]), np.shape(energies)[-1].bit_length() - 1)
+    t = tau(check_phi(phi, shape_of(phi, "phi")[:1]),
+            shape_of(energies, "energies")[-1].bit_length() - 1)
     return np.exp(-1j * energies * np.asarray(t)[..., None])
 
 

@@ -3,21 +3,26 @@
 Everything here builds full 2^n x 2^n operators with numpy.kron and applies
 them by plain matrix multiplication — deliberately the slow, obviously
 correct formulation.  It also checks gate synthesis one draw at a time,
-wraps the engine's kernels (the power table and the materialization of
-product terms) and its block split for the tests that check them, and
-builds the environment for tests that start a child process.
+writes the `run` report and the reference-table rows from the per-pattern
+dict of `report`, wraps the engine's kernels (the power table and the
+materialization of product terms) and its block split for the tests that
+check them, draws random damped configs, and builds the environment for
+tests that start a child process.
 """
 
+import json
 import math
 import os
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 import dqsa
 from dqsa import search
 from dqsa.basis import all_patterns
-from dqsa.gates import oracle_gate, w_gate
+from dqsa.experiments import _load_table, sweep_to_csv
+from dqsa.gates import oracle_gate, tau, w_gate
 from dqsa.search import RunConfig, report
 from dqsa.synthesis import build_hamiltonian, coupling_assignment, evolve
 
@@ -105,6 +110,51 @@ def worst_row_vs_report(rows, spec) -> float:
         worst = max(worst, abs(rho - rep.marked_prob),
                     abs(sum_unmarked - rep.sum_unmarked), abs(surv - rep.survival))
     return worst
+
+
+def run_json_by_dict(config: RunConfig) -> str:
+    """The `run` JSON document with the report's dict of remaining-state
+    probabilities in it, dumped whole by json.dumps(indent=2)."""
+    rep = report(config)
+    doc = {"n": config.n, "marked": config.marked, "phi": config.phi,
+           "iterations": config.iterations, "gammas": list(config.rates),
+           "marked_prob": rep.marked_prob, "sum_unmarked": rep.sum_unmarked,
+           "survival": rep.survival, "unmarked": rep.unmarked}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def run_csv_by_report(config: RunConfig) -> str:
+    """The `run --format csv` row from the three sums of `report`."""
+    rep = report(config)
+    return sweep_to_csv([(config.phi, tau(config.phi, config.n), rep.marked_prob,
+                          rep.sum_unmarked, rep.survival)])
+
+
+def appendix_rows_by_dict(table_id: int, convention: str) -> list:
+    """(label, paper, computed) per row of `appendix_reproduce`, from a
+    standalone `report` of each cell: its marked probability, and the values
+    of its dict of remaining-state probabilities, sorted descending."""
+    n, rates, _, marked, unmarked = _load_table(table_id)
+    rows = []
+    for (pattern, phi), ref in sorted(marked.items()):
+        rep = report(RunConfig(n, pattern, phi, rates, convention=convention))
+        prefix = f"table{table_id:02d} {pattern} phi={phi:g}"
+        rows.append((f"{prefix} marked", ref, rep.marked_prob))
+        pairs = zip(sorted(unmarked.get((pattern, phi), ()), reverse=True),
+                    sorted(rep.unmarked.values(), reverse=True))
+        rows += [(f"{prefix} unmarked[{k}]", rv, cv) for k, (rv, cv) in enumerate(pairs)]
+    return rows
+
+
+@st.composite
+def damped_configs(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    marked = "".join(draw(st.sampled_from("ge")) for _ in range(n))
+    phi = draw(st.floats(min_value=0.0, max_value=2.0))
+    rates = tuple(draw(st.floats(min_value=0.0, max_value=1.5)) for _ in range(n))
+    iterations = draw(st.integers(min_value=1, max_value=12))
+    convention = draw(st.sampled_from(("composite", "tabulated")))
+    return RunConfig(n, marked, phi, rates, iterations, convention)
 
 
 def random_terms(rng: np.random.Generator, n: int, b: int = 1, t: int = 3):

@@ -1,10 +1,12 @@
 """CLI behavior: subcommands, exit codes, config handling, documentation."""
 
+import dataclasses
 import json
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,10 +15,10 @@ from hypothesis import strategies as st
 
 from dqsa.cli import config_from_dict, config_to_dict, load_config, main
 from dqsa.errors import MalformedConfig
-from dqsa.experiments import SweepSpec, sweep
+from dqsa.experiments import SweepSpec, peak_search, sweep
 from dqsa.search import RunConfig
 
-from helpers import child_env
+from helpers import child_env, run_csv_by_report, run_json_by_dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("run", "sweep", "table1", "appendix", "verify-gates", "peak")
@@ -26,6 +28,15 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_argv(cfg: RunConfig) -> list:
+    """`dqsa run` flags of a config with the default convention."""
+    return ["run", "--n", str(cfg.n), "--marked", cfg.marked, "--phi", repr(cfg.phi),
+            "--gammas", ",".join(map(repr, cfg.rates)), "--iterations", str(cfg.iterations)]
+
+
+N12 = RunConfig(12, "egeeggegeege", 0.8137, tuple(0.04 * v for v in range(12)))
 
 
 class TestRun:
@@ -62,6 +73,22 @@ class TestRun:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["marked_prob"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("iterations", [11, 50])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_n12_json_bytes_equal_dict_reference(self, capsys, tmp_path, iterations, to_file):
+        cfg = dataclasses.replace(N12, iterations=iterations)
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, run_argv(cfg) + (["--out", str(target)] if to_file else []))
+        assert code == 0
+        assert (target.read_text() if to_file else out) == run_json_by_dict(cfg)
+
+    @pytest.mark.parametrize("cfg", [RunConfig(3, "ege", 0.37, (0.1, 0.2, 0.0)),
+                                     RunConfig(9, "egeegggee", 1.9, (0.05,) * 9, 7), N12])
+    def test_csv_bytes_equal_report_row(self, capsys, cfg):
+        code, out, _ = run_cli(capsys, run_argv(cfg) + ["--format", "csv"])
+        assert code == 0
+        assert out == run_csv_by_report(cfg)
 
     def test_invalid_pattern_exits_1(self, capsys):
         code, _, err = run_cli(capsys, ["run", "--n", "2", "--marked", "xq", "--phi", "1"])
@@ -388,6 +415,20 @@ class TestComparisons:
         assert doc["rho"] >= 0.9999
         assert 0 < doc["phi"] <= 1
 
+    def test_peak_convention(self, capsys):
+        code, out, _ = run_cli(capsys, ["peak", "--n", "3", "--marked", "ege", "--gammas",
+                                        "0.5,0.2,0.9", "--convention", "tabulated"])
+        assert code == 0
+        phi, rho = peak_search(3, "ege", (0.5, 0.2, 0.9), convention="tabulated")
+        assert json.loads(out) == {"phi": phi, "rho": rho}
+        assert (phi, rho) != peak_search(3, "ege", (0.5, 0.2, 0.9))
+
+    def test_peak_unknown_convention_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, ["peak", "--n", "3", "--convention", "bogus"])
+        assert code == 1
+        assert out == ""
+        assert "--convention" in err
+
     @pytest.mark.parametrize("flag,field", [("--gammas", "--gammas"), ("--marked", "pattern")])
     def test_peak_empty_value_exits_1(self, capsys, flag, field):
         # an empty value is bad input, as in run, not "use the default"
@@ -441,6 +482,22 @@ class TestDeterminism:
                 for threads in ("1", "2")]
         assert len(outs[0]) > 100_000
         assert outs[0] == outs[1]
+
+
+class TestMemory:
+    def test_deep_n12_run_peak_is_bounded(self, capsys, tmp_path):
+        # the tracemalloc peak of this call was 1.05 MiB, most of it the
+        # engine's block; a 4095-entry dict of the probabilities adds 0.25
+        argv = run_argv(dataclasses.replace(N12, iterations=50))
+        argv += ["--out", str(tmp_path / "report.json")]
+        main(argv)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 2**20
 
 
 class TestDocumentedCommands:

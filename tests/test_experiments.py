@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given
 
 from dqsa.errors import (
     DimensionMismatch,
@@ -13,7 +14,7 @@ from dqsa.errors import (
     UnknownTable,
     UnsupportedSize,
 )
-from dqsa.search import RunConfig, points_per_block, report
+from dqsa.search import RunConfig, points_per_block, report, reports
 from dqsa.experiments import (
     AVAILABLE_TABLES,
     OFFSET_TABLES,
@@ -25,6 +26,7 @@ from dqsa.experiments import (
     comparison_to_csv,
     comparison_to_json,
     peak_search,
+    run_to_json,
     sweep,
     sweep_to_csv,
     sweep_to_json,
@@ -32,7 +34,14 @@ from dqsa.experiments import (
     table1_comparison,
 )
 
-from helpers import grover_closed_form, record_blocks, worst_row_vs_report
+from helpers import (
+    appendix_rows_by_dict,
+    damped_configs,
+    grover_closed_form,
+    record_blocks,
+    run_json_by_dict,
+    worst_row_vs_report,
+)
 
 
 class TestSummaryTable:
@@ -275,6 +284,13 @@ class TestReferenceTables:
         tabulated = appendix_reproduce(3, convention="tabulated")
         assert tabulated.all_pass
 
+    @pytest.mark.parametrize("convention", ["composite", "tabulated"])
+    @pytest.mark.parametrize("table_id", AVAILABLE_TABLES)
+    def test_rows_equal_dict_reference(self, table_id, convention):
+        rows = appendix_reproduce(table_id, convention=convention).rows
+        assert [(r.label, r.paper, r.computed) for r in rows] == appendix_rows_by_dict(
+            table_id, convention)
+
     def test_row_labels(self):
         rep = appendix_reproduce(2)
         labels = [r.label for r in rep.rows]
@@ -310,6 +326,19 @@ class TestSerialization:
         rows = sweep(dissipation_spec(2, "ee", 1.0, 0.0, 0.5, 2))
         doc = json.loads(sweep_to_json(rows, axis="dissipation"))
         assert list(doc[0]) == ["gbar", "phi", "tau", "marked_prob", "sum_unmarked", "survival"]
+
+    @given(cfg=damped_configs())
+    def test_run_json_equals_dict_reference(self, cfg):
+        (marked,), (row,) = reports(cfg)
+        assert run_to_json(cfg, marked, row) == run_json_by_dict(cfg)
+
+    def test_run_json_of_one_qubit(self):
+        # n=1: one remaining state, the smallest block json.dumps writes
+        cfg = RunConfig(1, "g", 0.3, (0.2,))
+        (marked,), (row,) = reports(cfg)
+        text = run_to_json(cfg, marked, row)
+        assert text == run_json_by_dict(cfg)
+        assert list(json.loads(text)["unmarked"]) == ["e"]
 
     def test_csv_emission_is_deterministic(self):
         spec = SweepSpec(n=3, marked="geg", start=0.1, stop=1.5, steps=9)

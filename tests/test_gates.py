@@ -20,6 +20,7 @@ from dqsa.gates import (
     xi_factor,
 )
 from dqsa.search import RunConfig, run
+from dqsa.synthesis import evolve
 
 from helpers import dense_diffusion, dense_terms, dense_walsh, layer_on_terms, random_terms
 
@@ -174,6 +175,27 @@ class TestWalshLayer:
     def test_zero_rates_squares_to_identity(self):
         w = functools.reduce(np.kron, w_gate((0.0,) * 3))
         np.testing.assert_allclose(w @ w, np.eye(8), atol=1e-12)
+
+
+RAGGED = [[0.1], [0.1, 0.2]]
+
+
+class TestRaggedInput:
+    # nested lists of unequal lengths are a shape error naming the argument,
+    # not numpy's bare "inhomogeneous shape" ValueError
+    @pytest.mark.parametrize("call,name", [
+        (lambda: w_gate(RAGGED), "rates"),
+        (lambda: xi_factor(RAGGED), "rates"),
+        (lambda: damping_entries(2, RAGGED, [(0.1, 0.2)] * 2), "phi"),
+        (lambda: damping_entries(2, [0.5, 1.0], RAGGED), "rates"),
+        (lambda: oracle_gate("ee", RAGGED, [(0.1, 0.2)] * 2), "phi"),
+        (lambda: evolve(np.zeros((2, 4)), RAGGED), "phi"),
+        (lambda: evolve([[0.0, 1.0], [0.0]], 0.5), "energies"),
+    ], ids=["w_gate", "xi_factor", "damping_entries-phi", "damping_entries-rates",
+            "oracle_gate", "evolve-phi", "evolve-energies"])
+    def test_ragged_argument_named(self, call, name):
+        with pytest.raises(DimensionMismatch, match=name):
+            call()
 
 
 class TestOracle:

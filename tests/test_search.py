@@ -8,7 +8,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from dqsa.basis import index_of
 from dqsa.errors import (
@@ -25,22 +24,12 @@ from dqsa.search import (
     marked_amplitude_trace,
     points_per_block,
     report,
+    reports,
     run,
     summaries,
 )
 
-from helpers import dense_run
-
-
-@st.composite
-def damped_configs(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    marked = "".join(draw(st.sampled_from("ge")) for _ in range(n))
-    phi = draw(st.floats(min_value=0.0, max_value=2.0))
-    rates = tuple(draw(st.floats(min_value=0.0, max_value=1.5)) for _ in range(n))
-    iterations = draw(st.integers(min_value=1, max_value=12))
-    convention = draw(st.sampled_from(("composite", "tabulated")))
-    return RunConfig(n, marked, phi, rates, iterations, convention)
+from helpers import damped_configs, dense_run
 
 
 class TestRunConfig:
@@ -115,6 +104,24 @@ class TestBatch:
 
     def test_empty_batch(self):
         assert summaries(RunConfig(2, "ee", 1.0), phi=[]) == []
+        indices, probs = reports(RunConfig(2, "ee", 1.0), phi=[])
+        assert indices.shape == (0,) and probs.shape == (0, 4)
+
+    def test_reports_are_the_rows_summaries_reduce(self):
+        # two engine blocks; each row's marked entry and sum are bitwise the
+        # summary of its run
+        config = RunConfig(7, "ggggggg", 1.0, iterations=3)
+        b = points_per_block(7, 3) + 2
+        rng = np.random.default_rng(4)
+        phi, rates = rng.uniform(0.0, 2.0, b), rng.uniform(0.0, 1.0, (b, 7))
+        marked = ["".join(rng.choice(["g", "e"], 7)) for _ in range(b)]
+        indices, probs = reports(config, phi, rates, marked)
+        assert indices.tolist() == [index_of(p) for p in marked]
+        assert probs.shape == (b, 2**7) and probs.dtype == np.float64
+        for (rho, rest, surv), ix, row in zip(summaries(config, phi, rates, marked),
+                                              indices, probs):
+            assert (rho, surv) == (row[ix], row.sum())
+            assert rest == surv - rho
 
     # each bad per-run value raises what RunConfig raises for it; a list is
     # the per-run array itself, its first entry the value RunConfig gets
@@ -199,6 +206,12 @@ class TestReport:
         rep = report(RunConfig(2, "ee", 1.0))
         assert rep.sum_unmarked == pytest.approx(sum(rep.unmarked.values()), abs=1e-15)
         assert rep.marked_prob + rep.sum_unmarked == pytest.approx(rep.survival, abs=1e-12)
+
+    def test_report_is_its_reports_row(self):
+        cfg = RunConfig(4, "gege", 0.61, (0.3, 0.0, 0.2, 0.7), iterations=5)
+        rep, ((ix,), (row,)) = report(cfg), reports(cfg)
+        assert rep.marked_prob == row[ix] and rep.survival == row.sum()
+        assert list(rep.unmarked.values()) == np.delete(row, ix).tolist()
 
     def test_probabilities_match_state(self):
         cfg = RunConfig(3, "gge", 0.43, (0.2, 0.1, 0.4))

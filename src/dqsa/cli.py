@@ -12,7 +12,7 @@ import sys
 from . import experiments
 from .basis import validate_pattern
 from .errors import DqsaError, MalformedConfig
-from .gates import CONVENTIONS, check_reals, tau, whole_number
+from .gates import CONVENTIONS, check_rates, check_reals, tau, whole_number
 from .search import RunConfig, reports, summaries
 from .synthesis import verification_sweep
 
@@ -291,6 +291,9 @@ def _cmd_verify_gates(args) -> int:
 def _cmd_peak(args) -> int:
     marked = "g" * args.n if args.marked is None else args.marked
     rates = () if args.gammas is None else _parse_gammas(args.gammas)
+    if rates:  # checked after the pattern, as in peak_search, but naming the flag
+        validate_pattern(marked, args.n)
+        check_rates(rates, (args.n,), "--gammas")
     phi, rho = experiments.peak_search(args.n, marked, rates, args.convention)
     print(json.dumps({"phi": phi, "rho": rho}))
     return 0

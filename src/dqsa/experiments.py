@@ -16,7 +16,8 @@ from importlib import resources
 
 from .basis import all_patterns, validate_pattern
 from .errors import UnknownTable, UnsupportedSize
-from .gates import check_convention, check_phi, check_rates, check_reals, tau, whole_number
+from .gates import (check_convention, check_phi, check_rates, check_reals, tau, unset,
+                    whole_number)
 from .search import RunConfig, reports, summaries
 
 # Reference summary row per size: the peak phase coefficient phi_p, the peak
@@ -137,8 +138,9 @@ class SweepSpec:
         if self.axis not in ("phase", "dissipation"):
             raise ValueError(f"axis must be 'phase' or 'dissipation', got {self.axis!r}")
         for name in ("phi", "weights") if self.axis == "phase" else ("rates",):
-            if getattr(self, name) not in (None, ()):
+            if not unset(getattr(self, name)):
                 raise ValueError(f"a {self.axis} sweep does not use {name}")
+            object.__setattr__(self, name, None if name == "phi" else ())
         grid = "phi" if self.axis == "phase" else "gbar"
         object.__setattr__(self, "start", check_reals(self.start, f"{grid} start"))
         object.__setattr__(self, "stop", check_reals(self.stop, f"{grid} stop"))
@@ -150,11 +152,12 @@ class SweepSpec:
             raise ValueError(f"rate grid must lie in [0, 4), got [{self.start}, {self.stop}]")
         n = whole_number(self.n, "n")
         if self.axis == "phase":
-            rates = check_rates(self.rates or (0.0,) * n, (n,))
+            rates = check_rates((0.0,) * n if unset(self.rates) else self.rates, (n,))
             object.__setattr__(self, "rates", tuple(rates.tolist()))
         else:
             object.__setattr__(self, "phi", check_phi(1.0 if self.phi is None else self.phi))
-            weights = check_reals(self.weights or (1.0,) * n, "rate weights", (n,))
+            weights = (1.0,) * n if unset(self.weights) else self.weights
+            weights = check_reals(weights, "rate weights", (n,))
             object.__setattr__(self, "weights", tuple(weights.tolist()))
         validate_pattern(self.marked, n)
         check_convention(self.convention)

@@ -19,10 +19,13 @@ T = 2k + 1 product terms (Vidal, PRL 91, 147902 (2003)).  The engine
 tabulates M_v^j u for j = 0..2k and the three start vectors u (W_v e_0,
 e_{x_v} and e_0), takes each term's amplitudes at x and at 0 from products
 of that table over the qubits, and gets the coefficients c_t from a scalar
-recurrence over those amplitudes.  Only then does it build the 2^n
-amplitudes, in one batched matrix product of two half Kronecker tables.  A
-run costs T*2^n multiply-adds for its amplitudes and O(T^2) for the
-recurrence.
+recurrence over those amplitudes.  The terms are the engine's product:
+`_terms` returns the coefficients (B, T), the vectors u (n, 2, T, B) and the
+recurrence's amplitudes (B, T), which hold the marked amplitude after every
+round, so `marked_amplitude_trace` reads them and builds no state.  Only
+`_materialize` builds the 2^n amplitudes, in one batched matrix product of
+two half Kronecker tables.  A run costs T*2^n multiply-adds for its
+amplitudes and O(T^2) for the recurrence.
 
 A batch is one `RunConfig` (n, iteration count, convention) plus per-run
 arrays of phases, rates and marked patterns.  Its runs evolve together in
@@ -40,7 +43,7 @@ import numpy as np
 
 from .basis import all_patterns, bits, index_of, validate_pattern
 from .errors import DimensionMismatch
-from .gates import check_convention, check_phi, check_rates, tau, w_gate, whole_number
+from .gates import check_convention, check_phi, check_rates, tau, unset, w_gate, whole_number
 
 # Array entries per block, as points_per_block counts them: 25 points at
 # n=9, 7 at n=12 with 11 iterations.  Counted so, a run's tracemalloc peak
@@ -71,7 +74,7 @@ class RunConfig:
 
     def __post_init__(self):
         validate_pattern(self.marked, whole_number(self.n, "n"))
-        rates = check_rates(self.rates or (0.0,) * self.n, (self.n,))
+        rates = check_rates((0.0,) * self.n if unset(self.rates) else self.rates, (self.n,))
         object.__setattr__(self, "rates", tuple(rates.tolist()))
         object.__setattr__(self, "phi", check_phi(self.phi))
         if self.iterations is None:
@@ -178,13 +181,13 @@ def _batch(config, phi=None, rates=None, marked=None):
     return np.array([index[p] for p in marked], dtype=int), phi, rates
 
 
-def _evolve(config, marked, phi, rates, trace=None) -> np.ndarray:
-    """Final (unnormalized) amplitudes of a block of runs, shape (B, 2^n).
-
-    ``config`` gives n, the iteration count and the convention, and the
-    arrays, as `_batch` returns them, each run's own values.  When ``trace``
-    is a list, the marked amplitudes (shape (B,)) are appended per round.
-    """
+def _terms(config, marked, phi, rates) -> tuple:
+    """A block of runs after k rounds as its T = 2k + 1 product terms: the
+    coefficients (B, T), global phase e^{i k beta} included, and per-qubit
+    vectors (n, 2, T, B), as `_materialize` takes them; and the recurrence's
+    amplitudes (B, T) at the phase events, where column 2j is the marked
+    amplitude after j rounds less its phase e^{i j beta}.  ``config`` gives
+    n, k and the convention, the arrays (see `_batch`) each run's values."""
     n, k = config.n, config.iterations
     b, t = len(phi), 2 * k + 1
     w = w_gate(rates, config.convention).transpose(2, 3, 1, 0)
@@ -236,8 +239,6 @@ def _evolve(config, marked, phi, rates, trace=None) -> np.ndarray:
     for e in range(1, t):
         terms = amps[:, :e] * kernels[e % 2][:, t - 1 - e:t - 1]
         amps[:, e] = first[:, e] + np.add.reduce(terms, axis=1)
-    if trace is not None:
-        trace += list(amps[:, 2::2].T * np.exp(1j * np.arange(1, k + 1) * beta[:, None]).T)
 
     # Term 0 has seen all 2k layers, term t >= 1 the 2k - t + 1 after its
     # event; odd terms started at e_x, even ones at e_0.
@@ -247,7 +248,7 @@ def _evolve(config, marked, phi, rates, trace=None) -> np.ndarray:
     table = np.moveaxis(table, 3, 0)[:, :, ages, kinds]
     coeffs = np.ones((b, t), dtype=np.complex128)
     coeffs[:, 1:] = alpha * amps[:, :-1]
-    return _materialize(coeffs * np.exp(1j * k * beta)[:, None], table)
+    return coeffs * np.exp(1j * k * beta)[:, None], table, amps
 
 
 def _blocks(config, phi, rates, marked):
@@ -257,7 +258,8 @@ def _blocks(config, phi, rates, marked):
     size = points_per_block(config.n, config.iterations)
     for lo in range(0, len(phi), size):
         rows = slice(lo, lo + size)
-        yield marked[rows], np.abs(_evolve(config, marked[rows], phi[rows], rates[rows])) ** 2
+        coeffs, vecs, _ = _terms(config, marked[rows], phi[rows], rates[rows])
+        yield marked[rows], np.abs(_materialize(coeffs, vecs)) ** 2
 
 
 def summaries(config: RunConfig, phi=None, rates=None, marked=None) -> list:
@@ -285,7 +287,7 @@ def reports(config: RunConfig, phi=None, rates=None, marked=None) -> tuple:
 
 def run(config: RunConfig) -> np.ndarray:
     """Final (unnormalized) amplitudes of the search run, shape (2^n,)."""
-    return _evolve(config, *_batch(config))[0]
+    return _materialize(*_terms(config, *_batch(config))[:2])[0]
 
 
 def report(config: RunConfig) -> ProbabilityReport:
@@ -297,6 +299,6 @@ def report(config: RunConfig) -> ProbabilityReport:
 
 def marked_amplitude_trace(config: RunConfig) -> list:
     """Marked-state amplitude after each iteration (length = iterations)."""
-    trace = []
-    _evolve(config, *_batch(config), trace)
-    return [complex(a[0]) for a in trace]
+    *_, amps = _terms(config, *_batch(config))
+    rounds = np.arange(1, config.iterations + 1)
+    return (amps[0, 2::2] * np.exp(1j * rounds * (np.pi * config.phi))).tolist()

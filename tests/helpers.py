@@ -5,11 +5,13 @@ them by plain matrix multiplication — deliberately the slow, obviously
 correct formulation.  It also checks gate synthesis one draw at a time,
 writes the `run` report and the reference-table rows from the per-pattern
 dict of `report`, wraps the engine's kernels (the power table and the
-materialization of product terms) and its block split for the tests that
-check them, draws random damped configs, and builds the environment for
-tests that start a child process.
+materialization of product terms) and counts its calls per block for the
+tests that check them, draws random damped configs, gives the exact
+undamped marked amplitudes of the two-level picture, and builds the
+environment for tests that start a child process.
 """
 
+import cmath
 import json
 import math
 import os
@@ -70,6 +72,27 @@ def grover_closed_form(n: int) -> float:
     """sin^2((2k+1) asin(2^(-n/2))) with k = n-1 iterations: the undamped
     phi=1 success probability."""
     return math.sin((2 * (n - 1) + 1) * math.asin(2 ** (-n / 2))) ** 2
+
+
+def two_level(n: int, phi: float, k: int) -> list:
+    """Marked amplitude after each of k undamped rounds, exact at any n.
+
+    Undamped, W is the Hadamard gate, and a round is e^{i beta} (I +
+    (e^{i beta} - 1)|s><s|)(I + (e^{i beta} - 1)|x><x|), beta = phi*pi, with
+    |s> the uniform state W|g...g>: Long's phase-matched Grover iteration
+    (G. L. Long, PRA 64, 022307 (2001)).  It keeps the state in span{|x>,
+    |s>}, so it is applied here as a 2x2 matrix in the orthonormal basis
+    {|x>, |r>}, where <x|s> = 2^(-n/2) and <r|s> = sqrt(1 - 2^-n) for every
+    marked pattern x.  At phi=1 the last probability is grover_closed_form.
+    """
+    phase = cmath.exp(1j * math.pi * phi)
+    s = np.array([2 ** (-n / 2), math.sqrt(1 - 2.0**-n)])
+    step = phase * (np.eye(2) + (phase - 1) * np.outer(s, s)) @ np.diag([phase, 1])
+    state, amplitudes = s.astype(np.complex128), []
+    for _ in range(k):
+        state = step @ state
+        amplitudes.append(complex(state[0]))
+    return amplitudes
 
 
 def draw_deviation(pattern: str, phi: float, rates) -> float:
@@ -189,17 +212,32 @@ def layer_on_terms(coeffs: np.ndarray, vecs: np.ndarray, mats: np.ndarray) -> np
     return search._materialize(coeffs, table[:, 1].transpose(2, 0, 1, 3))
 
 
-def record_blocks(monkeypatch) -> list:
-    """List that receives the size of every block the engine evolves."""
-    sizes = []
-    evolve = search._evolve
+class EngineCalls(list):
+    """The size of every block the engine evolves to its terms (a
+    `search._terms` call), in order; ``materialized`` holds the size of
+    every block whose amplitudes it builds (a `search._materialize` call)."""
 
-    def spy(config, marked, phi, rates, trace=None):
-        sizes.append(len(phi))
-        return evolve(config, marked, phi, rates, trace)
+    def __init__(self):
+        super().__init__()
+        self.materialized = []
 
-    monkeypatch.setattr(search, "_evolve", spy)
-    return sizes
+
+def record_blocks(monkeypatch) -> EngineCalls:
+    """EngineCalls that records the engine's calls from here on."""
+    calls = EngineCalls()
+    terms, materialize = search._terms, search._materialize
+
+    def spy_terms(config, marked, phi, rates):
+        calls.append(len(phi))
+        return terms(config, marked, phi, rates)
+
+    def spy_materialize(coeffs, vecs):
+        calls.materialized.append(len(coeffs))
+        return materialize(coeffs, vecs)
+
+    monkeypatch.setattr(search, "_terms", spy_terms)
+    monkeypatch.setattr(search, "_materialize", spy_materialize)
+    return calls
 
 
 def child_env(path_prefix=None, **extra) -> dict:

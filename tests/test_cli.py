@@ -437,6 +437,15 @@ class TestComparisons:
         assert out == ""
         assert field in err
 
+    @pytest.mark.parametrize("gammas", ["0.1", "0.1,0.2,0.3", "0.1,4", "nan,0.1", "0.1,inf",
+                                        "0.1,-0.2"])
+    def test_peak_bad_gammas_exit_1(self, capsys, gammas):
+        # the error names the flag, not the engine's field "rates"
+        code, out, err = run_cli(capsys, ["peak", "--n", "2", "--gammas", gammas])
+        assert code == 1
+        assert out == ""
+        assert "--gammas" in err
+
 
 class TestInstalledEntryPoint:
     """The ``dqsa`` console script, checked without installing the package."""

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -89,6 +90,19 @@ class TestPeakSearch:
         _, rho = peak_search(7, "e" * 7)
         assert rho == pytest.approx(0.8335, abs=1e-3)
 
+    @pytest.mark.parametrize("symbol", "eg")
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_long_zero_failure_phase(self, n, symbol):
+        # undamped, k = n - 1 rounds of Long's phase-matched iteration find
+        # the marked state with certainty at phi = (2/pi) asin(sin(pi/(4k+2))
+        # 2^(n/2)) (G. L. Long, PRA 64, 022307 (2001)); the grid and its
+        # parabola came within 9.5e-9 to 4.1e-6 of it, at 1 - rho <= 3.7e-12
+        k = n - 1
+        exact = 2 / math.pi * math.asin(math.sin(math.pi / (4 * k + 2)) * 2 ** (n / 2))
+        phi, rho = peak_search(n, symbol * n)
+        assert abs(phi - exact) <= 1e-5
+        assert rho >= 1 - 1e-10
+
 
 class TestSweepSpec:
     def test_grid_endpoints(self):
@@ -143,12 +157,31 @@ class TestSweepSpec:
         ("phi", dict(phi=0.5)),
         ("weights", dict(weights=(1, 2))),
         ("rates", dict(axis="dissipation", rates=(0.3, 0.0))),
+        ("weights", dict(weights=np.ones(2))),
+        ("rates", dict(axis="dissipation", rates=np.array([0.3, 0.0]))),
     ])
     def test_field_unused_by_axis_rejected(self, field, kwargs):
         # such a field used to be ignored: the rows equalled a sweep without it
         args = dict(n=2, marked="ee", start=0.0, stop=1.0, steps=3) | kwargs
         with pytest.raises(ValueError, match=field):
             SweepSpec(**args)
+
+    @pytest.mark.parametrize("kwargs,same", [
+        (dict(rates=np.array([0.1, 0.2])), dict(rates=(0.1, 0.2))),
+        (dict(rates=np.zeros(0), weights=np.zeros(0)), dict()),
+        (dict(weights=[]), dict()),
+        (dict(axis="dissipation", weights=np.array([1.0, 0.5])),
+         dict(axis="dissipation", weights=(1.0, 0.5))),
+        (dict(axis="dissipation", weights=np.zeros(0), rates=np.zeros(0)),
+         dict(axis="dissipation")),
+    ])
+    def test_numpy_fields_read_as_their_tuple(self, kwargs, same):
+        # an array is read as its tuple is, not by its truth value; an empty
+        # one, or an empty list, is unset
+        args = dict(n=2, marked="ee", start=0.0, stop=1.0, steps=3)
+        spec = SweepSpec(**args | kwargs)
+        assert spec == SweepSpec(**args | same)
+        assert hash(spec) == hash(SweepSpec(**args | same))
 
     def test_negative_phi_rejected(self):
         # rejected when the spec is built, not when the sweep runs

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from dqsa.basis import index_of
 from dqsa.errors import (
@@ -20,7 +21,8 @@ from dqsa.errors import (
 from dqsa.search import (
     RunConfig,
     _batch,
-    _evolve,
+    _materialize,
+    _terms,
     marked_amplitude_trace,
     points_per_block,
     report,
@@ -29,7 +31,18 @@ from dqsa.search import (
     summaries,
 )
 
-from helpers import damped_configs, dense_run
+from helpers import damped_configs, dense_run, grover_closed_form, record_blocks, two_level
+
+
+@st.composite
+def undamped_runs(draw):
+    """Undamped configs at n = 1..12, any phase in [0, 2] and any marked
+    pattern, with up to the ceil(pi sqrt(2^n) / 4) rounds of a search."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    marked = draw(st.text("ge", min_size=n, max_size=n))
+    phi = draw(st.floats(min_value=0.0, max_value=2.0))
+    iterations = draw(st.integers(min_value=1, max_value=math.ceil(math.pi * 2 ** (n / 2) / 4)))
+    return RunConfig(n, marked, phi, iterations=iterations)
 
 
 class TestRunConfig:
@@ -86,6 +99,29 @@ class TestRunConfig:
     def test_overdamped_rate_rejected_when_built(self, rates):
         with pytest.raises(OverdampedQubit):
             RunConfig(2, "ee", 1.0, rates)
+
+    @pytest.mark.parametrize("rates,expected", [
+        (np.array([0.1, 0.2, 0.3]), (0.1, 0.2, 0.3)),
+        (np.arange(3), (0.0, 1.0, 2.0)),
+        (np.zeros(0), (0.0, 0.0, 0.0)),  # empty, so unset, as () is
+        ([], (0.0, 0.0, 0.0)),
+    ])
+    def test_numpy_rates_read_as_their_tuple(self, rates, expected):
+        # an array is read as its tuple is, not by its truth value
+        config = RunConfig(3, "ege", 1.0, rates)
+        assert config.rates == expected
+        assert config == RunConfig(3, "ege", 1.0, expected)
+
+    @pytest.mark.parametrize("rates,error", [
+        (np.array([0.1, 4.0, 0.2]), OverdampedQubit),
+        (np.array([0.1, np.nan, 0.2]), ValueError),
+        (np.array([True, False, True]), ValueError),
+        (np.array([0.1, 0.2]), DimensionMismatch),
+        (0.0, DimensionMismatch),  # a scalar is no rate list, zero or not
+    ])
+    def test_numpy_rates_checked_as_their_tuple(self, rates, error):
+        with pytest.raises(error):
+            RunConfig(3, "ege", 1.0, rates)
 
 
 class TestBatch:
@@ -241,6 +277,25 @@ class TestTrace:
         probs = [abs(a) ** 2 for a in marked_amplitude_trace(cfg)]
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_two_level_at_phi_1_is_grover(self, n):
+        assert abs(abs(two_level(n, 1.0, n - 1)[-1]) ** 2 - grover_closed_form(n)) <= 1e-12
+
+    @given(cfg=undamped_runs())
+    def test_undamped_trace_equals_two_level(self, cfg):
+        # every round, not only the last (worst seen 1.3e-13 in 240 draws)
+        trace = marked_amplitude_trace(cfg)
+        assert len(trace) == cfg.iterations
+        exact = two_level(cfg.n, cfg.phi, cfg.iterations)
+        assert np.max(np.abs(np.subtract(trace, exact))) <= 1e-12
+
+    @given(cfg=undamped_runs())
+    def test_undamped_probability_symmetric_in_phi(self, cfg):
+        # phi -> 2 - phi conjugates every undamped gate (worst seen 4.9e-14)
+        mirror = RunConfig(cfg.n, cfg.marked, 2.0 - cfg.phi, iterations=cfg.iterations)
+        probs = np.abs(marked_amplitude_trace(cfg)) ** 2
+        assert np.max(np.abs(probs - np.abs(marked_amplitude_trace(mirror)) ** 2)) <= 1e-12
+
 
 class TestDenseCrossCheck:
     @pytest.mark.parametrize("n,marked,phi,rates,convention", [
@@ -315,11 +370,37 @@ class TestProductEngine:
             patterns = ["".join(rng.choice(["g", "e"], 9)) for _ in range(b)]
             marked, phi, rates = _batch(config, rng.uniform(0.0, 2.0, b),
                                         rng.uniform(0.0, 1.0, (b, 9)), patterns)
-            block = _evolve(config, marked, phi, rates)
+            block = _materialize(*_terms(config, marked, phi, rates)[:2])
             for k, row in enumerate(block):
                 alone = RunConfig(9, patterns[k], float(phi[k]), tuple(rates[k].tolist()),
                                   convention=convention)
                 assert np.array_equal(row, run(alone))
+
+
+class TestEngineCalls:
+    # ceil(B / points_per_block) blocks, each evolved to its terms once and
+    # materialized once; the trace reads the terms' recurrence alone
+    @pytest.mark.parametrize("entry", [summaries, reports])
+    @pytest.mark.parametrize("n,iterations,points", [(3, 2, 1000), (9, 8, 60), (12, 11, 7),
+                                                     (12, 50, 5)])
+    def test_one_terms_and_one_materialize_call_per_block(self, monkeypatch, entry, n,
+                                                          iterations, points):
+        size = points_per_block(n, iterations)
+        calls = record_blocks(monkeypatch)
+        entry(RunConfig(n, "e" * n, 1.0, iterations=iterations), phi=np.linspace(0, 2, points))
+        assert len(calls) == math.ceil(points / size)
+        assert calls == [min(size, points - lo) for lo in range(0, points, size)]
+        assert calls.materialized == calls
+
+    def test_run_is_one_block(self, monkeypatch):
+        calls = record_blocks(monkeypatch)
+        run(RunConfig(5, "geege", 0.8, (0.1,) * 5))
+        assert calls == [1] and calls.materialized == [1]
+
+    def test_trace_materializes_nothing(self, monkeypatch):
+        calls = record_blocks(monkeypatch)
+        marked_amplitude_trace(RunConfig(12, "e" * 12, 0.7, iterations=50))
+        assert calls == [1] and calls.materialized == []
 
 
 class TestMemory:

@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import experiments
-from .basis import validate_pattern
+from .basis import MAX_QUBITS, validate_pattern
 from .errors import DqsaError, MalformedConfig
 from .gates import CONVENTIONS, check_rates, check_reals, tau, whole_number
 from .search import RunConfig, reports, summaries
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20240)
 
     p = sub.add_parser("peak", help="phase maximizing the marked probability")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, choices=range(1, MAX_QUBITS + 1), metavar="N")
     p.add_argument("--marked")
     p.add_argument("--gammas")
     p.add_argument("--convention", choices=CONVENTIONS, default="composite",
@@ -263,11 +263,8 @@ def _comparison_exit(rep, args) -> int:
 
 def _cmd_table1(args) -> int:
     ns = [args.n] if args.n is not None else None
-    if args.tolerance is not None:
-        rep = experiments.table1_comparison(ns, args.tolerance, args.tolerance)
-    else:
-        rep = experiments.table1_comparison(ns)
-    return _comparison_exit(rep, args)
+    tolerances = () if args.tolerance is None else (args.tolerance, args.tolerance)
+    return _comparison_exit(experiments.table1_comparison(ns, *tolerances), args)
 
 
 def _cmd_appendix(args) -> int:

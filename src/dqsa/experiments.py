@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
+
 from .basis import all_patterns, validate_pattern
 from .errors import UnknownTable, UnsupportedSize
 from .gates import (check_convention, check_phi, check_rates, check_reals, tau, unset,
@@ -42,35 +44,37 @@ AVAILABLE_TABLES = tuple(range(2, 12))
 OFFSET_TABLES = (3, 11)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    label: str
-    paper: float
-    computed: float
-    absdiff: float
-    passed: bool
-    tolerance: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Per-cell comparison rows; a row passes iff absdiff <= its tolerance."""
+    """Comparison columns, an entry per row: a row passes iff its absdiff is
+    at most its tolerance.  ``tolerance`` is the report's headline one."""
 
-    rows: tuple
+    labels: list
+    paper: np.ndarray
+    computed: np.ndarray
+    tolerances: np.ndarray
     tolerance: float
+
+    @property
+    def absdiff(self) -> np.ndarray:
+        return np.abs(self.computed - self.paper)
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.absdiff <= self.tolerances
 
     @property
     def all_pass(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return bool(self.passed.all())
 
     @property
     def worst(self) -> float:
-        return max((r.absdiff for r in self.rows), default=0.0)
+        return float(self.absdiff.max(initial=0.0))
 
-
-def _row(label: str, ref: float, computed: float, tolerance: float) -> ComparisonRow:
-    diff = abs(computed - ref)
-    return ComparisonRow(label, ref, computed, diff, diff <= tolerance, tolerance)
+    def rows(self):
+        """(label, paper, computed, absdiff, pass) per row, as Python values."""
+        return zip(self.labels, self.paper.tolist(), self.computed.tolist(),
+                   self.absdiff.tolist(), self.passed.tolist())
 
 
 def table1(n: int) -> tuple:
@@ -85,12 +89,12 @@ def table1(n: int) -> tuple:
 def table1_comparison(ns=None, present_tolerance: float = PRESENT_TOLERANCE,
                       grover_tolerance: float = GROVER_TOLERANCE) -> ComparisonReport:
     """Compare computed peak/phi=1 probabilities against the reference row."""
-    rows = []
-    for n in ns or sorted(SUMMARY_PHI_P):
-        _, present, grover = table1(n)
-        rows.append(_row(f"n={n} present", SUMMARY_PRESENT[n], present, present_tolerance))
-        rows.append(_row(f"n={n} grover", SUMMARY_GROVER[n], grover, grover_tolerance))
-    return ComparisonReport(tuple(rows), present_tolerance)
+    ns = ns or sorted(SUMMARY_PHI_P)
+    computed = np.array([table1(n)[1:] for n in ns]).ravel()
+    paper = np.array([(SUMMARY_PRESENT[n], SUMMARY_GROVER[n]) for n in ns]).ravel()
+    labels = [f"n={n} {kind}" for n in ns for kind in ("present", "grover")]
+    tolerances = np.tile([present_tolerance, grover_tolerance], len(ns))
+    return ComparisonReport(labels, paper, computed, tolerances, present_tolerance)
 
 
 def peak_search(n: int, marked: str, rates=(), convention: str = "composite") -> tuple:
@@ -188,32 +192,32 @@ def sweep(spec: SweepSpec) -> list:
     return [(*key, *sample) for key, sample in zip(keys, samples)]
 
 
-def _load_table(table_id: int):
-    """Parse a bundled reference table: (n, rates, phis, marked, unmarked)."""
-    if table_id not in AVAILABLE_TABLES:
-        raise UnknownTable(f"no reference table {table_id}; available: {AVAILABLE_TABLES}")
-    text = resources.files("dqsa").joinpath(f"data/table{table_id:02d}.csv").read_text()
-    meta = {}
-    marked = {}
-    unmarked = {}
-    for line in text.splitlines():
-        if line.startswith("#"):
-            stripped = line[1:].strip()
-            if ":" in stripped:
-                k, v = stripped.split(":", 1)
-                if k.strip() in ("n", "rates", "phis"):
-                    meta[k.strip()] = v.strip()
-        elif line and not line.startswith("pattern,"):
-            pat, phi, kind, value = line.split(",")
-            key = (pat, float(phi))
-            if kind == "marked":
-                marked[key] = float(value)
-            else:
-                unmarked.setdefault(key, []).append(float(value))
-    n = int(meta["n"])
-    rates = tuple(float(Fraction(r.strip())) for r in meta["rates"].split(","))
-    phis = tuple(float(p) for p in meta["phis"].split(","))
-    return n, rates, phis, marked, unmarked
+def _parse_table(table_id: int, text: str):
+    """(n, rates, phis, patterns, cell_phis, paper) of reference table
+    ``table_id``'s text, an entry per (pattern, phi) cell, sorted: paper
+    (cells, 2^n) holds a cell's marked value, then its remaining-state values
+    descending; it is (cells, 1) if the table gives none.  Raises ValueError
+    naming the table if it is malformed."""
+    head, _, body = text.partition("\npattern,phi,kind,value\n")
+    meta = {k.strip(): v.strip() for k, _, v in
+            (line[1:].partition(":") for line in head.splitlines() if line.startswith("#"))}
+    fields = body.strip().replace("\n", ",").split(",")
+    try:
+        n = int(meta["n"])
+        rates = tuple(float(Fraction(r.strip())) for r in meta["rates"].split(","))
+        phis = tuple(float(p) for p in meta["phis"].split(","))
+        pat, kinds = np.array(fields[0::4]), np.array(fields[2::4])
+        phi, values = np.array(fields[1::4], dtype=float), np.array(fields[3::4], dtype=float)
+        # a grid row per cell: its marked row, then its unmarked rows by value,
+        # descending; a row without 4 fields leaves columns lexsort rejects
+        grid = np.lexsort((-values, kinds != "marked", phi, pat)).reshape(
+            -1, 2**n if "unmarked" in kinds else 1)
+        if ((kinds[grid] != ["marked"] + ["unmarked"] * (grid.shape[1] - 1)).any()
+                or (pat[grid] != pat[grid[:, :1]]).any() or (phi[grid] != phi[grid[:, :1]]).any()):
+            raise ValueError(f"each cell needs one marked row and 0 or {2**n - 1} unmarked rows")
+    except (KeyError, ValueError) as e:
+        raise ValueError(f"reference table {table_id} is malformed: {e}") from e
+    return n, rates, phis, pat[grid[:, 0]].tolist(), phi[grid[:, 0]], values[grid]
 
 
 def appendix_reproduce(table_id: int, tolerance: float = TABLE_TOLERANCE,
@@ -224,38 +228,33 @@ def appendix_reproduce(table_id: int, tolerance: float = TABLE_TOLERANCE,
     as multisets (both sides sorted descending, then paired), because the
     source tables do not attribute those values to specific states.
     """
-    n, rates, phis, marked, unmarked = _load_table(table_id)
-    cells = sorted(marked.items())
-    (pattern, phi), _ = cells[0]
-    indices, probs = reports(RunConfig(n, pattern, phi, rates, convention=convention),
-                             phi=[p for (_, p), _ in cells], marked=[p for (p, _), _ in cells])
-    rows = []
-    for ((pat, phi), ref), ix, rest in zip(cells, indices.tolist(), probs.tolist()):
-        prefix = f"table{table_id:02d} {pat} phi={phi:g}"
-        rows.append(_row(f"{prefix} marked", ref, rest.pop(ix), tolerance))
-        pairs = zip(sorted(unmarked.get((pat, phi), ()), reverse=True), sorted(rest, reverse=True))
-        for k, (rv, cv) in enumerate(pairs):
-            rows.append(_row(f"{prefix} unmarked[{k}]", rv, cv, tolerance))
-    return ComparisonReport(tuple(rows), tolerance)
+    if table_id not in AVAILABLE_TABLES:
+        raise UnknownTable(f"no reference table {table_id}; available: {AVAILABLE_TABLES}")
+    text = resources.files("dqsa").joinpath(f"data/table{table_id:02d}.csv").read_text()
+    n, rates, _, patterns, phis, paper = _parse_table(table_id, text)
+    indices, probs = reports(RunConfig(n, patterns[0], float(phis[0]), rates,
+                                       convention=convention), phi=phis, marked=patterns)
+    hits = probs[np.arange(len(probs)), indices]
+    rest = np.sort(probs[np.arange(2**n) != indices[:, None]].reshape(len(probs), -1), axis=1)
+    computed = np.concatenate((hits[:, None], rest[:, ::-1]), axis=1)[:, :paper.shape[1]]
+    suffixes = [" marked"] + [f" unmarked[{k}]" for k in range(paper.shape[1] - 1)]
+    labels = [f"table{table_id:02d} {pat} phi={phi:g}{suffix}"
+              for pat, phi in zip(patterns, phis.tolist()) for suffix in suffixes]
+    return ComparisonReport(labels, paper.ravel(), computed.ravel(),
+                            np.full(paper.size, tolerance), tolerance)
 
 
 def comparison_to_csv(rep: ComparisonReport) -> str:
     lines = ["label,paper,computed,absdiff,pass"]
-    for r in rep.rows:
-        lines.append(f"{r.label},{r.paper!r},{r.computed!r},{r.absdiff!r},{str(r.passed).lower()}")
+    lines += [f"{label},{p!r},{c!r},{d!r},{'true' if ok else 'false'}"
+              for label, p, c, d, ok in rep.rows()]
     return "\n".join(lines) + "\n"
 
 
 def comparison_to_json(rep: ComparisonReport) -> str:
-    doc = {
-        "tolerance": rep.tolerance,
-        "all_pass": rep.all_pass,
-        "rows": [
-            {"label": r.label, "paper": r.paper, "computed": r.computed,
-             "absdiff": r.absdiff, "pass": r.passed}
-            for r in rep.rows
-        ],
-    }
+    keys = ("label", "paper", "computed", "absdiff", "pass")
+    doc = {"tolerance": rep.tolerance, "all_pass": rep.all_pass,
+           "rows": [dict(zip(keys, row)) for row in rep.rows()]}
     return json.dumps(doc, indent=2) + "\n"
 
 

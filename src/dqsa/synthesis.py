@@ -83,13 +83,13 @@ def build_hamiltonian(terms: dict, rates) -> np.ndarray:
     (damping) are <= 0.  See coupling_signs for the real part.
     """
     rates = check_rates(rates, (len(rates),))
-    return _energies(terms, coupling_signs(terms, len(rates)), rates)
+    return _energies(coupling_signs(terms, len(rates)) @ np.array(list(terms.values())), rates)
 
 
-def _energies(terms: dict, signs: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """build_hamiltonian from given signs, for checked rates (n,) or (D, n)."""
+def _energies(ising: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """build_hamiltonian from its coupling part (2^n,), for checked rates (n,) or (D, n)."""
     excited = (bits(rates.shape[-1]) @ rates[..., None])[..., 0]  # as in gates.damping_entries
-    return -(signs @ np.array(list(terms.values()))) + 1j * (-0.5 * excited)
+    return -ising + 1j * (-0.5 * excited)
 
 
 def evolve(energies: np.ndarray, phi) -> np.ndarray:
@@ -100,10 +100,10 @@ def evolve(energies: np.ndarray, phi) -> np.ndarray:
     return np.exp(-1j * energies * np.asarray(t)[..., None])
 
 
-def _realization_errors(signs: np.ndarray, pattern: str, phi, rates: np.ndarray) -> np.ndarray:
+def _realization_errors(ising: np.ndarray, pattern: str, phi, rates: np.ndarray) -> np.ndarray:
     """verify_gate_realization of D draws, phi (D,) and float rates (D, n),
-    given the coupling_signs of n qubits: shape (D,)."""
-    u = evolve(_energies(coupling_assignment(len(pattern), pattern), signs, rates), phi)
+    given the coupling part of the pattern's `_energies`: shape (D,)."""
+    u = evolve(_energies(ising, rates), phi)
     p = oracle_gate(pattern, phi, rates)
     ref = 2**len(pattern) - 1 if pattern == "g" * len(pattern) else 0
     c = u[:, ref] / p[:, ref]
@@ -117,8 +117,9 @@ def verify_gate_realization(n: int, pattern: str, phi: float, rates) -> float:
     (the all-g state, or all-e when all-g is the marked state), so the
     marked entry's phase stays an untouched test quantity.
     """
-    signs = coupling_signs(coupling_assignment(n, pattern), n)
-    return float(_realization_errors(signs, pattern, [phi], check_rates([rates], (1, n)))[0])
+    terms = coupling_assignment(n, pattern)
+    ising = coupling_signs(terms, n) @ np.array(list(terms.values()))
+    return float(_realization_errors(ising, pattern, [phi], check_rates([rates], (1, n)))[0])
 
 
 def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
@@ -128,16 +129,19 @@ def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
     each the worst verify_gate_realization of its draws.  A draw is a row of
     rng.random: phi = 2 * its first entry, in (0, 2), and the n rates, in
     [0, 1), the rest.  Draws go in blocks of at most BLOCK_AMPLITUDES // 2^n;
-    the coupling signs, alike for every pattern of n, are built once per n.
+    the coupling signs and magnitudes, alike for every pattern of n, are built
+    once per n, and a pattern's couplings are the magnitudes times its signs.
     """
     rng = np.random.default_rng(seed)
     rows = []
     for n in ns:
-        size, signs = BLOCK_AMPLITUDES // 2**n, coupling_signs(coupling_assignment(n, "g" * n), n)
-        for pattern in all_patterns(n):
+        terms, size = coupling_assignment(n, "g" * n), BLOCK_AMPLITUDES // 2**n
+        signs, magnitudes = coupling_signs(terms, n), np.abs(list(terms.values()))
+        for pattern, pattern_signs in zip(all_patterns(n), signs):
+            ising = signs @ (magnitudes * pattern_signs)
             blocks = (rng.random((min(size, draws - start), n + 1))
                       for start in range(0, draws, size))
-            worst = max(_realization_errors(signs, pattern, 2.0 * b[:, 0], b[:, 1:]).max()
+            worst = max(_realization_errors(ising, pattern, 2.0 * b[:, 0], b[:, 1:]).max()
                         for b in blocks)
             rows.append((pattern, float(worst)))
     return rows

@@ -4,17 +4,21 @@ Everything here builds full 2^n x 2^n operators with numpy.kron and applies
 them by plain matrix multiplication — deliberately the slow, obviously
 correct formulation.  It also checks gate synthesis one draw at a time,
 writes the `run` report and the reference-table rows from the per-pattern
-dict of `report`, wraps the engine's kernels (the power table and the
-materialization of product terms) and counts its calls per block for the
-tests that check them, draws random damped configs, gives the exact
-undamped marked amplitudes of the two-level picture, and builds the
-environment for tests that start a child process.
+dict of `report`, parses the reference tables into dicts line by line,
+writes comparison CSV and JSON one row at a time, wraps the engine's
+kernels (the power table and the materialization of product terms) and
+counts its calls per block for the tests that check them, draws random
+damped configs, gives the exact undamped marked amplitudes of the
+two-level picture, and builds the environment for tests that start a
+child process.
 """
 
 import cmath
 import json
 import math
 import os
+from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,7 @@ from hypothesis import strategies as st
 import dqsa
 from dqsa import search
 from dqsa.basis import all_patterns
-from dqsa.experiments import _load_table, sweep_to_csv
+from dqsa.experiments import sweep_to_csv
 from dqsa.gates import oracle_gate, tau, w_gate
 from dqsa.search import RunConfig, report
 from dqsa.synthesis import build_hamiltonian, coupling_assignment, evolve
@@ -153,11 +157,43 @@ def run_csv_by_report(config: RunConfig) -> str:
                           rep.sum_unmarked, rep.survival)])
 
 
+def table_text(table_id: int) -> str:
+    """The text of a bundled reference table."""
+    return resources.files("dqsa").joinpath(f"data/table{table_id:02d}.csv").read_text()
+
+
+def table_by_dict(table_id: int) -> tuple:
+    """(n, rates, phis, marked, unmarked) of a bundled reference table, read
+    line by line: marked maps (pattern, phi) to its value and unmarked maps
+    it to the list of its remaining-state values, in file order."""
+    meta = {}
+    marked = {}
+    unmarked = {}
+    for line in table_text(table_id).splitlines():
+        if line.startswith("#"):
+            stripped = line[1:].strip()
+            if ":" in stripped:
+                k, v = stripped.split(":", 1)
+                if k.strip() in ("n", "rates", "phis"):
+                    meta[k.strip()] = v.strip()
+        elif line and not line.startswith("pattern,"):
+            pat, phi, kind, value = line.split(",")
+            key = (pat, float(phi))
+            if kind == "marked":
+                marked[key] = float(value)
+            else:
+                unmarked.setdefault(key, []).append(float(value))
+    n = int(meta["n"])
+    rates = tuple(float(Fraction(r.strip())) for r in meta["rates"].split(","))
+    phis = tuple(float(p) for p in meta["phis"].split(","))
+    return n, rates, phis, marked, unmarked
+
+
 def appendix_rows_by_dict(table_id: int, convention: str) -> list:
     """(label, paper, computed) per row of `appendix_reproduce`, from a
     standalone `report` of each cell: its marked probability, and the values
     of its dict of remaining-state probabilities, sorted descending."""
-    n, rates, _, marked, unmarked = _load_table(table_id)
+    n, rates, _, marked, unmarked = table_by_dict(table_id)
     rows = []
     for (pattern, phi), ref in sorted(marked.items()):
         rep = report(RunConfig(n, pattern, phi, rates, convention=convention))
@@ -167,6 +203,21 @@ def appendix_rows_by_dict(table_id: int, convention: str) -> list:
                     sorted(rep.unmarked.values(), reverse=True))
         rows += [(f"{prefix} unmarked[{k}]", rv, cv) for k, (rv, cv) in enumerate(pairs)]
     return rows
+
+
+def comparison_by_rows(rows, tolerance: float) -> tuple:
+    """(CSV, JSON) of comparison rows (label, paper, computed, row tolerance),
+    each row's absdiff and verdict worked out and written on its own, with
+    ``tolerance`` as the report's."""
+    lines, docs = ["label,paper,computed,absdiff,pass"], []
+    for label, paper, computed, row_tolerance in rows:
+        diff = abs(computed - paper)
+        passed = diff <= row_tolerance
+        lines.append(f"{label},{paper!r},{computed!r},{diff!r},{str(passed).lower()}")
+        docs.append({"label": label, "paper": paper, "computed": computed,
+                     "absdiff": diff, "pass": passed})
+    doc = {"tolerance": tolerance, "all_pass": all(d["pass"] for d in docs), "rows": docs}
+    return "\n".join(lines) + "\n", json.dumps(doc, indent=2) + "\n"
 
 
 @st.composite

@@ -423,6 +423,15 @@ class TestComparisons:
         assert json.loads(out) == {"phi": phi, "rho": rho}
         assert (phi, rho) != peak_search(3, "ege", (0.5, 0.2, 0.9))
 
+    @pytest.mark.parametrize("n", ["0", "-1", "13"])
+    def test_peak_n_out_of_range_exits_1(self, capsys, n):
+        # checked before the default pattern "g" * n is built from it
+        code, out, err = run_cli(capsys, ["peak", "--n", n])
+        assert code == 1
+        assert out == ""
+        assert "--n" in err
+        assert "pattern" not in err
+
     def test_peak_unknown_convention_exits_1(self, capsys):
         code, out, err = run_cli(capsys, ["peak", "--n", "3", "--convention", "bogus"])
         assert code == 1

@@ -66,6 +66,19 @@ class TestCouplingAssignment:
                 expected = THETA * 2**n if y == index_of(pattern) else 0.0
                 assert total == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_all_g_magnitudes_times_signs(self, n):
+        # verification_sweep builds every pattern's couplings from the all-g
+        # ones: |J| times the pattern's row of coupling signs, bit for bit
+        terms = coupling_assignment(n, "g" * n)
+        signs = synthesis.coupling_signs(terms, n)
+        magnitudes = np.abs(list(terms.values()))
+        for pattern in all_patterns(n):
+            expected = coupling_assignment(n, pattern)
+            assert list(expected) == list(terms)
+            got = magnitudes * signs[index_of(pattern, n)]
+            assert got.tobytes() == np.array(list(expected.values())).tobytes()
+
     def test_unsupported_size(self):
         with pytest.raises(UnsupportedSize):
             coupling_assignment(5, "eeeee")

@@ -12,7 +12,7 @@ import sys
 from . import experiments
 from .basis import MAX_QUBITS, validate_pattern
 from .errors import DqsaError, MalformedConfig
-from .gates import CONVENTIONS, check_rates, check_reals, tau, whole_number
+from .gates import CONVENTIONS, check_rates, check_reals, tau
 from .search import RunConfig, reports, summaries
 from .synthesis import verification_sweep
 
@@ -56,33 +56,20 @@ def _grid_fields(obj, field: str):
 
 
 def config_from_dict(raw: dict):
-    """Dict form of load_config (flags merge happens before this)."""
+    """Dict form of load_config (flags merge happens before this).  This
+    checks only the schema's structure: the fields present, the grids' shape
+    and which fields go together.  RunConfig and SweepSpec check every value."""
     if not isinstance(raw, dict):
         raise MalformedConfig("config root must be a JSON object")
     unknown = set(raw) - {"n", "marked", "phi", "gammas", "iterations", "convention", "gbar"}
     if unknown:
         raise MalformedConfig(f"unknown config fields: {sorted(unknown)}")
-    try:
-        n = whole_number(raw["n"], "n")
-        marked = str(raw["marked"])
-    except KeyError as e:
-        raise MalformedConfig(f"missing required field {e.args[0]!r}") from e
-    except ValueError as e:
-        raise MalformedConfig(f"field 'n': {e}") from e
-    if "phi" not in raw:
-        raise MalformedConfig("missing required field 'phi'")
-    gammas = raw.get("gammas", [0.0] * n)
-    if not isinstance(gammas, (list, tuple)):
-        raise MalformedConfig("field 'gammas' must be a list of numbers")
-    if len(gammas) != n:
-        raise MalformedConfig(f"field 'gammas' has {len(gammas)} entries, expected n={n}")
-    try:
-        check_reals(gammas, "gammas", (n,))
-    except ValueError as e:
-        raise MalformedConfig(f"field 'gammas': {e}") from e
-    convention = raw.get("convention", "composite")
-    if convention not in CONVENTIONS:
-        raise MalformedConfig(f"field 'convention' must be one of {CONVENTIONS}")
+    for field in ("n", "marked", "phi"):
+        if field not in raw:
+            raise MalformedConfig(f"missing required field '{field}' (flag --{field} or config)")
+    gammas = raw.get("gammas", ())
+    if "gammas" in raw and not (isinstance(gammas, (list, tuple)) and gammas):
+        raise MalformedConfig("field 'gammas' must be a non-empty list of numbers")
 
     phi = raw["phi"]
     if isinstance(phi, dict) and "gbar" in raw:
@@ -90,21 +77,17 @@ def config_from_dict(raw: dict):
     if (isinstance(phi, dict) or "gbar" in raw) and "iterations" in raw:
         raise MalformedConfig("field 'iterations' is not allowed in a sweep config "
                               "(sweeps run n - 1 iterations)")
+    common = dict(n=raw["n"], marked=raw["marked"], convention=raw.get("convention", "composite"))
     try:
         if isinstance(phi, dict):
             start, stop, steps = _grid_fields(phi, "phi")
-            return experiments.SweepSpec(
-                n=n, marked=marked, axis="phase", start=start, stop=stop,
-                steps=steps, rates=gammas, convention=convention)
+            return experiments.SweepSpec(axis="phase", start=start, stop=stop, steps=steps,
+                                         rates=gammas, **common)
         if "gbar" in raw:
             start, stop, steps = _grid_fields(raw["gbar"], "gbar")
-            return experiments.SweepSpec(
-                n=n, marked=marked, axis="dissipation", start=start, stop=stop,
-                steps=steps, phi=phi, weights=gammas if "gammas" in raw else (),
-                convention=convention)
-        return RunConfig(n=n, marked=marked, phi=phi, rates=gammas,
-                         iterations=raw.get("iterations"),
-                         convention=convention)
+            return experiments.SweepSpec(axis="dissipation", start=start, stop=stop,
+                                         steps=steps, phi=phi, weights=gammas, **common)
+        return RunConfig(phi=phi, rates=gammas, iterations=raw.get("iterations"), **common)
     except MalformedConfig:
         raise
     except (DqsaError, ValueError, TypeError) as e:
@@ -165,10 +148,6 @@ def _merged_config(args):
         raw["gammas"] = list(_parse_gammas(args.gammas))
     if getattr(args, "iterations", None) is not None:
         raw["iterations"] = args.iterations
-    if "marked" in raw:
-        validate_pattern(str(raw["marked"]))
-    if "phi" not in raw:
-        raise MalformedConfig("missing required field 'phi' (flag --phi or config)")
     return config_from_dict(raw)
 
 

@@ -16,10 +16,9 @@ from importlib import resources
 
 import numpy as np
 
-from .basis import all_patterns, validate_pattern
+from .basis import all_patterns
 from .errors import UnknownTable, UnsupportedSize
-from .gates import (check_convention, check_phi, check_rates, check_reals, tau, unset,
-                    whole_number)
+from .gates import check_rates, check_reals, tau, unset, whole_number
 from .search import RunConfig, reports, summaries
 
 # Reference summary row per size: the peak phase coefficient phi_p, the peak
@@ -106,7 +105,7 @@ def peak_search(n: int, marked: str, rates=(), convention: str = "composite") ->
     grid = [k * 1e-3 for k in range(1, 1001)]
     config = RunConfig(n, marked, 1.0, rates, convention=convention)
     rhos = [rho for rho, _, _ in summaries(config, phi=grid)]
-    best = max(range(len(grid)), key=lambda i: (rhos[i], -i))
+    best = int(np.argmax(rhos))
     phi0, rho0 = grid[best], rhos[best]
     if 0 < best < len(grid) - 1:
         ym, y0, yp = rhos[best - 1], rhos[best], rhos[best + 1]
@@ -154,19 +153,24 @@ class SweepSpec:
             raise ValueError(f"phase grid must lie in [0, 2], got [{self.start}, {self.stop}]")
         if self.axis == "dissipation" and not self.start <= self.stop < 4:
             raise ValueError(f"rate grid must lie in [0, 4), got [{self.start}, {self.stop}]")
-        n = whole_number(self.n, "n")
+        config = self.config()  # checks n, the pattern, the rates or phi, the convention
         if self.axis == "phase":
-            rates = check_rates((0.0,) * n if unset(self.rates) else self.rates, (n,))
-            object.__setattr__(self, "rates", tuple(rates.tolist()))
+            object.__setattr__(self, "rates", config.rates)
         else:
-            object.__setattr__(self, "phi", check_phi(1.0 if self.phi is None else self.phi))
-            weights = (1.0,) * n if unset(self.weights) else self.weights
-            weights = check_reals(weights, "rate weights", (n,))
+            object.__setattr__(self, "phi", config.phi)
+            weights = (1.0,) * config.n if unset(self.weights) else self.weights
+            weights = check_reals(weights, "rate weights (gammas)", (config.n,))
             object.__setattr__(self, "weights", tuple(weights.tolist()))
-        validate_pattern(self.marked, n)
-        check_convention(self.convention)
-        if self.axis == "dissipation":
             check_rates(self.stop * max(self.weights), name="gbar stop times weight")
+
+    def config(self) -> RunConfig:
+        """The `RunConfig` the sweep's runs share: a phase sweep's rates, or a
+        dissipation sweep's phi, with n, the pattern and the convention."""
+        if self.axis == "phase":
+            return RunConfig(self.n, self.marked, self.start, self.rates,
+                             convention=self.convention)
+        return RunConfig(self.n, self.marked, 1.0 if self.phi is None else self.phi,
+                         convention=self.convention)
 
     def grid(self) -> list:
         step = (self.stop - self.start) / (self.steps - 1)
@@ -180,13 +184,11 @@ def sweep(spec: SweepSpec) -> list:
     a dissipation sweep gives (gbar, phi, tau, marked_prob, sum_unmarked,
     survival) rows, with rates gbar * weights.
     """
-    grid = spec.grid()
+    grid, config = spec.grid(), spec.config()
     if spec.axis == "phase":
-        config = RunConfig(spec.n, spec.marked, spec.start, spec.rates, convention=spec.convention)
         samples = summaries(config, phi=grid)
         keys = [(phi, tau(phi, spec.n)) for phi in grid]
     else:
-        config = RunConfig(spec.n, spec.marked, spec.phi, convention=spec.convention)
         samples = summaries(config, rates=[[g * w for w in spec.weights] for g in grid])
         keys = [(g, spec.phi, tau(spec.phi, spec.n)) for g in grid]
     return [(*key, *sample) for key, sample in zip(keys, samples)]

@@ -54,9 +54,8 @@ def check_reals(values, name: str, shape: tuple = (), negative=ValueError, below
     float64 array of ``shape``, if each is an int or float (not a bool, also
     inside a list; an int only below 2**64, as numpy holds it), finite, >= 0
     (else ``negative`` is raised) and < ``below`` (else OverdampedQubit).
+    A scalar and an array take the same path, through one numpy array.
     Each error message names ``name``."""
-    if type(values) in (float, int) and not shape and 0 <= values < below and values < 2**63:
-        return float(values)  # a float, or an int within int64, skips numpy
     try:
         array = np.asarray(values)
     except ValueError:  # nested sequences of unequal lengths

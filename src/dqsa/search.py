@@ -74,7 +74,8 @@ class RunConfig:
 
     def __post_init__(self):
         validate_pattern(self.marked, whole_number(self.n, "n"))
-        rates = check_rates((0.0,) * self.n if unset(self.rates) else self.rates, (self.n,))
+        rates = check_rates((0.0,) * self.n if unset(self.rates) else self.rates, (self.n,),
+                            "rates (gammas)")
         object.__setattr__(self, "rates", tuple(rates.tolist()))
         object.__setattr__(self, "phi", check_phi(self.phi))
         if self.iterations is None:
@@ -99,9 +100,8 @@ class ProbabilityReport:
         return self.survival - self.marked_prob
 
 
-def points_per_block(n: int, iterations: int | None = None) -> int:
-    """Runs per engine block at register size n (``iterations`` defaults to
-    n - 1).
+def points_per_block(n: int, iterations: int) -> int:
+    """Runs per engine block at register size n and ``iterations`` rounds.
 
     The budget counts what a run holds: its 2^n amplitudes, the T*(2^h +
     2^(n-h)) entries of its two half tables (T = 2*iterations + 1 terms,
@@ -109,7 +109,7 @@ def points_per_block(n: int, iterations: int | None = None) -> int:
     the arrays of the recurrence, and RUN_ENTRIES for its share of the
     block's Python objects.
     """
-    terms = 2 * (max(1, n - 1) if iterations is None else iterations) + 1
+    terms = 2 * iterations + 1
     held = 2**n + terms * (2 ** (n // 2) + 2 ** (n - n // 2) + 6 * n + 16) + RUN_ENTRIES
     return max(1, BLOCK_AMPLITUDES // held)
 

@@ -191,7 +191,7 @@ def test_criterion_8_sweep_performance_and_determinism(monkeypatch):
     second = sweep_to_csv(sweep(spec))
     # a grid of one whole engine block plus a one-point last block, row by
     # row against standalone reports
-    steps = points_per_block(9) + 1
+    steps = points_per_block(9, 8) + 1
     blocks = record_blocks(monkeypatch)
     split_spec = SweepSpec(n=9, marked="e" * 9, axis="phase", start=0.001, stop=2.0,
                            steps=steps)

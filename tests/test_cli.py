@@ -200,6 +200,19 @@ class TestRun:
         assert "too large" in err
         assert len(err) < 160
 
+    @pytest.mark.parametrize("n", [-2**63 - 1, 2**63, 10**9])
+    def test_n_beyond_int64_exits_1(self, capsys, tmp_path, n):
+        # n is checked against the pattern before anything is sized by it,
+        # so no list of n rates is built and no int64 bound is met
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": n, "marked": "ee", "phi": 1.0}))
+        for argv in (["run", "--config", str(path)],
+                     ["run", f"--n={n}", "--marked", "ee", "--phi", "1"]):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 1
+            assert out == ""
+            assert f"n={n}" in err
+
     def test_grid_phi_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["run", "--n", "2", "--marked", "ee",
                                         "--phi", "0:1:5"])

@@ -364,7 +364,7 @@ class TestProductEngine:
         # a row of a full block is bitwise the run evolved alone, under each
         # convention
         rng = np.random.default_rng(9)
-        b = points_per_block(9)
+        b = points_per_block(9, 8)
         for convention in ("composite", "tabulated"):
             config = RunConfig(9, "g" * 9, 1.0, convention=convention)
             patterns = ["".join(rng.choice(["g", "e"], 9)) for _ in range(b)]

@@ -67,6 +67,9 @@ def config_from_dict(raw: dict):
     for field in ("n", "marked", "phi"):
         if field not in raw:
             raise MalformedConfig(f"missing required field '{field}' (flag --{field} or config)")
+    for field in ("phi", "iterations"):  # the classes would read a null as unset
+        if field in raw and raw[field] is None:
+            raise MalformedConfig(f"field '{field}' must not be null")
     gammas = raw.get("gammas", ())
     if "gammas" in raw and not (isinstance(gammas, (list, tuple)) and gammas):
         raise MalformedConfig("field 'gammas' must be a non-empty list of numbers")

@@ -45,15 +45,14 @@ from .basis import all_patterns, bits, index_of, validate_pattern
 from .errors import DimensionMismatch
 from .gates import check_convention, check_phi, check_rates, tau, unset, w_gate, whole_number
 
-# Array entries per block, as points_per_block counts them: 25 points at
-# n=9, 7 at n=12 with 11 iterations.  Counted so, a run's tracemalloc peak
-# was 10-25 bytes per entry at n=1-12 and 1-60 iterations, and the peak of
-# `summaries` on the TestMemory grids 0.78-1.10 MiB.  On a 2-core x86-64 VM,
-# `summaries` of a 1000-point n=9 sweep took 166 / 101 / 67-93 / 77 ms at
-# 2^14 / 2^15 / 2^16 / 2^17 (medians of 30 interleaved runs), and the
-# benchmark's sweep-n9 op_s.p50 was 0.032 s at 2^16 against 0.041 s at 2^15
-# in 3 of 3 pairs, with reproduce level.  2^16 is kept.
-BLOCK_AMPLITUDES = 2**16
+# Array entries per block, as points_per_block counts them: 50 points at
+# n=9, 14 at n=12 with 11 iterations.  Counted so, the tracemalloc peak of
+# `summaries` on the TestMemory grids was 1.4-2.2 MiB.  On a 2-core x86-64
+# VM the benchmark's sweep-n9 op_s.p50 was 0.0172 s against 0.0218 s at
+# 2^16 (medians of 10 alternating pairs, 10 of 10 faster), with peak RSS
+# level; reproduce's peak RSS rose 2.3%.  At 2^18 it rose 4.8%, near the
+# benchmark's 5% bound, and the n=6 grid peaked at 4.3 MiB.
+BLOCK_AMPLITUDES = 2**17
 RUN_ENTRIES = 64
 
 

@@ -128,14 +128,16 @@ def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
     Returns a list of (pattern, worst deviation) rows in deterministic order,
     each the worst verify_gate_realization of its draws.  A draw is a row of
     rng.random: phi = 2 * its first entry, in (0, 2), and the n rates, in
-    [0, 1), the rest.  Draws go in blocks of at most BLOCK_AMPLITUDES // 2^n;
-    the coupling signs and magnitudes, alike for every pattern of n, are built
-    once per n, and a pattern's couplings are the magnitudes times its signs.
+    [0, 1), the rest.  Draws go in blocks of the engine's budget,
+    BLOCK_AMPLITUDES entries, where a draw holds two rows of 2^n: its
+    evolution U and its oracle P.  The coupling signs and magnitudes, alike
+    for every pattern of n, are built once per n, and a pattern's couplings
+    are the magnitudes times its signs.
     """
     rng = np.random.default_rng(seed)
     rows = []
     for n in ns:
-        terms, size = coupling_assignment(n, "g" * n), BLOCK_AMPLITUDES // 2**n
+        terms, size = coupling_assignment(n, "g" * n), BLOCK_AMPLITUDES // 2 ** (n + 1)
         signs, magnitudes = coupling_signs(terms, n), np.abs(list(terms.values()))
         for pattern, pattern_signs in zip(all_patterns(n), signs):
             ising = signs @ (magnitudes * pattern_signs)
@@ -147,32 +149,21 @@ def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
     return rows
 
 
-def _expm2(m: np.ndarray) -> np.ndarray:
-    """exp of a 2x2 complex matrix via the trace/traceless split."""
-    mu = (m[0, 0] + m[1, 1]) / 2.0
-    a = m - mu * np.eye(2)
-    delta = a[0, 0] * a[0, 0] + a[0, 1] * a[1, 0]  # a^2 = delta * I
-    s = np.sqrt(delta + 0j)
-    if abs(s) < 1e-8:
-        # sinh(s)/s by series; cosh likewise
-        ratio = 1.0 + delta / 6.0 + delta * delta / 120.0
-        ch = 1.0 + delta / 2.0 + delta * delta / 24.0
-    else:
-        ratio = np.sinh(s) / s
-        ch = np.cosh(s)
-    return np.exp(mu) * (ch * np.eye(2) + ratio * a)
-
-
 def v1_gate(duration: float) -> np.ndarray:
     """Bare sigma-z pulse exp(+i * duration * sigma_z)."""
     return np.diag([np.exp(-1j * duration), np.exp(1j * duration)]).astype(np.complex128)
 
 
 def v2_gate(duration: float, g: float) -> np.ndarray:
-    """Rotated damped pulse exp(-i * H * duration), H = sigma_x - i(g/2)|e><e|."""
+    """Rotated damped pulse exp(-i * H * duration), H = sigma_x - i(g/2)|e><e|.
+
+    A = H + (ig/4) I squares to xi^2 I (gates.xi_factor), so exp(-iHt) =
+    e^{-gt/4} (cos(xi t) I - i sin(xi t)/xi A), with xi > 0 for g < 4."""
     g = check_rates(g)
-    h = np.array([[0.0, 1.0], [1.0, -0.5j * g]], dtype=np.complex128)
-    return _expm2(-1j * duration * h)
+    xi = xi_factor(g)
+    a = np.array([[0.25j * g, 1.0], [1.0, -0.25j * g]])
+    return math.exp(-0.25 * g * duration) * (
+        math.cos(xi * duration) * np.eye(2) - 1j * math.sin(xi * duration) / xi * a)
 
 
 def compose_w(g: float) -> np.ndarray:

@@ -81,11 +81,12 @@ CASES = [
     (kind, "convention", BAD_CONVENTION, "convention", None) for kind in BASE
 ] + [
     ("run", "phi", bad_reals, "phi", "phi"),
-    ("gbar", "phi", bad_reals.filter(lambda v: v is not None), "phi", "phi"),  # null: default 1
+    ("gbar", "phi", bad_reals, "phi", "phi"),
     ("run", "gammas", bad_gammas(), "gammas|rates", "gammas|rates"),
     ("phase", "gammas", bad_gammas(), "gammas|rates", "gammas|rates"),
     ("gbar", "gammas", bad_gammas(overdamped=False), "gammas", "gammas"),
-    ("run", "iterations", bad_counts | st.integers(max_value=0), "iterations", "iterations"),
+    ("run", "iterations", bad_counts | st.none() | st.integers(max_value=0), "iterations",
+     "iterations"),
     ("phase", "start", bad_reals, "phi start", "phi"),
     ("phase", "stop", bad_reals, "phi stop", "phi"),
     ("phase", "steps", bad_counts | st.none() | st.integers(max_value=1), "steps", "steps|--phi"),
@@ -169,7 +170,8 @@ def test_bad_value_rejected_by_every_route(workdir, kind, field, values, config_
     if (kind, field) in (("phase", "phi"), ("gbar", "gbar")):
         return  # a grid object has no constructor argument
     key = {"run": "rates", "phase": "rates", "gbar": "weights"}[kind] if field == "gammas" else field
-    if key in ("rates", "weights") and value in (None, []):
+    unset_by_none = ("rates", "weights", "iterations") + (("phi",) if kind == "gbar" else ())
+    if value is None and key in unset_by_none or value == [] and key in ("rates", "weights"):
         return  # the constructors read these as unset: only the schema rejects them
     with pytest.raises((ValueError, DqsaError)):
         CONSTRUCTOR[kind](**{key: value})

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dqsa import search
 from dqsa.basis import index_of
 from dqsa.errors import (
     DimensionMismatch,
@@ -403,11 +404,37 @@ class TestEngineCalls:
         assert calls == [1] and calls.materialized == []
 
 
+class TestBudget:
+    # a row does not depend on the width of its block, so every budget gives
+    # the same bytes, in ceil(B / points_per_block) blocks: one-point blocks
+    # at 2^12, and 25 against 50 points at n=9 (2 against 5 at n=12, k=50)
+    # at 2^16 and 2^17
+    @pytest.mark.parametrize("entry", [summaries, reports])
+    @pytest.mark.parametrize("n,iterations,points", [(9, 8, 1000), (12, 50, 5)])
+    def test_output_does_not_depend_on_the_budget(self, monkeypatch, entry, n, iterations,
+                                                  points):
+        rng = np.random.default_rng(n)
+        config = RunConfig(n, "eg" * (n // 2) + "e" * (n % 2), 1.0, iterations=iterations)
+        phi, rates = np.linspace(0.001, 2.0, points), rng.uniform(0.0, 1.0, (points, n))
+        outputs = []
+        for budget in (2**12, 2**16, 2**17):
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "BLOCK_AMPLITUDES", budget)
+                size = points_per_block(n, iterations)
+                calls = record_blocks(patch)
+                out = entry(config, phi=phi, rates=rates)
+            assert len(calls) == math.ceil(points / size)
+            assert calls == [min(size, points - lo) for lo in range(0, points, size)]
+            parts = out if entry is reports else [out]
+            outputs.append(b"".join(np.asarray(part).tobytes() for part in parts))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 class TestMemory:
     # A block's budget counts each run's amplitudes, half tables, power
-    # table and recurrence entries (see points_per_block); its peak stayed
-    # at or below 1.1 MiB on every grid here, and at 0.93 MiB at n=12 with
-    # 50 iterations.
+    # table and recurrence entries (see points_per_block); at 2^17 entries
+    # its peak was 1.4-2.2 MiB on the grids here (n=2 lowest), and 1.7 MiB
+    # at n=12 with 50 iterations.
     @pytest.mark.parametrize("n,points", [(2, 1000), (3, 1000), (4, 1000), (6, 1000),
                                           (9, 1000), (12, 40)])
     def test_summaries_peak_is_bounded(self, n, points):

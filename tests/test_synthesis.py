@@ -179,19 +179,32 @@ class TestHamiltonian:
     @pytest.mark.parametrize("rows", [1, 3, 7, 20])
     def test_block_size_does_not_change_rows(self, monkeypatch, rows):
         # blocks of `rows` draws at n=4 (more at n=2 and 3), the last one short
-        monkeypatch.setattr(synthesis, "BLOCK_AMPLITUDES", 16 * rows)
+        monkeypatch.setattr(synthesis, "BLOCK_AMPLITUDES", 32 * rows)
         assert verification_sweep(draws=20, seed=7) == per_draw_sweep(draws=20, seed=7)
 
     def test_second_block_at_full_size(self, monkeypatch):
         # one draw more than a block holds at n=4 against all draws in one block
-        draws = BLOCK_AMPLITUDES // 16 + 1
+        draws = BLOCK_AMPLITUDES // 32 + 1
         blocked = verification_sweep(ns=(4,), draws=draws, seed=20240)
-        monkeypatch.setattr(synthesis, "BLOCK_AMPLITUDES", 16 * draws)
+        monkeypatch.setattr(synthesis, "BLOCK_AMPLITUDES", 32 * draws)
         assert blocked == verification_sweep(ns=(4,), draws=draws, seed=20240)
 
+    @pytest.mark.parametrize("n,size", [(2, 16384), (3, 8192), (4, 4096)])
+    def test_draws_per_block(self, monkeypatch, n, size):
+        # a draw counts its two rows of 2^n, U and P, against the engine's budget
+        sizes, errors = [], synthesis._realization_errors
+
+        def spy(ising, pattern, phi, rates):
+            sizes.append(len(phi))
+            return errors(ising, pattern, phi, rates)
+
+        monkeypatch.setattr(synthesis, "_realization_errors", spy)
+        verification_sweep(ns=(n,), draws=size + 1, seed=7)
+        assert sizes == [size, 1] * 2**n
+
     def test_sweep_peak_is_bounded(self):
-        # a block of BLOCK_AMPLITUDES // 16 draws peaked at 4.4 MiB; the
-        # 20000 draws in one block took 21 MiB
+        # a block of 4096 draws at n=4 peaked at 4.3 MiB after a first call
+        # (5.0 MiB on it); the 20000 draws in one block took 21 MiB
         tracemalloc.start()
         try:
             verification_sweep(ns=(4,), draws=20000)
@@ -228,6 +241,15 @@ class TestPulses:
         h = np.array([[0, 1], [1, -0.5j * g]], dtype=complex)
         ref = scipy.linalg.expm(-1j * duration * h)
         np.testing.assert_allclose(v2_gate(duration, g), ref, atol=1e-12)
+
+    @pytest.mark.parametrize("longest", [10.0, 2e-9])
+    def test_v2_closed_form_matches_expm(self, longest):
+        # durations up to 10, and near 1e-9, where sin(xi t)/xi ~ t
+        rng = np.random.default_rng(17)
+        for g, duration in zip(rng.uniform(0.0, 4.0, 500), rng.uniform(0.0, longest, 500)):
+            h = np.array([[0, 1], [1, -0.5j * g]], dtype=complex)
+            ref = scipy.linalg.expm(-1j * duration * h)
+            assert np.max(np.abs(v2_gate(duration, g) - ref)) <= 1e-14
 
     def test_v2_overdamped_rejected(self):
         with pytest.raises(OverdampedQubit):

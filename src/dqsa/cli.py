@@ -133,8 +133,11 @@ def _parse_phi_grid(text: str):
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:  # a missing directory, a directory, no permission
+            raise ValueError(f"--out: {e}") from None
     else:
         sys.stdout.write(text)
 

@@ -19,13 +19,15 @@ T = 2k + 1 product terms (Vidal, PRL 91, 147902 (2003)).  The engine
 tabulates M_v^j u for j = 0..2k and the three start vectors u (W_v e_0,
 e_{x_v} and e_0), takes each term's amplitudes at x and at 0 from products
 of that table over the qubits, and gets the coefficients c_t from a scalar
-recurrence over those amplitudes.  The terms are the engine's product:
-`_terms` returns the coefficients (B, T), the vectors u (n, 2, T, B) and the
+recurrence over those amplitudes.  W_v, a damped Hadamard, and d_v are real,
+so every table of vectors is real (float64), and only the phases make the
+recurrence and the c_t complex.  The terms are the engine's product:
+`_terms` returns the coefficients (B, T), the vectors u (n, 2, B, T) and the
 recurrence's amplitudes (B, T), which hold the marked amplitude after every
 round, so `marked_amplitude_trace` reads them and builds no state.  Only
-`_materialize` builds the 2^n amplitudes, in one batched matrix product of
-two half Kronecker tables.  A run costs T*2^n multiply-adds for its
-amplitudes and O(T^2) for the recurrence.
+`_materialize` builds the 2^n amplitudes, in one real batched matrix
+product of two half Kronecker tables.  A run costs 2*T*2^n real
+multiply-adds for its amplitudes and O(T^2) for the recurrence.
 
 A batch is one `RunConfig` (n, iteration count, convention) plus per-run
 arrays of phases, rates and marked patterns.  Its runs evolve together in
@@ -45,13 +47,13 @@ from .basis import all_patterns, bits, index_of, validate_pattern
 from .errors import DimensionMismatch
 from .gates import check_convention, check_phi, check_rates, tau, unset, w_gate, whole_number
 
-# Array entries per block, as points_per_block counts them: 50 points at
-# n=9, 14 at n=12 with 11 iterations.  Counted so, the tracemalloc peak of
-# `summaries` on the TestMemory grids was 1.4-2.2 MiB.  On a 2-core x86-64
-# VM the benchmark's sweep-n9 op_s.p50 was 0.0172 s against 0.0218 s at
-# 2^16 (medians of 10 alternating pairs, 10 of 10 faster), with peak RSS
-# level; reproduce's peak RSS rose 2.3%.  At 2^18 it rose 4.8%, near the
-# benchmark's 5% bound, and the n=6 grid peaked at 4.3 MiB.
+# 16-byte units per block, as points_per_block counts them: 52 points at
+# n=9, 12 at n=12 with 11 iterations.  Counted so, the tracemalloc peak of
+# `summaries` on the TestMemory grids was 0.9-1.6 MiB.  Smaller blocks are
+# slower: on a 2-core x86-64 VM the benchmark's sweep-n9 op_s.p50 was
+# 0.0218 s at 2^16 complex entries against 0.0172 s at 2^17.  Larger ones
+# cost memory: at 2^18 reproduce's peak RSS rose 4.8%, near the benchmark's
+# 5% bound, and the n=6 grid peaked at 4.3 MiB.
 BLOCK_AMPLITUDES = 2**17
 RUN_ENTRIES = 64
 
@@ -102,15 +104,15 @@ class ProbabilityReport:
 def points_per_block(n: int, iterations: int) -> int:
     """Runs per engine block at register size n and ``iterations`` rounds.
 
-    The budget counts what a run holds: its 2^n amplitudes, the T*(2^h +
-    2^(n-h)) entries of its two half tables (T = 2*iterations + 1 terms,
-    h = n//2), its slice of the power table, 6*n*T entries, 16*T entries for
-    the arrays of the recurrence, and RUN_ENTRIES for its share of the
-    block's Python objects.
-    """
-    terms = 2 * iterations + 1
-    held = 2**n + terms * (2 ** (n // 2) + 2 ** (n - n // 2) + 6 * n + 16) + RUN_ENTRIES
-    return max(1, BLOCK_AMPLITUDES // held)
+    The budget counts what a run holds in 16-byte units, a complex entry or
+    two real ones: 1.5*2^n for its amplitudes and probabilities; per term
+    (T = 2*iterations + 1, h = n//2) 2^(n-h) for the right half table times
+    (Re c, Im c), half of 2^h + 2^(n-h) + 6*n for the real half tables and
+    power table, and 16 for the recurrence; and RUN_ENTRIES for its share
+    of the block's Python objects."""
+    terms, low, high = 2 * iterations + 1, 2 ** (n // 2), 2 ** (n - n // 2)
+    held = 1.5 * 2**n + terms * (1.5 * high + 0.5 * low + 3 * n + 16) + RUN_ENTRIES
+    return max(1, int(BLOCK_AMPLITUDES // held))
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray, out=None) -> np.ndarray:
@@ -122,15 +124,15 @@ def _matvec(mats: np.ndarray, vecs: np.ndarray, out=None) -> np.ndarray:
 
 
 def _powers(mats: np.ndarray, vecs: np.ndarray, count: int) -> np.ndarray:
-    """M^j u for j = 0..count-1, shape (2, count, S, n, B).
+    """M^j u for j = 0..count-1, real, shape (2, count, S, n, B).
 
-    ``mats`` holds one 2x2 gate M per qubit and run, shape (2, 2, n, B), and
-    ``vecs`` S start vectors u per qubit and run, shape (2, S, n, B).  The
-    table doubles in length per step: the powers M^m..M^(2m-1) come from
-    M^m times the first m, so it takes ceil(log2(count)) steps.
+    ``mats`` holds one real 2x2 gate M per qubit and run, (2, 2, n, B), and
+    ``vecs`` S real start vectors u per qubit and run, (2, S, n, B); complex
+    ones raise.  The table doubles in length per step: the powers
+    M^m..M^(2m-1) come from M^m times the first m, in ceil(log2(count)) steps.
     """
-    table = np.empty((2, count) + vecs.shape[1:], dtype=np.complex128)
-    table[:, 0] = vecs
+    table = np.empty((2, count) + vecs.shape[1:])
+    np.copyto(table[:, 0], vecs)
     power, done = mats, 1
     while done < count:
         new = min(done, count - done)
@@ -142,27 +144,30 @@ def _powers(mats: np.ndarray, vecs: np.ndarray, count: int) -> np.ndarray:
 
 
 def _kron(vecs: np.ndarray) -> np.ndarray:
-    """Kronecker products over qubits of ``vecs`` (q, 2, T, B), first qubit
-    most significant: shape (2^q, T, B)."""
-    table = np.ones((1,) + vecs.shape[2:], dtype=np.complex128)
-    for u in vecs:
-        table = (table[:, None] * u).reshape(-1, *vecs.shape[2:])
-    return table
+    """Kronecker products over qubits of the real ``vecs`` (q, 2, B, T), first
+    qubit most significant: shape (2^q, B, T).  Each half is built first, so
+    no intermediate has more than 2^ceil(q/2) entries per term and run."""
+    if len(vecs) < 2:
+        return vecs[0] if len(vecs) else np.ones((1,) + vecs.shape[2:])
+    half = len(vecs) // 2
+    return (_kron(vecs[:half])[:, None] * _kron(vecs[half:])).reshape(-1, *vecs.shape[2:])
 
 
 def _materialize(coeffs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Amplitudes of sum_t c_t (x)_v u_{t,v} per run, shape (B, 2^n).
+    """Amplitudes of sum_t c_t (x)_v u_{t,v} per run, complex (B, 2^n).
 
-    ``coeffs`` is (B, T) and ``vecs`` (n, 2, T, B).  The Kronecker tables of
-    the first h = n//2 qubits, weighted by c, and of the rest, (B, 2^h, T)
-    and (B, T, 2^(n-h)), meet in one batched matrix product.
+    ``coeffs`` is complex (B, T) and ``vecs`` real (n, 2, B, T); complex
+    vectors raise.  The real Kronecker table of the first h = n//2 qubits,
+    (B, 2^h, T), meets that of the rest with (Re c_t, Im c_t) as a last
+    factor, (B, T, 2^(n-h)*2), in one real batched matrix product, whose
+    pairs are the amplitudes.  Neither table is copied: as views with T
+    contiguous, BLAS reads both.
     """
-    n, _, _, b = vecs.shape
-    left = _kron(vecs[:n // 2])
-    left *= coeffs.T
-    left = np.ascontiguousarray(left.transpose(2, 0, 1))
-    right = np.ascontiguousarray(_kron(vecs[n // 2:]).transpose(2, 1, 0))
-    return (left @ right).reshape(b, -1)
+    n, _, b, _ = vecs.shape
+    left = _kron(vecs[:n // 2]).transpose(1, 0, 2)
+    pairs = np.stack((coeffs.real, coeffs.imag))[None]
+    right = _kron(np.concatenate((vecs[n // 2:], pairs))).transpose(1, 2, 0)
+    return np.matmul(left, right, dtype=np.float64).view(np.complex128).reshape(b, -1)
 
 
 def _batch(config, phi=None, rates=None, marked=None):
@@ -183,13 +188,13 @@ def _batch(config, phi=None, rates=None, marked=None):
 def _terms(config, marked, phi, rates) -> tuple:
     """A block of runs after k rounds as its T = 2k + 1 product terms: the
     coefficients (B, T), global phase e^{i k beta} included, and per-qubit
-    vectors (n, 2, T, B), as `_materialize` takes them; and the recurrence's
+    vectors (n, 2, B, T), as `_materialize` takes them; and the recurrence's
     amplitudes (B, T) at the phase events, where column 2j is the marked
     amplitude after j rounds less its phase e^{i j beta}.  ``config`` gives
     n, k and the convention, the arrays (see `_batch`) each run's values."""
     n, k = config.n, config.iterations
     b, t = len(phi), 2 * k + 1
-    w = w_gate(rates, config.convention).transpose(2, 3, 1, 0)
+    w = w_gate(rates, config.convention).real.transpose(2, 3, 1, 0)
     beta = np.pi * phi
     m = w.copy()
     m[:, 1] = w[:, 1] * np.exp(-0.5 * tau(phi, n) * rates.T)
@@ -197,21 +202,18 @@ def _terms(config, marked, phi, rates) -> tuple:
     # Start vectors per qubit: W_v e_0 (the first term), e_{x_v} (each
     # x-phase term) and e_0 (each 0-phase term).
     x = bits(n, marked).T.astype(bool)
-    start = np.zeros((2, 3, n, b), dtype=np.complex128)
+    start = np.zeros((2, 3, n, b))
     start[:, 0] = w[:, 0]
     start[1, 1] = x
     start[0, 1] = ~x
     start[0, 2] = 1.0
     table = _powers(m, start, t)
     # Amplitude at x and at 0 of each start vector after j layers, (t, 3, B).
-    # The product over qubits is a loop of elementwise multiplies: numpy's
-    # multiply-reduce loop rounds complex products unlike its elementwise
-    # loop, and which of the two `prod` runs depends on strides that change
-    # with the block size, so a one-point block could round unlike a wider
-    # one.  Likewise numpy multiplies a one-element array in place with
-    # scalar arithmetic, so the per-run columns below are updated out of
-    # place (the in-place updates of _powers and _materialize act on at
-    # least three entries per run).
+    # The product over qubits is a loop of elementwise multiplies, in qubit
+    # order: a `prod` picks its loop, and so its rounding, by strides that
+    # change with the block size.  Likewise numpy multiplies a one-element
+    # complex array in place with scalar arithmetic, so the per-run columns
+    # of the recurrence below are updated out of place.
     at_x, at_0 = np.where(x[0], table[1, :, :, 0], table[0, :, :, 0]), table[0, :, :, 0]
     for v in range(1, n):
         at_x = at_x * np.where(x[v], table[1, :, :, v], table[0, :, :, v])
@@ -244,7 +246,7 @@ def _terms(config, marked, phi, rates) -> tuple:
     ages = t - 1 - np.maximum(np.arange(t) - 1, 0)
     kinds = 2 - np.arange(t) % 2
     kinds[0] = 0
-    table = np.moveaxis(table, 3, 0)[:, :, ages, kinds]
+    table = np.moveaxis(table, (3, 4), (0, 2))[..., ages, kinds]
     coeffs = np.ones((b, t), dtype=np.complex128)
     coeffs[:, 1:] = alpha * amps[:, :-1]
     return coeffs * np.exp(1j * k * beta)[:, None], table, amps
@@ -252,13 +254,16 @@ def _terms(config, marked, phi, rates) -> tuple:
 
 def _blocks(config, phi, rates, marked):
     """Yield (marked indices, probabilities) per block of the batch;
-    probabilities is (B, 2^n)."""
+    probabilities is (B, 2^n), each re^2 + im^2 of its amplitude."""
     marked, phi, rates = _batch(config, phi, rates, marked)
     size = points_per_block(config.n, config.iterations)
     for lo in range(0, len(phi), size):
         rows = slice(lo, lo + size)
         coeffs, vecs, _ = _terms(config, marked[rows], phi[rows], rates[rows])
-        yield marked[rows], np.abs(_materialize(coeffs, vecs)) ** 2
+        probs = _materialize(coeffs, vecs).view(np.float64)
+        probs *= probs
+        probs = probs[:, ::2] + probs[:, 1::2]  # rebound: no amplitudes live across the yield
+        yield marked[rows], probs
 
 
 def summaries(config: RunConfig, phi=None, rates=None, marked=None) -> list:

@@ -233,10 +233,10 @@ def damped_configs(draw):
 
 def random_terms(rng: np.random.Generator, n: int, b: int = 1, t: int = 3):
     """Random sums of ``t`` product states for ``b`` runs, in the engine's
-    layout: coefficients (b, t) and per-qubit vectors (n, 2, t, b), scaled so
-    that each run's state has norm 1."""
+    layout and domain: complex coefficients (b, t) and real per-qubit vectors
+    (n, 2, b, t), scaled so that each run's state has norm 1."""
     coeffs = rng.normal(size=(b, t)) + 1j * rng.normal(size=(b, t))
-    vecs = rng.normal(size=(n, 2, t, b)) + 1j * rng.normal(size=(n, 2, t, b))
+    vecs = rng.normal(size=(n, 2, b, t))
     norms = np.linalg.norm(dense_terms(coeffs, vecs), axis=1)
     return coeffs / norms[:, None], vecs
 
@@ -244,33 +244,35 @@ def random_terms(rng: np.random.Generator, n: int, b: int = 1, t: int = 3):
 def dense_terms(coeffs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """sum_t c_t u_{t,1} x ... x u_{t,n} per run, built with numpy.kron,
     shape (B, 2^n)."""
-    n, _, t, b = vecs.shape
+    n, _, b, t = vecs.shape
     out = np.zeros((b, 2**n), dtype=np.complex128)
     for j in range(b):
         for k in range(t):
             state = np.ones(1, dtype=np.complex128)
             for v in range(n):
-                state = np.kron(state, vecs[v, :, k, j])
+                state = np.kron(state, vecs[v, :, j, k])
             out[j] += coeffs[j, k] * state
     return out
 
 
 def layer_on_terms(coeffs: np.ndarray, vecs: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """The engine's kernels on a sum of product states: gates ``mats``
+    """The engine's kernels on a sum of product states: real gates ``mats``
     (n, 2, 2, B) applied to every term by the power table (its j=1 entry),
     then the terms materialized, shape (B, 2^n)."""
-    table = search._powers(mats.transpose(1, 2, 0, 3), vecs.transpose(1, 2, 0, 3), 2)
-    return search._materialize(coeffs, table[:, 1].transpose(2, 0, 1, 3))
+    table = search._powers(mats.transpose(1, 2, 0, 3), vecs.transpose(1, 3, 0, 2), 2)
+    return search._materialize(coeffs, table[:, 1].transpose(2, 0, 3, 1))
 
 
 class EngineCalls(list):
     """The size of every block the engine evolves to its terms (a
     `search._terms` call), in order; ``materialized`` holds the size of
-    every block whose amplitudes it builds (a `search._materialize` call)."""
+    every block whose amplitudes it builds (a `search._materialize` call),
+    and ``dtypes`` the dtype of the vector table that call was given."""
 
     def __init__(self):
         super().__init__()
         self.materialized = []
+        self.dtypes = []
 
 
 def record_blocks(monkeypatch) -> EngineCalls:
@@ -284,6 +286,7 @@ def record_blocks(monkeypatch) -> EngineCalls:
 
     def spy_materialize(coeffs, vecs):
         calls.materialized.append(len(coeffs))
+        calls.dtypes.append(vecs.dtype)
         return materialize(coeffs, vecs)
 
     monkeypatch.setattr(search, "_terms", spy_terms)

@@ -15,9 +15,9 @@ from helpers import dense_single_qubit, dense_terms, dense_walsh, layer_on_terms
 
 
 def one_slot(n: int, qubit: int, gate2) -> np.ndarray:
-    """Layer gates (n, 2, 2, 1): ``gate2`` on ``qubit``, identity elsewhere."""
-    mats = np.array([gate2 if v == qubit else np.eye(2) for v in range(1, n + 1)],
-                    dtype=np.complex128)
+    """Real layer gates (n, 2, 2, 1): ``gate2`` on ``qubit``, identity
+    elsewhere."""
+    mats = np.array([gate2 if v == qubit else np.eye(2) for v in range(1, n + 1)], dtype=float)
     return mats[..., None]
 
 
@@ -93,7 +93,7 @@ class TestOperations:
         rng = np.random.default_rng(1)
         n, rates, phi = 3, (0.3, 0.9, 0.5), 0.8
         d = np.exp(-0.5 * (phi * math.pi / 2**n) * np.array(rates))
-        mats = w_gate(rates)
+        mats = w_gate(rates).real
         mats[:, :, 1] *= d[:, None]
         coeffs, vecs = random_terms(rng, n)
         out = layer_on_terms(coeffs, vecs, mats[..., None])[0]
@@ -105,7 +105,7 @@ class TestOperations:
         rng = np.random.default_rng(n)
         coeffs, vecs = random_terms(rng, n)
         amps = dense_terms(coeffs, vecs)[0]
-        gate2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        gate2 = rng.normal(size=(2, 2))
         for qubit in range(1, n + 1):
             out = layer_on_terms(coeffs, vecs, one_slot(n, qubit, gate2))[0]
             ref = dense_single_qubit(n, qubit, gate2) @ amps
@@ -114,7 +114,7 @@ class TestOperations:
     def test_apply_single_qubit_does_not_mutate_input(self):
         # one product term, |gg>
         coeffs = np.ones((1, 1), dtype=np.complex128)
-        vecs = np.zeros((2, 2, 1, 1), dtype=np.complex128)
+        vecs = np.zeros((2, 2, 1, 1))
         vecs[:, 0] = 1.0
         before = coeffs.copy(), vecs.copy()
         out = layer_on_terms(coeffs, vecs, one_slot(2, 1, np.array([[0, 1], [1, 0]])))

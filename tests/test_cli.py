@@ -137,6 +137,22 @@ class TestRun:
         assert out == ""
         assert field in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n", "2", "--marked", "ee", "--phi", "1"],
+        ["sweep", "--n", "2", "--marked", "ee", "--phi", "0:1:3"],
+        ["table1", "--n", "2"],
+        ["appendix", "--table", "2"],
+    ], ids=["run", "sweep", "table1", "appendix"])
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_out_exits_1(self, capsys, tmp_path, argv, target):
+        # a missing directory or a directory path: one line naming --out and
+        # the OS error, not an uncaught FileNotFoundError/IsADirectoryError
+        code, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / target)])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "--out" in err
+        assert "No such file or directory" in err or "Is a directory" in err
+
     @pytest.mark.parametrize("seed", ["-1", "-20240"])
     def test_negative_seed_exits_1(self, capsys, seed):
         # numpy's generator rejects it with a message that names no flag

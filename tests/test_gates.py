@@ -168,7 +168,7 @@ class TestWalshLayer:
         rng = np.random.default_rng(3)
         rates = (0.1, 0.5, 0.9)
         coeffs, vecs = random_terms(rng, 3, t=4)
-        out = layer_on_terms(coeffs, vecs, w_gate(rates)[..., None])[0]
+        out = layer_on_terms(coeffs, vecs, w_gate(rates).real[..., None])[0]
         ref = dense_walsh(3, rates) @ dense_terms(coeffs, vecs)[0]
         np.testing.assert_allclose(out, ref, atol=1e-12)
 

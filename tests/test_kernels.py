@@ -1,16 +1,21 @@
-"""The engine's kernels: the power table of per-qubit gates on product
-terms, the materialization of the terms into amplitudes, and their
-determinism."""
+"""The engine's kernels: the power table of real per-qubit gates on
+product terms, the materialization of the terms into amplitudes, their
+determinism, and their refusal of complex tables."""
+
+import warnings
 
 import numpy as np
 import pytest
+
+from dqsa.search import _materialize, _powers
 
 from helpers import dense_single_qubit, dense_terms, layer_on_terms, random_terms
 
 
 def random_gates(rng, n: int, b: int) -> np.ndarray:
-    """One random complex 2x2 gate per qubit and column, shape (n, 2, 2, b)."""
-    return rng.normal(size=(n, 2, 2, b)) + 1j * rng.normal(size=(n, 2, 2, b))
+    """One random real 2x2 gate per qubit and column, shape (n, 2, 2, b):
+    the engine's domain, where every damped gate M_v is real."""
+    return rng.normal(size=(n, 2, 2, b))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -40,3 +45,21 @@ def test_engine_is_bitwise_deterministic():
     first = layer_on_terms(coeffs, vecs, mats)
     second = layer_on_terms(coeffs.copy(), vecs.copy(), mats.copy())
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_complex_tables_raise(n):
+    # the kernels hold vectors in float64; a complex table raises, even
+    # where a complex-to-float cast would only warn, and never loses its
+    # imaginary part
+    rng = np.random.default_rng(n)
+    coeffs, vecs = random_terms(rng, n, 2)
+    mats = random_gates(rng, n, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(TypeError):
+            _materialize(coeffs, vecs + 1j * vecs)
+        with pytest.raises(TypeError):
+            _powers(mats.transpose(1, 2, 0, 3), (vecs + 1j * vecs).transpose(1, 3, 0, 2), 2)
+        with pytest.raises(TypeError):
+            _powers(mats.transpose(1, 2, 0, 3) * 1j, vecs.transpose(1, 3, 0, 2), 2)

@@ -2,7 +2,8 @@
 
 Each property here holds for *all* valid inputs, not just tabulated points:
 norm conservation without damping, contraction with it, diffusion symmetry,
-and the basis-relabeling symmetry of the lossless search.
+the basis-relabeling symmetry of the lossless search, and the real gates
+the engine's float64 tables rest on.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqsa.basis import index_of, pattern_of
-from dqsa.gates import damping_entries, oracle_gate
+from dqsa.gates import damping_entries, oracle_gate, w_gate
 from dqsa.search import RunConfig, report, summaries
 
 from helpers import dense_diffusion
@@ -148,3 +149,15 @@ def test_batched_gate_rows_equal_scalar_calls(pattern, draws):
     for row, (p, r) in enumerate(zip(phi, rates)):
         assert damping[row].tobytes() == damping_entries(n, p, r).tobytes()
         assert oracle[row].tobytes() == oracle_gate(pattern, p, r).tobytes()
+
+
+@given(g=st.floats(min_value=0.0, max_value=4.0, exclude_max=True), phi=phis,
+       convention=st.sampled_from(["composite", "tabulated"]))
+def test_damped_gates_are_real(g, phi, convention):
+    # W_v is a damped Hadamard and d_v a real exponential, so W_v and
+    # M_v = W_v diag(1, d_v) have no imaginary part at all: the engine holds
+    # them, and every vector table made from them, in float64
+    w = w_gate(g, convention)
+    m = w * damping_entries(1, phi, (g,))
+    assert not w.imag.any() and not m.imag.any()
+    assert np.isfinite(m.real).all()

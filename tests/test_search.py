@@ -380,7 +380,8 @@ class TestProductEngine:
 
 class TestEngineCalls:
     # ceil(B / points_per_block) blocks, each evolved to its terms once and
-    # materialized once; the trace reads the terms' recurrence alone
+    # materialized once from a real (float64) vector table; the trace reads
+    # the terms' recurrence alone
     @pytest.mark.parametrize("entry", [summaries, reports])
     @pytest.mark.parametrize("n,iterations,points", [(3, 2, 1000), (9, 8, 60), (12, 11, 7),
                                                      (12, 50, 5)])
@@ -392,11 +393,13 @@ class TestEngineCalls:
         assert len(calls) == math.ceil(points / size)
         assert calls == [min(size, points - lo) for lo in range(0, points, size)]
         assert calls.materialized == calls
+        assert calls.dtypes == [np.float64] * len(calls)
 
     def test_run_is_one_block(self, monkeypatch):
         calls = record_blocks(monkeypatch)
         run(RunConfig(5, "geege", 0.8, (0.1,) * 5))
         assert calls == [1] and calls.materialized == [1]
+        assert calls.dtypes == [np.float64]
 
     def test_trace_materializes_nothing(self, monkeypatch):
         calls = record_blocks(monkeypatch)
@@ -431,10 +434,11 @@ class TestBudget:
 
 
 class TestMemory:
-    # A block's budget counts each run's amplitudes, half tables, power
-    # table and recurrence entries (see points_per_block); at 2^17 entries
-    # its peak was 1.4-2.2 MiB on the grids here (n=2 lowest), and 1.7 MiB
-    # at n=12 with 50 iterations.
+    # A block's budget counts each run's amplitudes and probabilities, its
+    # real half tables and power table, the right table times the
+    # coefficients, and its recurrence (see points_per_block); at 2^17
+    # 16-byte units the peak was 0.9-1.6 MiB on the grids here (n=2 lowest,
+    # 1.6 MiB at n=12), and 1.3 MiB at n=12 with 50 iterations.
     @pytest.mark.parametrize("n,points", [(2, 1000), (3, 1000), (4, 1000), (6, 1000),
                                           (9, 1000), (12, 40)])
     def test_summaries_peak_is_bounded(self, n, points):

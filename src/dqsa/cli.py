@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: run, sweep, table1, appendix, verify-gates, peak.  Exit codes:
+`build_parser` is the one table of subcommands and flags.  Exit codes:
 0 success, 1 invalid input or usage (diagnostic on stderr naming the
 offending field), 2 when a comparison subcommand has at least one failing row.
 """
@@ -13,7 +13,7 @@ from . import experiments
 from .basis import MAX_QUBITS, validate_pattern
 from .errors import DqsaError, MalformedConfig
 from .gates import CONVENTIONS, check_rates, check_reals, tau
-from .search import RunConfig, reports, summaries
+from .search import RunConfig, reports
 from .synthesis import verification_sweep
 
 
@@ -32,18 +32,15 @@ def load_config(path: str):
     return config_from_dict(_read_json(path))
 
 
-def _read_json(path: str) -> dict:
-    """The JSON object stored at ``path``."""
+def _read_json(path: str):
+    """The JSON value stored at ``path``; `config_from_dict` checks its root."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise MalformedConfig(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise MalformedConfig(f"config {path} is not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise MalformedConfig("config root must be a JSON object")
-    return raw
 
 
 def _grid_fields(obj, field: str):
@@ -143,85 +140,46 @@ def _emit(text: str, out: str | None):
 
 
 def _merged_config(args):
+    """The config file's fields, with each given flag in place of its field."""
     raw = _read_json(args.config) if args.config else {}
-    if args.n is not None:
-        raw["n"] = args.n
-    if args.marked is not None:
-        raw["marked"] = args.marked
-    if args.phi is not None:
-        raw["phi"] = _parse_phi_grid(args.phi)
-    if args.gammas is not None:
-        raw["gammas"] = list(_parse_gammas(args.gammas))
-    if getattr(args, "iterations", None) is not None:
-        raw["iterations"] = args.iterations
+    for field, parse in (("n", int), ("marked", str), ("phi", _parse_phi_grid),
+                         ("gammas", _parse_gammas), ("iterations", int)):
+        value = vars(args).get(field)  # sweep has no --iterations
+        if value is not None and isinstance(raw, dict):  # config_from_dict rejects the rest
+            raw[field] = parse(value)
     return config_from_dict(raw)
 
 
-def _add_common(p, iterations=True):
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--n", type=int, help="qubit count")
-    p.add_argument("--marked", help="marked basis pattern, e.g. ege")
-    p.add_argument("--phi", "--coeff", dest="phi",
-                   help="control phase in units of pi (the summary-table time "
-                        "coefficient); start:stop:steps for sweeps")
-    p.add_argument("--gammas", help="comma list of per-qubit dissipation rates")
-    if iterations:
-        p.add_argument("--iterations", type=int, help="iteration count (default n-1)")
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+def _tolerance(text: str) -> float:
+    """A --tolerance: finite and >= 0, since NaN, inf or a negative value
+    would make every row pass or every row fail."""
+    try:
+        return check_reals(float(text), "value")
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="dqsa",
-                                 description="Dissipative quantum-search simulator")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="single search run, probability report")
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="phase or dissipation sweep, CSV/JSON samples")
-    _add_common(p, iterations=False)
-
-    p = sub.add_parser("table1", help="compare against the bundled summary row(s)")
-    p.add_argument("--n", type=int, help="single size (default: all 2..9)")
-    p.add_argument("--tolerance", type=float, help="override both row tolerances")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-
-    p = sub.add_parser("appendix", help="compare against a bundled reference table")
-    p.add_argument("--table", type=int, required=True,
-                   help=f"table id in {experiments.AVAILABLE_TABLES[0]}..{experiments.AVAILABLE_TABLES[-1]}")
-    p.add_argument("--tolerance", type=float, default=experiments.TABLE_TOLERANCE)
-    p.add_argument("--convention", choices=CONVENTIONS, default="composite",
-                   help="W-gate damping convention (see README)")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-
-    p = sub.add_parser("verify-gates", help="check oracle synthesis from couplings")
-    p.add_argument("--n", type=int, choices=(2, 3, 4), help="single size (default: 2,3,4)")
-    p.add_argument("--draws", type=int, default=20)
-    p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=20240)
-
-    p = sub.add_parser("peak", help="phase maximizing the marked probability")
-    p.add_argument("--n", type=int, required=True, choices=range(1, MAX_QUBITS + 1), metavar="N")
-    p.add_argument("--marked")
-    p.add_argument("--gammas")
-    p.add_argument("--convention", choices=CONVENTIONS, default="composite",
-                   help="W-gate damping convention (see README)")
-
-    return ap
+def _at_least(low: int):
+    """The type of an int flag of at least ``low``: one --draws or more, and
+    a --seed >= 0, which numpy's random generator needs."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _cmd_run(args) -> int:
     cfg = _merged_config(args)
     if not isinstance(cfg, RunConfig):
         raise MalformedConfig("run needs a scalar 'phi' (use the sweep subcommand for grids)")
+    (marked,), (row,) = reports(cfg)
     if args.format == "csv":
-        sample = [(cfg.phi, tau(cfg.phi, cfg.n), *summaries(cfg)[0])]
-        _emit(experiments.sweep_to_csv(sample), args.out)
+        hit, survival = float(row[marked]), float(row.sum())
+        sample = (cfg.phi, tau(cfg.phi, cfg.n), hit, survival - hit, survival)
+        _emit(experiments.sweep_to_csv([sample]), args.out)
     else:
-        (marked,), (row,) = reports(cfg)
         _emit(experiments.run_to_json(cfg, marked, row), args.out)
     return 0
 
@@ -231,18 +189,15 @@ def _cmd_sweep(args) -> int:
     if isinstance(cfg, RunConfig):
         raise MalformedConfig("sweep needs a 'phi' grid (start:stop:steps) or a 'gbar' grid")
     samples = experiments.sweep(cfg)
-    if args.format == "json":
-        _emit(experiments.sweep_to_json(samples, cfg.axis), args.out)
-    else:
-        _emit(experiments.sweep_to_csv(samples, cfg.axis), args.out)
+    write = experiments.sweep_to_json if args.format == "json" else experiments.sweep_to_csv
+    _emit(write(samples, cfg.axis), args.out)
     return 0
 
 
 def _comparison_exit(rep, args) -> int:
-    if args.format == "json":
-        _emit(experiments.comparison_to_json(rep), args.out)
-    else:
-        _emit(experiments.comparison_to_csv(rep), args.out)
+    write = (experiments.comparison_to_json if args.format == "json"
+             else experiments.comparison_to_csv)
+    _emit(write(rep), args.out)
     return 0 if rep.all_pass else 2
 
 
@@ -281,43 +236,72 @@ def _cmd_peak(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "table1": _cmd_table1,
-    "appendix": _cmd_appendix,
-    "verify-gates": _cmd_verify_gates,
-    "peak": _cmd_peak,
-}
+def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand, with its handler as the ``handler`` default, and
+    every flag, each checked by its ``type`` as argparse reads it."""
+    ap = argparse.ArgumentParser(prog="dqsa",
+                                 description="Dissipative quantum-search simulator")
+    sub = ap.add_subparsers(dest="command", required=True)
+    parsers = []
+    for name, handler, text in (
+            ("run", _cmd_run, "single search run, probability report"),
+            ("sweep", _cmd_sweep, "phase or dissipation sweep, CSV/JSON samples"),
+            ("table1", _cmd_table1, "compare against the bundled summary row(s)"),
+            ("appendix", _cmd_appendix, "compare against a bundled reference table"),
+            ("verify-gates", _cmd_verify_gates, "check oracle synthesis from couplings"),
+            ("peak", _cmd_peak, "phase maximizing the marked probability")):
+        parsers.append(sub.add_parser(name, help=text))
+        parsers[-1].set_defaults(handler=handler)
+    run, sweep, table1, appendix, verify_gates, peak = parsers
 
+    for p in (run, sweep):
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        p.add_argument("--n", type=int, help="qubit count")
+        p.add_argument("--marked", help="marked basis pattern, e.g. ege")
+        p.add_argument("--phi", "--coeff", dest="phi",
+                       help="control phase in units of pi (the summary-table time "
+                            "coefficient); start:stop:steps for sweeps")
+        p.add_argument("--gammas", help="comma list of per-qubit dissipation rates")
+    run.add_argument("--iterations", type=int, help="iteration count (default n-1)")
 
-def _check_comparison_flags(args):
-    """Reject a --tolerance or --draws that would make a comparison vacuous
-    (NaN, infinite or negative tolerances, and fewer than one draw), and a
-    negative --seed, which the random generator cannot take."""
-    if getattr(args, "tolerance", None) is not None:
-        check_reals(args.tolerance, "--tolerance")
-    if getattr(args, "draws", 1) < 1:
-        raise ValueError(f"--draws must be >= 1, got {args.draws}")
-    if getattr(args, "seed", 0) < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    table1.add_argument("--n", type=int, help="single size (default: all 2..9)")
+    table1.add_argument("--tolerance", type=_tolerance, help="override both row tolerances")
 
+    tables = experiments.AVAILABLE_TABLES
+    appendix.add_argument("--table", type=int, required=True,
+                          help=f"table id in {tables[0]}..{tables[-1]}")
+    appendix.add_argument("--tolerance", type=_tolerance, default=experiments.TABLE_TOLERANCE)
 
-def parse_and_dispatch(argv) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
-        return 1 if e.code else 0
-    try:
-        _check_comparison_flags(args)
-        return _DISPATCH[args.command](args)
-    except (DqsaError, ValueError) as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+    verify_gates.add_argument("--n", type=int, choices=(2, 3, 4),
+                              help="single size (default: 2,3,4)")
+    verify_gates.add_argument("--draws", type=_at_least(1), default=20)
+    verify_gates.add_argument("--tolerance", type=_tolerance, default=1e-10)
+    verify_gates.add_argument("--seed", type=_at_least(0), default=20240)
+
+    peak.add_argument("--n", type=int, required=True, choices=range(1, MAX_QUBITS + 1),
+                      metavar="N")
+    peak.add_argument("--marked")
+    peak.add_argument("--gammas")
+
+    for p in (run, sweep, table1, appendix):
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.add_argument("--format", choices=("csv", "json"), default=None)
+    for p in (appendix, peak):
+        p.add_argument("--convention", choices=CONVENTIONS, default="composite",
+                       help="W-gate damping convention (see README)")
+    return ap
 
 
 def main(argv=None) -> int:
-    return parse_and_dispatch(sys.argv[1:] if argv is None else argv)
+    """Run the CLI on ``argv`` (default: sys.argv[1:]); return its exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if e.code else 0
+    except (DqsaError, ValueError) as e:
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -173,8 +173,8 @@ class SweepSpec:
                          convention=self.convention)
 
     def grid(self) -> list:
-        step = (self.stop - self.start) / (self.steps - 1)
-        return [self.start + k * step for k in range(self.steps)]
+        """The ``steps`` points, the last exactly ``stop``."""
+        return np.linspace(self.start, self.stop, self.steps).tolist()
 
 
 def sweep(spec: SweepSpec) -> list:
@@ -260,14 +260,15 @@ def comparison_to_json(rep: ComparisonReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _sweep_columns(axis: str) -> list:
+    """A sweep's sample columns; dissipation sweeps carry a leading gbar."""
+    return (["gbar"] if axis == "dissipation" else []) + [
+        "phi", "tau", "marked_prob", "sum_unmarked", "survival"]
+
+
 def sweep_to_csv(samples: list, axis: str = "phase") -> str:
-    """CSV emission; dissipation sweeps carry a leading gbar column."""
-    if axis == "dissipation":
-        lines = ["gbar,phi,tau,marked_prob,sum_unmarked,survival"]
-    else:
-        lines = ["phi,tau,marked_prob,sum_unmarked,survival"]
-    for sample in samples:
-        lines.append(",".join(repr(float(v)) for v in sample))
+    lines = [",".join(_sweep_columns(axis))]
+    lines += [",".join(repr(float(v)) for v in sample) for sample in samples]
     return "\n".join(lines) + "\n"
 
 
@@ -286,7 +287,6 @@ def run_to_json(config: RunConfig, marked: int, row) -> str:
 
 
 def sweep_to_json(samples: list, axis: str = "phase") -> str:
-    cols = (["gbar"] if axis == "dissipation" else []) + [
-        "phi", "tau", "marked_prob", "sum_unmarked", "survival"]
+    cols = _sweep_columns(axis)
     doc = [dict(zip(cols, (float(v) for v in sample))) for sample in samples]
     return json.dumps(doc, indent=2) + "\n"

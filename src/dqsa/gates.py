@@ -1,7 +1,7 @@
 """Gate constructors, the damped Walsh gate and the phase oracle, as arrays;
 and the one rule for real inputs.
 
-A one-qubit W gate is a (2, 2) complex array in (g, e) ordering, and
+A one-qubit W gate is a (2, 2) real array in (g, e) ordering, and
 `w_gate` of n rates is the W layer: the (n, 2, 2) array of its tensor
 factors, qubit 1 first.  The oracle is diagonal, so it is its (2^n,) array
 of entries in basis-index order.  Nothing here keeps state.
@@ -9,7 +9,8 @@ of entries in basis-index order.  Nothing here keeps state.
 All times enter through the control phase ``phi`` = beta/pi; `tau` gives
 the evolution time phi*pi/2^n in natural units.  Dissipation rates ``g_v``
 are dimensionless and must stay below 4, where the detuning factor
-xi = sqrt(16 - g^2)/4 becomes non-real.  `check_reals` is the one check of
+xi = sqrt(16 - g^2)/4 becomes non-real, and a run's total oracle phase,
+iterations*phi*pi, must stay a finite float.  `check_reals` is the one check of
 every phase, rate and tolerance, scalar or array; `check_phi` and
 `check_rates` name its two uses, and `unset` tells an omitted sequence
 field (None, or an empty tuple, list or array) from a given one.
@@ -33,6 +34,7 @@ table's rates, which stay below 1), and amplifies beyond that.
 import itertools
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -40,6 +42,10 @@ from .basis import bits, index_of
 from .errors import DimensionMismatch, NegativePhase, OverdampedQubit
 
 CONVENTIONS = ("composite", "tabulated")
+
+# Bound on phi times the iteration count: k rounds turn the phases by k*phi*pi
+# in all, which stays a finite float below a quarter of the largest (pi < 4).
+PHASE_BOUND = sys.float_info.max / 4
 
 
 def whole_number(value, name: str) -> int:
@@ -102,10 +108,15 @@ def shape_of(values, name: str) -> tuple:
         raise DimensionMismatch(f"{name}: got a ragged array") from None
 
 
-def check_phi(phi, shape: tuple = ()):
+def check_phi(phi, shape: tuple = (), rounds: int = 1):
     """Phases by the real-input rule (see `check_reals`); a negative one
-    raises NegativePhase."""
-    return check_reals(phi, "phi", shape, NegativePhase)
+    raises NegativePhase, and one with phi * ``rounds`` >= PHASE_BOUND ValueError."""
+    phi = check_reals(phi, "phi", shape, NegativePhase)
+    top = float(np.max(phi, initial=0.0))
+    if top and rounds >= PHASE_BOUND / top:  # an int compares exactly, however large
+        raise ValueError(f"phi times the iteration count must be below {PHASE_BOUND:.4g}, "
+                         f"got {top!r} x {rounds}")
+    return phi
 
 
 def check_rates(rates, shape: tuple = (), name: str = "rates"):
@@ -134,7 +145,7 @@ def xi_factor(g):
 
 
 def w_gate(g, convention: str = "composite") -> np.ndarray:
-    """Damped Walsh gate of a rate or an array of rates: shape
+    """Damped Walsh gate of a rate or an array of rates: real, of shape
     ``np.shape(g) + (2, 2)``, each gate in (g, e) ordering.
 
     At g=0 both conventions reduce to the Hadamard gate.
@@ -148,7 +159,7 @@ def w_gate(g, convention: str = "composite") -> np.ndarray:
     else:
         asym = g * xi / 4.0
         pre = np.exp(-np.pi * g * xi / 16.0) / math.sqrt(2.0)
-    gate = np.array([[1.0 + asym, 1.0 / xi], [1.0 / xi, -(1.0 - asym)]], dtype=np.complex128)
+    gate = np.array([[1.0 + asym, 1.0 / xi], [1.0 / xi, -(1.0 - asym)]])
     return np.moveaxis(pre * gate, (0, 1), (-2, -1))
 
 

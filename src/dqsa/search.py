@@ -78,11 +78,11 @@ class RunConfig:
         rates = check_rates((0.0,) * self.n if unset(self.rates) else self.rates, (self.n,),
                             "rates (gammas)")
         object.__setattr__(self, "rates", tuple(rates.tolist()))
-        object.__setattr__(self, "phi", check_phi(self.phi))
         if self.iterations is None:
             object.__setattr__(self, "iterations", max(1, self.n - 1))
         if whole_number(self.iterations, "iterations") < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        object.__setattr__(self, "phi", check_phi(self.phi, rounds=self.iterations))
         check_convention(self.convention)
 
 
@@ -176,7 +176,7 @@ def _batch(config, phi=None, rates=None, marked=None):
     array given, else 1."""
     n = config.n
     b = len(next((a for a in (phi, rates, marked) if a is not None), [config]))
-    phi = np.full(b, config.phi) if phi is None else check_phi(phi, (b,))
+    phi = np.full(b, config.phi) if phi is None else check_phi(phi, (b,), config.iterations)
     rates = np.full((b, n), config.rates) if rates is None else check_rates(rates, (b, n))
     marked = [config.marked] * b if marked is None else list(marked)
     if len(marked) != b:
@@ -194,7 +194,7 @@ def _terms(config, marked, phi, rates) -> tuple:
     n, k and the convention, the arrays (see `_batch`) each run's values."""
     n, k = config.n, config.iterations
     b, t = len(phi), 2 * k + 1
-    w = w_gate(rates, config.convention).real.transpose(2, 3, 1, 0)
+    w = w_gate(rates, config.convention).transpose(2, 3, 1, 0)
     beta = np.pi * phi
     m = w.copy()
     m[:, 1] = w[:, 1] * np.exp(-0.5 * tau(phi, n) * rates.T)

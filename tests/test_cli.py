@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from dqsa import cli, experiments
 from dqsa.cli import config_from_dict, config_to_dict, load_config, main
 from dqsa.errors import MalformedConfig
 from dqsa.experiments import SweepSpec, peak_search, sweep
@@ -112,6 +113,8 @@ class TestRun:
         (["--phi=-inf"], "phi"),
         (["--phi", "1", "--gammas", "nan,0"], "gammas"),
         (["--phi", "1", "--gammas", "0,inf"], "gammas"),
+        # k*phi*pi overflowed: NaN in the report, and exit 0
+        (["--phi", "1e308"], "phi"), (["--phi", "2e306", "--iterations", "50"], "phi"),
     ])
     def test_non_finite_input_exits_1(self, capsys, flags, field):
         code, out, err = run_cli(capsys, ["run", "--n", "2", "--marked", "ee",
@@ -202,6 +205,16 @@ class TestRun:
         assert out == ""
         assert "MalformedConfig" in err
         assert field in err
+
+    @pytest.mark.parametrize("flags", [[], ["--n", "2", "--phi", "x"]])
+    def test_non_object_config_exits_1(self, capsys, tmp_path, flags):
+        # flags merge into an object root only; config_from_dict rejects the rest
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, ["run", "--config", str(path)] + flags)
+        assert code == 1
+        assert out == ""
+        assert "config root must be a JSON object" in err
 
     def test_int_too_large_for_a_float_exits_1(self, capsys, tmp_path):
         # JSON reads the 401-digit phi as an exact int, which float() overflows
@@ -483,6 +496,34 @@ class TestComparisons:
         assert code == 1
         assert out == ""
         assert "--gammas" in err
+
+
+class TestBenchmarkHooks:
+    """perfbench/tracing.py times these names by replacing the module
+    attribute; one the CLI stops calling through its module leaves the
+    benchmark's stage blank."""
+
+    @pytest.mark.parametrize("module,name,argv", [
+        (experiments, "peak_search", ["peak", "--n", "2"]),
+        (experiments, "table1_comparison", ["table1", "--n", "2"]),
+        (experiments, "appendix_reproduce", ["appendix", "--table", "2"]),
+        (experiments, "comparison_to_csv", ["table1", "--n", "2"]),
+        (experiments, "comparison_to_json", ["table1", "--n", "2", "--format", "json"]),
+        (experiments, "sweep_to_csv", ["sweep", "--n", "2", "--marked", "ee", "--phi", "0:1:3"]),
+        (experiments, "sweep_to_json",
+         ["sweep", "--n", "2", "--marked", "ee", "--phi", "0:1:3", "--format", "json"]),
+        (cli, "verification_sweep", ["verify-gates", "--n", "2", "--draws", "1"]),
+    ])
+    def test_traced_name_is_called(self, capsys, monkeypatch, module, name, argv):
+        original, calls = getattr(module, name), []
+
+        def traced(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, traced)
+        assert run_cli(capsys, argv)[0] == 0
+        assert calls == [name]
 
 
 class TestInstalledEntryPoint:

@@ -147,6 +147,14 @@ class TestSweepSpec:
         spec = SweepSpec(n=2, marked="ee", start=0.0, stop=1.0, steps=5)
         assert spec.grid() == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
+    def test_grid_ends_exactly_at_stop(self):
+        # start + k*step overshot stop to 4.0: the spec built, and its sweep
+        # then raised OverdampedQubit
+        stop = float(np.nextafter(4, 0))
+        spec = SweepSpec(n=1, marked="e", axis="dissipation", start=0.0, stop=stop, steps=4)
+        assert spec.grid()[-1] == stop
+        assert [row[0] for row in sweep(spec)] == spec.grid()
+
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             SweepSpec(n=2, marked="ee", axis="time")

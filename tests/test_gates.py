@@ -47,7 +47,7 @@ class TestPhase:
         with pytest.raises(NegativePhase):
             oracle_gate("ee", -0.1, (0.0, 0.0))
 
-    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, True, "1.0"])
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, True, "1.0", 1e308])
     def test_non_finite_or_non_number_phase_rejected(self, phi):
         with pytest.raises(ValueError, match="phi"):
             check_phi(phi)
@@ -117,6 +117,7 @@ class TestWGate:
     def test_composite_entries_frozen(self):
         # frozen values, independently computed
         w = w_gate(0.8)
+        assert w.dtype == np.float64  # the damped Hadamard is real; nothing to discard
         assert w[0, 0].real == pytest.approx(0.7253217954411793, abs=1e-12)
         assert w[0, 1].real == pytest.approx(0.6147858262737641, abs=1e-12)
         assert w[1, 0] == w[0, 1]

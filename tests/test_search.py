@@ -19,6 +19,7 @@ from dqsa.errors import (
     NegativePhase,
     OverdampedQubit,
 )
+from dqsa.gates import PHASE_BOUND, oracle_gate
 from dqsa.search import (
     RunConfig,
     _batch,
@@ -86,6 +87,7 @@ class TestRunConfig:
         ("iterations", dict(iterations=True)), ("iterations", dict(iterations=2.0)),
         ("n", dict(n=True, marked="e")),
         ("phi", dict(phi=10**400)),  # finite, but float() of it overflows
+        ("phi", dict(phi=1e308)), ("phi", dict(phi=2e306, iterations=50)),  # k*phi*pi overflows
     ])
     def test_non_finite_or_bool_rejected(self, field, kwargs):
         args = dict(n=2, marked="ee", phi=1.0) | kwargs
@@ -95,6 +97,18 @@ class TestRunConfig:
     def test_negative_phase_rejected(self):
         with pytest.raises(NegativePhase):
             RunConfig(2, "ee", -0.5)
+
+    @pytest.mark.parametrize("rate", [0.0, 3.99])
+    def test_phase_bound_scales_with_iterations(self, rate):
+        # k*phi*pi overflowed to inf, and every probability came out NaN; just
+        # below the bound every step stays finite (warnings are errors here)
+        phi = PHASE_BOUND / 50 * (1 - 1e-15)
+        config = RunConfig(2, "ee", phi, (rate, rate), iterations=50)
+        assert np.isfinite(summaries(config)).all()
+        assert np.isfinite(marked_amplitude_trace(config)).all()
+        assert np.isfinite(oracle_gate("ee", PHASE_BOUND * (1 - 1e-15), (rate, rate))).all()
+        with pytest.raises(ValueError, match="phi"):
+            summaries(config, phi=[1.0, PHASE_BOUND / 50])
 
     @pytest.mark.parametrize("rates", [(4.0, 0.0), (0.1, 5.0)])
     def test_overdamped_rate_rejected_when_built(self, rates):

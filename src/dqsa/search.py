@@ -31,12 +31,16 @@ multiply-adds for its amplitudes and O(T^2) for the recurrence.
 
 A batch is one `RunConfig` (n, iteration count, convention) plus per-run
 arrays of phases, rates and marked patterns.  Its runs evolve together in
-blocks, one row of every array per run, each with its own gates (one
-`w_gate` call per block), so each numpy operation covers every point of the
-block at once; `reports` returns each run's probabilities, `summaries` their
-sums.  Output is byte-identical from run to run, and a sweep row agrees with
-a standalone `report` of its point to 1e-15 (bitwise on the x86-64 machine
-this was measured on, but that is not promised).
+blocks, one row of every array per run, each with its own gates, so each
+numpy operation covers every point of a block at once.  The blocks come in
+two stages from one budget: `_terms` (and `w_gate`) runs once per
+recurrence block, whose width counts only the term tables and the
+recurrence, with no 2^n term; `_materialize` runs on each state block, a
+slice of that output whose width counts the 2^n amplitudes too.  `reports`
+returns each run's probabilities, `summaries` their sums.  Output is
+byte-identical from run to run, and a sweep row agrees with a standalone
+`report` of its point to 1e-15 (bitwise on the x86-64 machine this was
+measured on, but that is not promised).
 """
 
 from dataclasses import dataclass
@@ -47,9 +51,11 @@ from .basis import all_patterns, bits, index_of, validate_pattern
 from .errors import DimensionMismatch
 from .gates import check_convention, check_phi, check_rates, tau, unset, w_gate, whole_number
 
-# 16-byte units per block, as points_per_block counts them: 52 points at
-# n=9, 12 at n=12 with 11 iterations.  Counted so, the tracemalloc peak of
-# `summaries` on the TestMemory grids was 0.9-1.6 MiB.  Smaller blocks are
+# 16-byte units per block, in each of its two stages: a state block, as
+# points_per_block counts it, is 52 runs at n=9 and 12 at n=12 with 11
+# iterations; a recurrence block, at T*(6n + 16) units per run rounded down
+# to whole state blocks, is 104 and 60.  Counted so, the tracemalloc peak of
+# `summaries` on the TestMemory grids was 0.87-1.94 MiB.  Smaller blocks are
 # slower: on a 2-core x86-64 VM the benchmark's sweep-n9 op_s.p50 was
 # 0.0218 s at 2^16 complex entries against 0.0172 s at 2^17.  Larger ones
 # cost memory: at 2^18 reproduce's peak RSS rose 4.8%, near the benchmark's
@@ -82,6 +88,8 @@ class RunConfig:
             object.__setattr__(self, "iterations", max(1, self.n - 1))
         if whole_number(self.iterations, "iterations") < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if self.iterations > (limit := _max_iterations(self.n)):
+            raise ValueError(f"iterations must be <= {limit} at n={self.n}, got {self.iterations}")
         object.__setattr__(self, "phi", check_phi(self.phi, rounds=self.iterations))
         check_convention(self.convention)
 
@@ -101,8 +109,19 @@ class ProbabilityReport:
         return self.survival - self.marked_prob
 
 
+def _run_units(n: int) -> tuple:
+    """16-byte units one run holds at register size n: in a state block, a
+    fixed part and a part per term (see `points_per_block`), and in a
+    recurrence block a part per term alone, with no 2^n and no half tables:
+    6*n for the power table and the vectors (8*n reals, counted with room
+    for their temporaries) and 16 for the recurrence."""
+    low, high = 2 ** (n // 2), 2 ** (n - n // 2)
+    return 1.5 * 2**n + RUN_ENTRIES, 1.5 * high + 0.5 * low + 3 * n + 16, 6 * n + 16
+
+
 def points_per_block(n: int, iterations: int) -> int:
-    """Runs per engine block at register size n and ``iterations`` rounds.
+    """Runs per state block at register size n and ``iterations`` rounds;
+    `_blocks` gives each recurrence block a whole number of them.
 
     The budget counts what a run holds in 16-byte units, a complex entry or
     two real ones: 1.5*2^n for its amplitudes and probabilities; per term
@@ -110,9 +129,16 @@ def points_per_block(n: int, iterations: int) -> int:
     (Re c, Im c), half of 2^h + 2^(n-h) + 6*n for the real half tables and
     power table, and 16 for the recurrence; and RUN_ENTRIES for its share
     of the block's Python objects."""
-    terms, low, high = 2 * iterations + 1, 2 ** (n // 2), 2 ** (n - n // 2)
-    held = 1.5 * 2**n + terms * (1.5 * high + 0.5 * low + 3 * n + 16) + RUN_ENTRIES
-    return max(1, int(BLOCK_AMPLITUDES // held))
+    fixed, per_term, _ = _run_units(n)
+    return max(1, int(BLOCK_AMPLITUDES // (fixed + (2 * iterations + 1) * per_term)))
+
+
+def _max_iterations(n: int) -> int:
+    """The most rounds for which one run at register size n fits the budget
+    in both stages of a block."""
+    fixed, per_term, recurrence = _run_units(n)
+    terms = min((BLOCK_AMPLITUDES - fixed) // per_term, BLOCK_AMPLITUDES // recurrence)
+    return (int(terms) - 1) // 2
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray, out=None) -> np.ndarray:
@@ -253,17 +279,23 @@ def _terms(config, marked, phi, rates) -> tuple:
 
 
 def _blocks(config, phi, rates, marked):
-    """Yield (marked indices, probabilities) per block of the batch;
-    probabilities is (B, 2^n), each re^2 + im^2 of its amplitude."""
+    """Yield (marked indices, probabilities) per state block of the batch;
+    probabilities is (B, 2^n), each re^2 + im^2 of its amplitude.  Each
+    recurrence block is evolved to its terms once, then materialized one
+    state block at a time."""
     marked, phi, rates = _batch(config, phi, rates, marked)
-    size = points_per_block(config.n, config.iterations)
-    for lo in range(0, len(phi), size):
-        rows = slice(lo, lo + size)
-        coeffs, vecs, _ = _terms(config, marked[rows], phi[rows], rates[rows])
-        probs = _materialize(coeffs, vecs).view(np.float64)
-        probs *= probs
-        probs = probs[:, ::2] + probs[:, 1::2]  # rebound: no amplitudes live across the yield
-        yield marked[rows], probs
+    n, k = config.n, config.iterations
+    size = points_per_block(n, k)
+    width = max(size, BLOCK_AMPLITUDES // ((2 * k + 1) * _run_units(n)[2]) // size * size)
+    for lo in range(0, len(phi), width):
+        block = slice(lo, lo + width)
+        coeffs, vecs, _ = _terms(config, marked[block], phi[block], rates[block])
+        for at in range(0, len(coeffs), size):
+            rows = slice(at, at + size)
+            probs = _materialize(coeffs[rows], vecs[:, :, rows]).view(np.float64)
+            probs *= probs
+            probs = probs[:, ::2] + probs[:, 1::2]  # rebound: no amplitudes live across the yield
+            yield marked[block][rows], probs
 
 
 def summaries(config: RunConfig, phi=None, rates=None, marked=None) -> list:

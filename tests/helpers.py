@@ -6,17 +6,18 @@ correct formulation.  It also checks gate synthesis one draw at a time,
 writes the `run` report and the reference-table rows from the per-pattern
 dict of `report`, parses the reference tables into dicts line by line,
 writes comparison CSV and JSON one row at a time, wraps the engine's
-kernels (the power table and the materialization of product terms) and
-counts its calls per block for the tests that check them, draws random
-damped configs, gives the exact undamped marked amplitudes of the
-two-level picture, and builds the environment for tests that start a
-child process.
+kernels (the power table and the materialization of product terms),
+counts its calls per recurrence block and per state block and plans both
+for the tests that check them, draws random damped configs, gives the
+exact undamped marked amplitudes of the two-level picture, and builds the
+environment for tests that start a child process.
 """
 
 import cmath
 import json
 import math
 import os
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -263,16 +264,17 @@ def layer_on_terms(coeffs: np.ndarray, vecs: np.ndarray, mats: np.ndarray) -> np
     return search._materialize(coeffs, table[:, 1].transpose(2, 0, 3, 1))
 
 
-class EngineCalls(list):
-    """The size of every block the engine evolves to its terms (a
-    `search._terms` call), in order; ``materialized`` holds the size of
-    every block whose amplitudes it builds (a `search._materialize` call),
-    and ``dtypes`` the dtype of the vector table that call was given."""
+@dataclass
+class EngineCalls:
+    """The engine's calls, in order: ``recurrence`` holds the size of every
+    recurrence block it evolves to its terms (a `search._terms` call),
+    ``state`` the size of every state block whose amplitudes it builds (a
+    `search._materialize` call), and ``dtypes`` the dtype of the vector
+    table each state block was given."""
 
-    def __init__(self):
-        super().__init__()
-        self.materialized = []
-        self.dtypes = []
+    recurrence: list = field(default_factory=list)
+    state: list = field(default_factory=list)
+    dtypes: list = field(default_factory=list)
 
 
 def record_blocks(monkeypatch) -> EngineCalls:
@@ -281,17 +283,41 @@ def record_blocks(monkeypatch) -> EngineCalls:
     terms, materialize = search._terms, search._materialize
 
     def spy_terms(config, marked, phi, rates):
-        calls.append(len(phi))
+        calls.recurrence.append(len(phi))
         return terms(config, marked, phi, rates)
 
     def spy_materialize(coeffs, vecs):
-        calls.materialized.append(len(coeffs))
+        calls.state.append(len(coeffs))
         calls.dtypes.append(vecs.dtype)
         return materialize(coeffs, vecs)
 
     monkeypatch.setattr(search, "_terms", spy_terms)
     monkeypatch.setattr(search, "_materialize", spy_materialize)
     return calls
+
+
+def split(points: int, width: int) -> list:
+    """The sizes of the blocks of at most ``width`` that ``points`` runs
+    fill, in order."""
+    return [min(width, points - lo) for lo in range(0, points, width)]
+
+
+def recurrence_width(n: int, iterations: int) -> int:
+    """Runs per recurrence block, counted at T*(6n + 16) 16-byte units per
+    run (T = 2*iterations + 1) from the engine's budget, rounded down to a
+    whole number of state blocks and never less than one."""
+    size = search.points_per_block(n, iterations)
+    units = (2 * iterations + 1) * (6 * n + 16)
+    return max(size, search.BLOCK_AMPLITUDES // units // size * size)
+
+
+def planned_blocks(n: int, iterations: int, points: int) -> tuple:
+    """(recurrence, state) block sizes of a batch of ``points`` runs: each
+    recurrence block split into state blocks of `search.points_per_block`
+    runs."""
+    recurrence = split(points, recurrence_width(n, iterations))
+    size = search.points_per_block(n, iterations)
+    return recurrence, [part for block in recurrence for part in split(block, size)]
 
 
 def child_env(path_prefix=None, **extra) -> dict:

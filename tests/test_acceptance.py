@@ -26,7 +26,13 @@ from dqsa.gates import w_gate
 from dqsa.search import RunConfig, points_per_block, report
 from dqsa.synthesis import compose_w, verification_sweep
 
-from helpers import dense_diffusion, grover_closed_form, record_blocks, worst_row_vs_report
+from helpers import (
+    dense_diffusion,
+    grover_closed_form,
+    record_blocks,
+    recurrence_width,
+    worst_row_vs_report,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -189,16 +195,21 @@ def test_criterion_8_sweep_performance_and_determinism(monkeypatch):
     first = sweep_to_csv(sweep(spec))
     elapsed = time.perf_counter() - t0
     second = sweep_to_csv(sweep(spec))
-    # a grid of one whole engine block plus a one-point last block, row by
-    # row against standalone reports
-    steps = points_per_block(9, 8) + 1
-    blocks = record_blocks(monkeypatch)
-    split_spec = SweepSpec(n=9, marked="e" * 9, axis="phase", start=0.001, stop=2.0,
-                           steps=steps)
-    split = sweep(split_spec)
-    blocks = list(blocks)
-    worst = worst_row_vs_report(split, split_spec)
-    ok = elapsed < 5.0 and first == second and blocks == [steps - 1, 1] and worst <= 1e-15
+    # grids one point past a state block and one past a recurrence block,
+    # each planned in both stages and row by row against standalone reports
+    size, width = points_per_block(9, 8), recurrence_width(9, 8)
+    planned, worst = True, 0.0
+    for steps, recurrence, state in ((size + 1, [size + 1], [size, 1]),
+                                     (width + 1, [width, 1], [size] * (width // size) + [1])):
+        split_spec = SweepSpec(n=9, marked="e" * 9, axis="phase", start=0.001, stop=2.0,
+                               steps=steps)
+        with monkeypatch.context() as patch:
+            blocks = record_blocks(patch)
+            rows = sweep(split_spec)
+        planned &= blocks.recurrence == recurrence and blocks.state == state
+        worst = max(worst, worst_row_vs_report(rows, split_spec))
+    ok = elapsed < 5.0 and first == second and planned and width > size and worst <= 1e-15
     _verdict(8, "1000-point n=9 sweep", ok,
              f"{elapsed:.2f} s; rerun identical={first == second}, "
-             f"{steps}-point grid in blocks {blocks} vs report worst {worst:.1e}")
+             f"{size + 1}- and {width + 1}-point grids in blocks of {width} and {size} "
+             f"as planned={planned} vs report worst {worst:.1e}")

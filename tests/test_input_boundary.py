@@ -85,8 +85,10 @@ CASES = [
     ("run", "gammas", bad_gammas(), "gammas|rates", "gammas|rates"),
     ("phase", "gammas", bad_gammas(), "gammas|rates", "gammas|rates"),
     ("gbar", "gammas", bad_gammas(overdamped=False), "gammas", "gammas"),
-    ("run", "iterations", bad_counts | st.none() | st.integers(max_value=0), "iterations",
-     "iterations"),
+    # past 1927 rounds at n=3 one run outgrows an engine block; the counts
+    # above it stay small, so that a lost bound fails fast, not out of memory
+    ("run", "iterations", bad_counts | st.none() | st.integers(max_value=0)
+     | st.integers(min_value=1928, max_value=2100), "iterations", "iterations"),
     ("phase", "start", bad_reals, "phi start", "phi"),
     ("phase", "stop", bad_reals, "phi stop", "phi"),
     ("phase", "steps", bad_counts | st.none() | st.integers(max_value=1), "steps", "steps|--phi"),
@@ -175,3 +177,19 @@ def test_bad_value_rejected_by_every_route(workdir, kind, field, values, config_
         return  # the constructors read these as unset: only the schema rejects them
     with pytest.raises((ValueError, DqsaError)):
         CONSTRUCTOR[kind](**{key: value})
+
+
+@pytest.mark.parametrize("n,limit", [(9, 657), (12, 346)])
+def test_iterations_past_one_run_per_block_rejected(tmp_path, n, limit):
+    # the most rounds for which one run fits an engine block, named with its
+    # n on every route; the limit itself is accepted
+    message = rf"iterations must be <= {limit} at n={n}\b"
+    raw = {"n": n, "marked": "e" * n, "phi": 0.7, "iterations": limit + 1}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(raw))
+    assert_rejected(["run", "--config", str(path)], message)
+    assert_rejected(["run", "--n", str(n), "--marked", "e" * n, "--phi", "0.7",
+                     f"--iterations={limit + 1}"], message)
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**raw)
+    assert RunConfig(**raw | {"iterations": limit}).iterations == limit

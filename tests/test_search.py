@@ -33,7 +33,16 @@ from dqsa.search import (
     summaries,
 )
 
-from helpers import damped_configs, dense_run, grover_closed_form, record_blocks, two_level
+from helpers import (
+    EngineCalls,
+    damped_configs,
+    dense_run,
+    grover_closed_form,
+    planned_blocks,
+    record_blocks,
+    recurrence_width,
+    two_level,
+)
 
 
 @st.composite
@@ -74,6 +83,15 @@ class TestRunConfig:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(2, "ee", 1.0, iterations=0)
+
+    @pytest.mark.parametrize("n,limit", [(1, 2910), (2, 2340), (6, 1259), (7, 1005)])
+    def test_iterations_bounded_by_one_run_per_block(self, n, limit):
+        # past the limit one run outgrows an engine block: its state block
+        # at n=1 and from n=7 on, its recurrence block at n = 2..6 (n=9 and
+        # n=12 are checked on every route in test_input_boundary.py)
+        assert RunConfig(n, "e" * n, 1.0, iterations=limit).iterations == limit
+        with pytest.raises(ValueError, match=rf"iterations must be <= {limit} at n={n}\b"):
+            RunConfig(n, "e" * n, 1.0, iterations=limit + 1)
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError, match="convention"):
@@ -393,39 +411,44 @@ class TestProductEngine:
 
 
 class TestEngineCalls:
-    # ceil(B / points_per_block) blocks, each evolved to its terms once and
-    # materialized once from a real (float64) vector table; the trace reads
-    # the terms' recurrence alone
+    # each recurrence block evolved to its terms once, and each of its state
+    # blocks materialized once from a real (float64) vector table, as
+    # planned from the two widths; the trace reads the terms' recurrence
+    # alone
     @pytest.mark.parametrize("entry", [summaries, reports])
     @pytest.mark.parametrize("n,iterations,points", [(3, 2, 1000), (9, 8, 60), (12, 11, 7),
-                                                     (12, 50, 5)])
+                                                     (12, 50, 5), (9, 8, 110), (12, 11, 70)])
     def test_one_terms_and_one_materialize_call_per_block(self, monkeypatch, entry, n,
                                                           iterations, points):
-        size = points_per_block(n, iterations)
         calls = record_blocks(monkeypatch)
         entry(RunConfig(n, "e" * n, 1.0, iterations=iterations), phi=np.linspace(0, 2, points))
-        assert len(calls) == math.ceil(points / size)
-        assert calls == [min(size, points - lo) for lo in range(0, points, size)]
-        assert calls.materialized == calls
-        assert calls.dtypes == [np.float64] * len(calls)
+        assert (calls.recurrence, calls.state) == planned_blocks(n, iterations, points)
+        assert calls.dtypes == [np.float64] * len(calls.state)
+
+    @pytest.mark.parametrize("n,iterations,size,width", [(3, 2, 555, 555), (7, 6, 119, 119),
+                                                         (9, 8, 52, 104), (12, 11, 12, 60)])
+    def test_block_widths(self, n, iterations, size, width):
+        # the recurrence block is a whole number of state blocks: one from
+        # n=2 to n=8 at k = n - 1, two at n=9 and five at n=12
+        assert (points_per_block(n, iterations), recurrence_width(n, iterations)) == (size, width)
 
     def test_run_is_one_block(self, monkeypatch):
         calls = record_blocks(monkeypatch)
         run(RunConfig(5, "geege", 0.8, (0.1,) * 5))
-        assert calls == [1] and calls.materialized == [1]
-        assert calls.dtypes == [np.float64]
+        assert calls == EngineCalls([1], [1], [np.float64])
 
     def test_trace_materializes_nothing(self, monkeypatch):
         calls = record_blocks(monkeypatch)
         marked_amplitude_trace(RunConfig(12, "e" * 12, 0.7, iterations=50))
-        assert calls == [1] and calls.materialized == []
+        assert calls == EngineCalls([1], [], [])
 
 
 class TestBudget:
-    # a row does not depend on the width of its block, so every budget gives
-    # the same bytes, in ceil(B / points_per_block) blocks: one-point blocks
-    # at 2^12, and 25 against 50 points at n=9 (2 against 5 at n=12, k=50)
-    # at 2^16 and 2^17
+    # a row does not depend on the width of its blocks, so every budget gives
+    # the same bytes, in the blocks each budget plans: at n=9 recurrence
+    # blocks of 3, 52 and 104 runs split into state blocks of 1, 26 and 52
+    # at 2^12, 2^16 and 2^17 (at n=12, k=50, 1, 6 and 10 split into 1, 2
+    # and 5: the 5 points make one recurrence block at 2^16 and 2^17)
     @pytest.mark.parametrize("entry", [summaries, reports])
     @pytest.mark.parametrize("n,iterations,points", [(9, 8, 1000), (12, 50, 5)])
     def test_output_does_not_depend_on_the_budget(self, monkeypatch, entry, n, iterations,
@@ -437,24 +460,26 @@ class TestBudget:
         for budget in (2**12, 2**16, 2**17):
             with monkeypatch.context() as patch:
                 patch.setattr(search, "BLOCK_AMPLITUDES", budget)
-                size = points_per_block(n, iterations)
+                plan = planned_blocks(n, iterations, points)
                 calls = record_blocks(patch)
                 out = entry(config, phi=phi, rates=rates)
-            assert len(calls) == math.ceil(points / size)
-            assert calls == [min(size, points - lo) for lo in range(0, points, size)]
+            assert (calls.recurrence, calls.state) == plan
             parts = out if entry is reports else [out]
             outputs.append(b"".join(np.asarray(part).tobytes() for part in parts))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestMemory:
-    # A block's budget counts each run's amplitudes and probabilities, its
-    # real half tables and power table, the right table times the
-    # coefficients, and its recurrence (see points_per_block); at 2^17
-    # 16-byte units the peak was 0.9-1.6 MiB on the grids here (n=2 lowest,
-    # 1.6 MiB at n=12), and 1.3 MiB at n=12 with 50 iterations.
+    # A state block's budget counts each run's amplitudes and probabilities,
+    # its real half tables and power table, the right table times the
+    # coefficients, and its recurrence (see points_per_block); a recurrence
+    # block's counts T*(6n + 16) per run.  At 2^17 16-byte units the peak
+    # was 0.87-1.94 MiB on the grids here (n=2 lowest; 1.93 MiB at n=9 and
+    # 1.94 MiB at n=12 with 120 points, whole recurrence blocks of 104 and
+    # 60 runs), 1.17 MiB at n=12 with 50 iterations and 1.62 MiB at n=12
+    # with the most iterations allowed there, 346.
     @pytest.mark.parametrize("n,points", [(2, 1000), (3, 1000), (4, 1000), (6, 1000),
-                                          (9, 1000), (12, 40)])
+                                          (9, 1000), (12, 40), (7, 1000), (12, 120)])
     def test_summaries_peak_is_bounded(self, n, points):
         phi = [0.001 + 1.999 * k / points for k in range(points)]
         assert summaries_peak(RunConfig(n, "e" * n, 1.0, (0.1,) * n), phi=phi) <= 2.5 * 2**20
@@ -463,6 +488,12 @@ class TestMemory:
         # the largest register at the deepest iteration count of the benchmark
         config = RunConfig(12, "e" * 12, 1.0, (0.1,) * 12, iterations=50)
         assert summaries_peak(config, phi=[0.1 + 0.4 * k for k in range(5)]) <= 2.5 * 2**20
+
+    def test_most_iterations_peak_is_bounded(self):
+        # the largest register at the most iterations RunConfig allows there:
+        # a whole recurrence block of two runs, each its own state block
+        config = RunConfig(12, "e" * 12, 1.0, (0.1,) * 12, iterations=346)
+        assert summaries_peak(config, phi=[0.3, 0.7]) <= 2.5 * 2**20
 
 
 class TestConcurrency:

@@ -2,9 +2,10 @@
 sweeps, peak location, and comparison against the bundled reference tables.
 
 Every multi-point computation here hands all of its runs of one register
-size to the batched engine in one call (``search.summaries``, or
-``search.reports`` for probability rows): a `RunConfig` for what the runs
-share, and arrays for what varies.  Results come back in grid order, and
+size to the batched engine in one call (``search.summaries``,
+``search.reports`` for probability rows, or, where only the marked
+probability is read, the recurrence alone): a `RunConfig` for what the
+runs share, and arrays for what varies.  Results come back in grid order, and
 all output, written from those arrays, is deterministic: the same inputs
 produce byte-identical CSV/JSON.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from .basis import all_patterns
 from .errors import UnknownTable, UnsupportedSize
 from .gates import check_rates, check_reals, tau, unset, whole_number
-from .search import RunConfig, reports, summaries
+from .search import RunConfig, _marked_probabilities, reports, summaries
 
 # Reference summary row per size: the peak phase coefficient phi_p, the peak
 # ("present") success probability, and the phi=1 ("grover") probability.
@@ -77,11 +78,12 @@ class ComparisonReport:
 
 
 def table1(n: int) -> tuple:
-    """(phi_p, probability at phi_p, probability at phi=1) for size n."""
+    """(phi_p, probability at phi_p, probability at phi=1) for size n, read
+    from the engine's recurrence alone (no 2^n state is built)."""
     if n not in SUMMARY_PHI_P:
         raise UnsupportedSize(f"summary table covers n=2..9, got {n}")
     phi_p = SUMMARY_PHI_P[n]
-    (present, *_), (grover, *_) = summaries(RunConfig(n, "e" * n, 1.0), phi=[phi_p, 1.0])
+    present, grover = _marked_probabilities(RunConfig(n, "e" * n, 1.0), phi=[phi_p, 1.0])
     return (phi_p, present, grover)
 
 
@@ -100,11 +102,13 @@ def peak_search(n: int, marked: str, rates=(), convention: str = "composite") ->
     """(phi, rho) maximizing the marked probability over phi in (0, 1].
 
     Scans a step-1e-3 grid (first-maximum wins, so plateaus resolve toward
-    smaller phi), then refines with one three-point parabolic fit.
+    smaller phi), then refines with one three-point parabolic fit.  The
+    probabilities are read from the engine's recurrence alone, so no 2^n
+    state is built.
     """
     grid = [k * 1e-3 for k in range(1, 1001)]
     config = RunConfig(n, marked, 1.0, rates, convention=convention)
-    rhos = [rho for rho, _, _ in summaries(config, phi=grid)]
+    rhos = _marked_probabilities(config, phi=grid)
     best = int(np.argmax(rhos))
     phi0, rho0 = grid[best], rhos[best]
     if 0 < best < len(grid) - 1:
@@ -113,7 +117,7 @@ def peak_search(n: int, marked: str, rates=(), convention: str = "composite") ->
         if denom < 0:
             phi_c = phi0 + 0.5e-3 * (ym - yp) / denom
             phi_c = min(max(phi_c, 1e-3), 1.0)
-            rho_c = summaries(config, phi=[phi_c])[0][0]
+            (rho_c,) = _marked_probabilities(config, phi=[phi_c])
             if rho_c > rho0:
                 return (phi_c, rho_c)
     return (phi0, rho0)
@@ -240,8 +244,8 @@ def appendix_reproduce(table_id: int, tolerance: float = TABLE_TOLERANCE,
     rest = np.sort(probs[np.arange(2**n) != indices[:, None]].reshape(len(probs), -1), axis=1)
     computed = np.concatenate((hits[:, None], rest[:, ::-1]), axis=1)[:, :paper.shape[1]]
     suffixes = [" marked"] + [f" unmarked[{k}]" for k in range(paper.shape[1] - 1)]
-    labels = [f"table{table_id:02d} {pat} phi={phi:g}{suffix}"
-              for pat, phi in zip(patterns, phis.tolist()) for suffix in suffixes]
+    cells = [f"table{table_id:02d} {pat} phi={phi:g}" for pat, phi in zip(patterns, phis.tolist())]
+    labels = [cell + suffix for cell in cells for suffix in suffixes]
     return ComparisonReport(labels, paper.ravel(), computed.ravel(),
                             np.full(paper.size, tolerance), tolerance)
 

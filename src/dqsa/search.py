@@ -21,26 +21,29 @@ e_{x_v} and e_0), takes each term's amplitudes at x and at 0 from products
 of that table over the qubits, and gets the coefficients c_t from a scalar
 recurrence over those amplitudes.  W_v, a damped Hadamard, and d_v are real,
 so every table of vectors is real (float64), and only the phases make the
-recurrence and the c_t complex.  The terms are the engine's product:
-`_terms` returns the coefficients (B, T), the vectors u (n, 2, B, T) and the
+recurrence and the c_t complex.  `_recurrence` runs the engine up to the
 recurrence's amplitudes (B, T), which hold the marked amplitude after every
-round, so `marked_amplitude_trace` reads them and builds no state.  Only
-`_materialize` builds the 2^n amplitudes, in one real batched matrix
-product of two half Kronecker tables.  A run costs 2*T*2^n real
-multiply-adds for its amplitudes and O(T^2) for the recurrence.
+round: the marked probability (read by `experiments.table1` and
+`peak_search`) and `marked_amplitude_trace` come from them, with no state.
+`_terms` turns them into the engine's product, the coefficients (B, T) and
+vectors u (n, 2, B, T), and only `_materialize` builds the 2^n amplitudes,
+in one real batched matrix product of two half Kronecker tables.  A run
+costs 2*T*2^n real multiply-adds for its amplitudes and O(T^2) for the
+recurrence.
 
 A batch is one `RunConfig` (n, iteration count, convention) plus per-run
 arrays of phases, rates and marked patterns.  Its runs evolve together in
 blocks, one row of every array per run, each with its own gates, so each
 numpy operation covers every point of a block at once.  The blocks come in
-two stages from one budget: `_terms` (and `w_gate`) runs once per
+two stages from one budget: `_recurrence` (and `w_gate`) runs once per
 recurrence block, whose width counts only the term tables and the
 recurrence, with no 2^n term; `_materialize` runs on each state block, a
-slice of that output whose width counts the 2^n amplitudes too.  `reports`
-returns each run's probabilities, `summaries` their sums.  Output is
-byte-identical from run to run, and a sweep row agrees with a standalone
-`report` of its point to 1e-15 (bitwise on the x86-64 machine this was
-measured on, but that is not promised).
+slice of `_terms`' output whose width counts the 2^n amplitudes too; the
+marked read stops after the first.  `reports` returns each run's
+probabilities, `summaries` their sums.  Output is byte-identical from run
+to run, and a sweep row agrees with a standalone `report` of its point to
+1e-15 (bitwise on the x86-64 machine this was measured on, but that is not
+promised), as the marked read does with `summaries` (not bitwise).
 """
 
 from dataclasses import dataclass
@@ -211,13 +214,12 @@ def _batch(config, phi=None, rates=None, marked=None):
     return np.array([index[p] for p in marked], dtype=int), phi, rates
 
 
-def _terms(config, marked, phi, rates) -> tuple:
-    """A block of runs after k rounds as its T = 2k + 1 product terms: the
-    coefficients (B, T), global phase e^{i k beta} included, and per-qubit
-    vectors (n, 2, B, T), as `_materialize` takes them; and the recurrence's
-    amplitudes (B, T) at the phase events, where column 2j is the marked
-    amplitude after j rounds less its phase e^{i j beta}.  ``config`` gives
-    n, k and the convention, the arrays (see `_batch`) each run's values."""
+def _recurrence(config, marked, phi, rates) -> tuple:
+    """A block of runs after k rounds, short of its terms: the power table
+    (2, T, 3, n, B), e^{i beta} - 1 (B, 1), and the recurrence's amplitudes
+    (B, T) at the phase events, where column 2j is the marked amplitude
+    after j rounds less its phase e^{i j beta}.  ``config`` gives n, k and
+    the convention, the arrays (see `_batch`) each run's values."""
     n, k = config.n, config.iterations
     b, t = len(phi), 2 * k + 1
     w = w_gate(rates, config.convention).transpose(2, 3, 1, 0)
@@ -254,8 +256,8 @@ def _terms(config, marked, phi, rates) -> tuple:
     # at a 0 event; `kernels` holds each target's amplitudes by age,
     # reversed and times e^{i beta} - 1, so one contiguous slice pairs with
     # the amplitudes `amps` at the earlier events.  The recurrence drops the
-    # global phase e^{i beta} of each round, and the coefficients take
-    # e^{i k beta} at the end.
+    # global phase e^{i beta} of each round, and `_terms` puts e^{i k beta}
+    # on the coefficients.
     even = np.arange(t) % 2 == 0
     first = np.where(even, at_x[..., 0], at_0[..., 0])
     alpha = (np.exp(1j * beta) - 1.0)[:, None]
@@ -266,16 +268,36 @@ def _terms(config, marked, phi, rates) -> tuple:
     for e in range(1, t):
         terms = amps[:, :e] * kernels[e % 2][:, t - 1 - e:t - 1]
         amps[:, e] = first[:, e] + np.add.reduce(terms, axis=1)
+    return table, alpha, amps
 
+
+def _terms(config, marked, phi, rates) -> tuple:
+    """The block (see `_recurrence`) as its T = 2k + 1 product terms, as
+    `_materialize` takes them: the coefficients (B, T), global phase
+    e^{i k beta} included, and per-qubit vectors (n, 2, B, T)."""
+    table, alpha, amps = _recurrence(config, marked, phi, rates)
+    t = amps.shape[1]
     # Term 0 has seen all 2k layers, term t >= 1 the 2k - t + 1 after its
     # event; odd terms started at e_x, even ones at e_0.
     ages = t - 1 - np.maximum(np.arange(t) - 1, 0)
     kinds = 2 - np.arange(t) % 2
     kinds[0] = 0
     table = np.moveaxis(table, (3, 4), (0, 2))[..., ages, kinds]
-    coeffs = np.ones((b, t), dtype=np.complex128)
+    coeffs = np.ones(amps.shape, dtype=np.complex128)
     coeffs[:, 1:] = alpha * amps[:, :-1]
-    return coeffs * np.exp(1j * k * beta)[:, None], table, amps
+    return coeffs * np.exp(1j * config.iterations * (np.pi * phi))[:, None], table
+
+
+def _recurrence_blocks(config, phi, rates, marked):
+    """Yield the batch (see `summaries`), checked, as (marked indices, phi,
+    rates) per recurrence block, of T*(6n + 16) 16-byte units per run (see
+    `_run_units`), rounded down to whole state blocks, at least one."""
+    marked, phi, rates = _batch(config, phi, rates, marked)
+    n, k = config.n, config.iterations
+    size = points_per_block(n, k)
+    width = max(size, BLOCK_AMPLITUDES // ((2 * k + 1) * _run_units(n)[2]) // size * size)
+    for lo in range(0, len(phi), width):
+        yield marked[lo:lo + width], phi[lo:lo + width], rates[lo:lo + width]
 
 
 def _blocks(config, phi, rates, marked):
@@ -283,19 +305,32 @@ def _blocks(config, phi, rates, marked):
     probabilities is (B, 2^n), each re^2 + im^2 of its amplitude.  Each
     recurrence block is evolved to its terms once, then materialized one
     state block at a time."""
-    marked, phi, rates = _batch(config, phi, rates, marked)
-    n, k = config.n, config.iterations
-    size = points_per_block(n, k)
-    width = max(size, BLOCK_AMPLITUDES // ((2 * k + 1) * _run_units(n)[2]) // size * size)
-    for lo in range(0, len(phi), width):
-        block = slice(lo, lo + width)
-        coeffs, vecs, _ = _terms(config, marked[block], phi[block], rates[block])
+    size = points_per_block(config.n, config.iterations)
+    for marked, phi, rates in _recurrence_blocks(config, phi, rates, marked):
+        coeffs, vecs = _terms(config, marked, phi, rates)
         for at in range(0, len(coeffs), size):
             rows = slice(at, at + size)
             probs = _materialize(coeffs[rows], vecs[:, :, rows]).view(np.float64)
             probs *= probs
             probs = probs[:, ::2] + probs[:, 1::2]  # rebound: no amplitudes live across the yield
-            yield marked[block][rows], probs
+            yield marked[rows], probs
+
+
+def _marked_rounds(config, phi=None, rates=None, marked=None):
+    """Yield `_recurrence`'s amplitudes (B, T) per recurrence block of the
+    batch (see `summaries`); no state is built."""
+    for block in _recurrence_blocks(config, phi, rates, marked):
+        yield _recurrence(config, *block)[2]
+
+
+def _marked_probabilities(config, phi=None, rates=None, marked=None) -> list:
+    """Marked probability |amps[:, 2k]|^2 per run of the batch (see
+    `summaries`), in order, from the recurrence alone."""
+    out = []
+    for amps in _marked_rounds(config, phi, rates, marked):
+        last = amps[:, -1]
+        out += (last.real * last.real + last.imag * last.imag).tolist()
+    return out
 
 
 def summaries(config: RunConfig, phi=None, rates=None, marked=None) -> list:
@@ -323,7 +358,7 @@ def reports(config: RunConfig, phi=None, rates=None, marked=None) -> tuple:
 
 def run(config: RunConfig) -> np.ndarray:
     """Final (unnormalized) amplitudes of the search run, shape (2^n,)."""
-    return _materialize(*_terms(config, *_batch(config))[:2])[0]
+    return _materialize(*_terms(config, *_batch(config)))[0]
 
 
 def report(config: RunConfig) -> ProbabilityReport:
@@ -335,6 +370,6 @@ def report(config: RunConfig) -> ProbabilityReport:
 
 def marked_amplitude_trace(config: RunConfig) -> list:
     """Marked-state amplitude after each iteration (length = iterations)."""
-    *_, amps = _terms(config, *_batch(config))
+    (amps,) = _marked_rounds(config)
     rounds = np.arange(1, config.iterations + 1)
     return (amps[0, 2::2] * np.exp(1j * rounds * (np.pi * config.phi))).tolist()

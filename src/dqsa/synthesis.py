@@ -22,9 +22,9 @@ import math
 
 import numpy as np
 
-from .basis import all_patterns, bits, validate_pattern
+from .basis import all_patterns, bits, index_of, validate_pattern
 from .errors import DimensionMismatch, UnsupportedSize
-from .gates import check_phi, check_rates, oracle_gate, shape_of, tau, xi_factor
+from .gates import check_phi, check_rates, damping_entries, shape_of, tau, xi_factor
 from .search import BLOCK_AMPLITUDES
 
 THETA = 1.0  # coupling energy scale in natural units
@@ -100,14 +100,21 @@ def evolve(energies: np.ndarray, phi) -> np.ndarray:
     return np.exp(-1j * energies * np.asarray(t)[..., None])
 
 
-def _realization_errors(ising: np.ndarray, pattern: str, phi, rates: np.ndarray) -> np.ndarray:
+def _realization_errors(ising: np.ndarray, marked: np.ndarray, phi,
+                        rates: np.ndarray) -> np.ndarray:
     """verify_gate_realization of D draws, phi (D,) and float rates (D, n),
-    given the coupling part of the pattern's `_energies`: shape (D,)."""
+    given each draw's marked index (D,) and coupling part of its pattern's
+    `_energies`, (D, 2^n): shape (D,).  Each draw's oracle is built as
+    gates.oracle_gate builds it: the damping entries, then the phase on its
+    marked entry."""
     u = evolve(_energies(ising, rates), phi)
-    p = oracle_gate(pattern, phi, rates)
-    ref = 2**len(pattern) - 1 if pattern == "g" * len(pattern) else 0
-    c = u[:, ref] / p[:, ref]
-    return np.max(np.abs(u - c[:, None] * p), axis=1)
+    draws = np.arange(len(marked))
+    p = damping_entries(rates.shape[1], phi, rates).astype(np.complex128)
+    p[draws, marked] *= np.exp(1j * (phi * math.pi))
+    ref = np.where(marked == 0, p.shape[1] - 1, 0)
+    c = u[draws, ref] / p[draws, ref]
+    np.multiply(c[:, None], p, out=p)  # c*P in place; P*c may round differently
+    return np.max(np.abs(np.subtract(u, p, out=p)), axis=1)
 
 
 def verify_gate_realization(n: int, pattern: str, phi: float, rates) -> float:
@@ -119,7 +126,9 @@ def verify_gate_realization(n: int, pattern: str, phi: float, rates) -> float:
     """
     terms = coupling_assignment(n, pattern)
     ising = coupling_signs(terms, n) @ np.array(list(terms.values()))
-    return float(_realization_errors(ising, pattern, [phi], check_rates([rates], (1, n)))[0])
+    rates = check_rates([rates], (1, n))
+    return float(_realization_errors(ising[None], np.array([index_of(pattern)]),
+                                     check_phi([phi], (1,)), rates)[0])
 
 
 def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
@@ -128,24 +137,30 @@ def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
     Returns a list of (pattern, worst deviation) rows in deterministic order,
     each the worst verify_gate_realization of its draws.  A draw is a row of
     rng.random: phi = 2 * its first entry, in (0, 2), and the n rates, in
-    [0, 1), the rest.  Draws go in blocks of the engine's budget,
-    BLOCK_AMPLITUDES entries, where a draw holds two rows of 2^n: its
-    evolution U and its oracle P.  The coupling signs and magnitudes, alike
-    for every pattern of n, are built once per n, and a pattern's couplings
-    are the magnitudes times its signs.
+    [0, 1), the rest.  All draws of one n, pattern by pattern, form one
+    sequence of rows, each carrying its pattern's marked index and coupling
+    part, checked in blocks of the engine's budget, BLOCK_AMPLITUDES
+    entries, where a draw holds two rows of 2^n: its evolution U and its
+    oracle P.  A block may span patterns, and the draws come in the same
+    order whatever the block size.  The coupling signs and magnitudes,
+    alike for every pattern of n, are built once per n, and a pattern's
+    couplings are the magnitudes times its signs.
     """
+    if draws < 1:  # no draw would read as a worst deviation of 0
+        raise ValueError(f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng(seed)
     rows = []
     for n in ns:
         terms, size = coupling_assignment(n, "g" * n), BLOCK_AMPLITUDES // 2 ** (n + 1)
         signs, magnitudes = coupling_signs(terms, n), np.abs(list(terms.values()))
-        for pattern, pattern_signs in zip(all_patterns(n), signs):
-            ising = signs @ (magnitudes * pattern_signs)
-            blocks = (rng.random((min(size, draws - start), n + 1))
-                      for start in range(0, draws, size))
-            worst = max(_realization_errors(ising, pattern, 2.0 * b[:, 0], b[:, 1:]).max()
-                        for b in blocks)
-            rows.append((pattern, float(worst)))
+        ising = np.array([signs @ (magnitudes * pattern_signs) for pattern_signs in signs])
+        worst, total = np.zeros(2**n), 2**n * draws
+        for start in range(0, total, size):
+            block = rng.random((min(size, total - start), n + 1))
+            marked = np.arange(start, start + len(block)) // draws
+            errors = _realization_errors(ising[marked], marked, 2.0 * block[:, 0], block[:, 1:])
+            np.maximum.at(worst, marked, errors)
+        rows += zip(all_patterns(n), worst.tolist())
     return rows
 
 

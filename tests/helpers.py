@@ -267,7 +267,8 @@ def layer_on_terms(coeffs: np.ndarray, vecs: np.ndarray, mats: np.ndarray) -> np
 @dataclass
 class EngineCalls:
     """The engine's calls, in order: ``recurrence`` holds the size of every
-    recurrence block it evolves to its terms (a `search._terms` call),
+    recurrence block it evolves (a `search._recurrence` call, which
+    `search._terms` makes too),
     ``state`` the size of every state block whose amplitudes it builds (a
     `search._materialize` call), and ``dtypes`` the dtype of the vector
     table each state block was given."""
@@ -280,18 +281,18 @@ class EngineCalls:
 def record_blocks(monkeypatch) -> EngineCalls:
     """EngineCalls that records the engine's calls from here on."""
     calls = EngineCalls()
-    terms, materialize = search._terms, search._materialize
+    recurrence, materialize = search._recurrence, search._materialize
 
-    def spy_terms(config, marked, phi, rates):
+    def spy_recurrence(config, marked, phi, rates):
         calls.recurrence.append(len(phi))
-        return terms(config, marked, phi, rates)
+        return recurrence(config, marked, phi, rates)
 
     def spy_materialize(coeffs, vecs):
         calls.state.append(len(coeffs))
         calls.dtypes.append(vecs.dtype)
         return materialize(coeffs, vecs)
 
-    monkeypatch.setattr(search, "_terms", spy_terms)
+    monkeypatch.setattr(search, "_recurrence", spy_recurrence)
     monkeypatch.setattr(search, "_materialize", spy_materialize)
     return calls
 

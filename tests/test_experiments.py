@@ -40,10 +40,12 @@ from dqsa.experiments import (
 )
 
 from helpers import (
+    EngineCalls,
     appendix_rows_by_dict,
     comparison_by_rows,
     damped_configs,
     grover_closed_form,
+    planned_blocks,
     record_blocks,
     run_json_by_dict,
     table_by_dict,
@@ -563,6 +565,20 @@ class TestBlocks:
         assert len(rows) == steps
         assert worst_row_vs_report(rows, spec) <= 1e-15
         assert sweep_to_csv(rows) == sweep_to_csv(sweep(spec))
+
+    def test_peak_and_table1_build_no_state(self, monkeypatch):
+        # both read the marked probability from the recurrence alone: the
+        # peak's 1000-point grid in its recurrence blocks, then its refined
+        # point, and each size's two summary-row phases in one block
+        rates = tuple(0.05 * (v + 1) for v in range(9))
+        grid, _ = planned_blocks(9, 8, 1000)
+        calls = record_blocks(monkeypatch)
+        phi, _ = peak_search(9, "e" * 9, rates)
+        assert phi != round(phi, 3)  # refined off the grid
+        assert calls == EngineCalls(grid + [1], [], [])
+        calls = record_blocks(monkeypatch)
+        table1_comparison()
+        assert calls == EngineCalls([2] * len(SUMMARY_PHI_P), [], [])
 
     def test_dissipation_block_split_matches_report(self, monkeypatch):
         # the same on the rate axis, with per-qubit weights

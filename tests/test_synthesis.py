@@ -29,6 +29,19 @@ from helpers import per_draw_sweep
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 
+def record_block_sizes(monkeypatch) -> list:
+    """The number of draws in each block verification_sweep checks from
+    here on, in order."""
+    sizes, errors = [], synthesis._realization_errors
+
+    def spy(ising, marked, phi, rates):
+        sizes.append(len(phi))
+        return errors(ising, marked, phi, rates)
+
+    monkeypatch.setattr(synthesis, "_realization_errors", spy)
+    return sizes
+
+
 class TestCouplingAssignment:
     def test_two_qubit_all_excited(self):
         t = coupling_assignment(2, "ee")
@@ -150,6 +163,10 @@ class TestHamiltonian:
         assert tuple(p for p, _ in rows) == all_patterns(2)
         assert all(w <= 1e-10 for _, w in rows)
 
+    def test_verification_sweep_needs_a_draw(self):
+        with pytest.raises(ValueError, match="draws"):
+            verification_sweep(ns=(2,), draws=0)
+
     def test_verification_sweep_deterministic(self):
         a = verification_sweep(ns=(2,), draws=2, seed=5)
         b = verification_sweep(ns=(2,), draws=2, seed=5)
@@ -172,7 +189,7 @@ class TestHamiltonian:
     @pytest.mark.parametrize("seed", [7, 20240])
     @pytest.mark.parametrize("draws", [1, 20])
     def test_sweep_rows_equal_per_draw_reference(self, seed, draws):
-        # the sweep checks a pattern's draws as one batch; its rows must be
+        # the sweep checks each size's draws as one sequence; its rows must be
         # exactly those of one check per draw on the same random numbers
         assert verification_sweep(draws=draws, seed=seed) == per_draw_sweep(draws=draws, seed=seed)
 
@@ -191,20 +208,22 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("n,size", [(2, 16384), (3, 8192), (4, 4096)])
     def test_draws_per_block(self, monkeypatch, n, size):
-        # a draw counts its two rows of 2^n, U and P, against the engine's budget
-        sizes, errors = [], synthesis._realization_errors
-
-        def spy(ising, pattern, phi, rates):
-            sizes.append(len(phi))
-            return errors(ising, pattern, phi, rates)
-
-        monkeypatch.setattr(synthesis, "_realization_errors", spy)
+        # a draw counts its two rows of 2^n, U and P, against the engine's
+        # budget; the 2^n patterns' draws form one sequence, so size + 1
+        # draws of each fill 2^n whole blocks and a last one of 2^n draws
+        sizes = record_block_sizes(monkeypatch)
         verification_sweep(ns=(n,), draws=size + 1, seed=7)
-        assert sizes == [size, 1] * 2**n
+        assert sizes == [size] * 2**n + [2**n]
+
+    def test_default_pass_is_one_block_per_size(self, monkeypatch):
+        # the 20 draws of every pattern of n = 2, 3 and 4 fit one block each
+        sizes = record_block_sizes(monkeypatch)
+        verification_sweep()
+        assert sizes == [4 * 20, 8 * 20, 16 * 20]
 
     def test_sweep_peak_is_bounded(self):
-        # a block of 4096 draws at n=4 peaked at 4.3 MiB after a first call
-        # (5.0 MiB on it); the 20000 draws in one block took 21 MiB
+        # a block of 4096 draws at n=4 peaked at 3.9 MiB after a first call
+        # (4.7 MiB on it); the 20000 draws in one block took 21 MiB
         tracemalloc.start()
         try:
             verification_sweep(ns=(4,), draws=20000)

@@ -11,7 +11,6 @@ renormalization.
 """
 
 import itertools
-import numbers
 
 import numpy as np
 
@@ -46,19 +45,6 @@ def bits(n: int, index=None) -> np.ndarray:
     np.shape(index) + (n,): entry [..., v] is 1 when qubit v+1 is excited."""
     index = np.arange(2**n) if index is None else np.asarray(index)
     return (index[..., None] >> np.arange(n - 1, -1, -1)) & 1
-
-
-def pattern_of(index: int, n: int) -> str:
-    """Inverse of index_of for an n-qubit register; ``index`` and ``n`` must
-    be integers (a bool or float is rejected, as `gates.whole_number` does)."""
-    for name, value in (("index", index), ("qubit count", n)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InvalidPattern(f"{name} must be an integer, got {value!r}")
-    if not 1 <= n <= MAX_QUBITS:
-        raise InvalidPattern(f"qubit count must be 1..{MAX_QUBITS}, got {n}")
-    if not 0 <= index < 2**n:
-        raise InvalidPattern(f"index {index} out of range for {n} qubits")
-    return format(index, f"0{n}b").replace("0", "g").replace("1", "e")
 
 
 def all_patterns(n: int) -> tuple:

@@ -17,21 +17,6 @@ from .search import RunConfig, reports
 from .synthesis import verification_sweep
 
 
-def load_config(path: str):
-    """Parse a JSON config into a RunConfig or a SweepSpec.
-
-    Schema: {"n": int, "marked": "ege", "phi": number | {"start","stop",
-    "steps"}, "gammas": [numbers], "iterations": int, "convention": str,
-    "gbar": {"start","stop","steps"}}.  A phi grid makes a phase sweep; a
-    "gbar" grid (with scalar phi) makes a dissipation sweep; otherwise the
-    result is a single-run config.  Missing gammas mean all zeros, except in
-    a "gbar" config, where gammas are the weights of the rate scale and
-    default to all ones.  A sweep config may not carry "iterations": sweeps
-    always run n - 1 rounds.
-    """
-    return config_from_dict(_read_json(path))
-
-
 def _read_json(path: str):
     """The JSON value stored at ``path``; `config_from_dict` checks its root."""
     try:
@@ -53,9 +38,19 @@ def _grid_fields(obj, field: str):
 
 
 def config_from_dict(raw: dict):
-    """Dict form of load_config (flags merge happens before this).  This
-    checks only the schema's structure: the fields present, the grids' shape
-    and which fields go together.  RunConfig and SweepSpec check every value."""
+    """Parse a JSON config, merged with the flags, into a RunConfig or a
+    SweepSpec.
+
+    Schema: {"n": int, "marked": "ege", "phi": number | {"start","stop",
+    "steps"}, "gammas": [numbers], "iterations": int, "convention": str,
+    "gbar": {"start","stop","steps"}}.  A phi grid makes a phase sweep; a
+    "gbar" grid (with scalar phi) makes a dissipation sweep; otherwise the
+    result is a single-run config.  Missing gammas mean all zeros, except in
+    a "gbar" config, where gammas are the weights of the rate scale and
+    default to all ones.  A sweep config may not carry "iterations": sweeps
+    always run n - 1 rounds.  This checks only the schema's structure: the
+    fields present, the grids' shape and which fields go together.
+    RunConfig and SweepSpec check every value."""
     if not isinstance(raw, dict):
         raise MalformedConfig("config root must be a JSON object")
     unknown = set(raw) - {"n", "marked", "phi", "gammas", "iterations", "convention", "gbar"}

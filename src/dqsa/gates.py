@@ -1,10 +1,11 @@
-"""Gate constructors, the damped Walsh gate and the phase oracle, as arrays;
-and the one rule for real inputs.
+"""Gate constructors, the damped Walsh gate and the oracle's damping, as
+arrays; and the one rule for real inputs.
 
 A one-qubit W gate is a (2, 2) real array in (g, e) ordering, and
 `w_gate` of n rates is the W layer: the (n, 2, 2) array of its tensor
-factors, qubit 1 first.  The oracle is diagonal, so it is its (2^n,) array
-of entries in basis-index order.  Nothing here keeps state.
+factors, qubit 1 first.  The oracle is diagonal: `damping_entries` gives
+its damping as the (2^n,) array of entries in basis-index order, and its
+phase e^{i*beta} sits on the marked entry alone.  Nothing here keeps state.
 
 All times enter through the control phase ``phi`` = beta/pi; `tau` gives
 the evolution time phi*pi/2^n in natural units.  Dissipation rates ``g_v``
@@ -38,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .basis import bits, index_of
+from .basis import bits
 from .errors import DimensionMismatch, NegativePhase, OverdampedQubit
 
 CONVENTIONS = ("composite", "tabulated")
@@ -169,11 +170,3 @@ def damping_entries(n: int, phi, rates) -> np.ndarray:
     phi = check_phi(phi, shape_of(phi, "phi")[:1])
     excited = bits(n) @ check_rates(rates, np.shape(phi) + (n,))[..., None]  # one product per row
     return np.exp(-0.5 * np.asarray(tau(phi, n))[..., None] * excited[..., 0])
-
-
-def oracle_gate(x: str, phi, rates) -> np.ndarray:
-    """Diagonal phase oracle's entries, shaped as by `damping_entries`:
-    damping on every state, extra e^{i*beta} (beta = phi*pi) on x."""
-    ix, entries = index_of(x), damping_entries(len(x), phi, rates).astype(np.complex128)
-    entries[..., ix] *= np.exp(1j * (np.asarray(phi, dtype=np.float64) * math.pi))
-    return entries

@@ -24,7 +24,7 @@ so every table of vectors is real (float64), and only the phases make the
 recurrence and the c_t complex.  `_recurrence` runs the engine up to the
 recurrence's amplitudes (B, T), which hold the marked amplitude after every
 round: the marked probability (read by `experiments.table1` and
-`peak_search`) and `marked_amplitude_trace` come from them, with no state.
+`peak_search`) comes from them, with no state.
 `_terms` turns them into the engine's product, the coefficients (B, T) and
 vectors u (n, 2, B, T), and only `_materialize` builds the 2^n amplitudes,
 in one real batched matrix product of two half Kronecker tables.  A run
@@ -41,16 +41,16 @@ recurrence, with no 2^n term; `_materialize` runs on each state block, a
 slice of `_terms`' output whose width counts the 2^n amplitudes too; the
 marked read stops after the first.  `reports` returns each run's
 probabilities, `summaries` their sums.  Output is byte-identical from run
-to run, and a sweep row agrees with a standalone `report` of its point to
-1e-15 (bitwise on the x86-64 machine this was measured on, but that is not
-promised), as the marked read does with `summaries` (not bitwise).
+to run, and a sweep row agrees with a one-run `reports` call of its point
+to 1e-15 (bitwise on the x86-64 machine this was measured on, but that is
+not promised), as the marked read does with `summaries` (not bitwise).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import all_patterns, bits, index_of, validate_pattern
+from .basis import bits, index_of, validate_pattern
 from .errors import DimensionMismatch
 from .gates import check_convention, check_phi, check_rates, tau, unset, w_gate, whole_number
 
@@ -95,21 +95,6 @@ class RunConfig:
             raise ValueError(f"iterations must be <= {limit} at n={self.n}, got {self.iterations}")
         object.__setattr__(self, "phi", check_phi(self.phi, rounds=self.iterations))
         check_convention(self.convention)
-
-
-@dataclass(frozen=True)
-class ProbabilityReport:
-    """Marked probability, every remaining-state probability (in index
-    order), and the total survival probability."""
-
-    marked_pattern: str
-    marked_prob: float
-    unmarked: dict
-    survival: float
-
-    @property
-    def sum_unmarked(self) -> float:
-        return self.survival - self.marked_prob
 
 
 def _run_units(n: int) -> tuple:
@@ -354,22 +339,3 @@ def reports(config: RunConfig, phi=None, rates=None, marked=None) -> tuple:
     empty = np.zeros(0, dtype=int), np.zeros((0, 2**config.n))
     indices, probs = zip(empty, *_blocks(config, phi, rates, marked))
     return np.concatenate(indices), np.concatenate(probs)
-
-
-def run(config: RunConfig) -> np.ndarray:
-    """Final (unnormalized) amplitudes of the search run, shape (2^n,)."""
-    return _materialize(*_terms(config, *_batch(config)))[0]
-
-
-def report(config: RunConfig) -> ProbabilityReport:
-    """Probabilities of the final state, split marked vs remaining."""
-    _, (row,) = reports(config)
-    rest = dict(zip(all_patterns(config.n), row.tolist()))
-    return ProbabilityReport(config.marked, rest.pop(config.marked), rest, float(row.sum()))
-
-
-def marked_amplitude_trace(config: RunConfig) -> list:
-    """Marked-state amplitude after each iteration (length = iterations)."""
-    (amps,) = _marked_rounds(config)
-    rounds = np.arange(1, config.iterations + 1)
-    return (amps[0, 2::2] * np.exp(1j * rounds * (np.pi * config.phi))).tolist()

@@ -6,8 +6,8 @@ non-Hermitian damping.  The coupling assignment expands the marked-state
 projector: sum_tuples J * prod(sigma_z) = theta * 2^n * |x><x|, distributed
 over ordered index tuples in a canonical way (see coupling_assignment); the
 couplings are a plain dict from tuple to J.  Evolving for time tau then
-reproduces the oracle exactly, which verify_gate_realization checks
-numerically.  Energies, their evolutions and gates.oracle_gate are (2^n,)
+reproduces the oracle exactly, which verification_sweep checks numerically
+over random draws.  Energies, their evolutions and the oracle are (2^n,)
 arrays of diagonal entries in basis-index order, or (D, 2^n) for D draws of
 phi (D,) and rates (D, n), which verification_sweep checks in blocks.
 
@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .basis import all_patterns, bits, index_of, validate_pattern
+from .basis import all_patterns, bits, validate_pattern
 from .errors import DimensionMismatch, UnsupportedSize
 from .gates import check_phi, check_rates, damping_entries, shape_of, tau, xi_factor
 from .search import BLOCK_AMPLITUDES
@@ -76,18 +76,11 @@ def coupling_signs(terms, n: int) -> np.ndarray:
     return 1 - 2 * (((1 - bits(n)) @ odd.reshape(len(terms), n).T) & 1)
 
 
-def build_hamiltonian(terms: dict, rates) -> np.ndarray:
-    """Diagonal energies of the couplings ``terms`` (as coupling_assignment
-    returns them) on n = len(rates) qubits, shape (2^n,): E[y] = -sum_tuples
-    J * prod z_s(y) - (i/2) * sum of excited rates, so imaginary parts
-    (damping) are <= 0.  See coupling_signs for the real part.
-    """
-    rates = check_rates(rates, (len(rates),))
-    return _energies(coupling_signs(terms, len(rates)) @ np.array(list(terms.values())), rates)
-
-
 def _energies(ising: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """build_hamiltonian from its coupling part (2^n,), for checked rates (n,) or (D, n)."""
+    """Diagonal energies E[y] = -ising[y] - (i/2) * sum of excited rates, so
+    imaginary parts (damping) are <= 0, for checked rates (n,) or (D, n).
+    ``ising``, (2^n,) or (D, 2^n), is the coupling part sum_tuples J *
+    prod z_s(y): `coupling_signs` times the couplings' values."""
     excited = (bits(rates.shape[-1]) @ rates[..., None])[..., 0]  # as in gates.damping_entries
     return -ising + 1j * (-0.5 * excited)
 
@@ -102,11 +95,12 @@ def evolve(energies: np.ndarray, phi) -> np.ndarray:
 
 def _realization_errors(ising: np.ndarray, marked: np.ndarray, phi,
                         rates: np.ndarray) -> np.ndarray:
-    """verify_gate_realization of D draws, phi (D,) and float rates (D, n),
-    given each draw's marked index (D,) and coupling part of its pattern's
-    `_energies`, (D, 2^n): shape (D,).  Each draw's oracle is built as
-    gates.oracle_gate builds it: the damping entries, then the phase on its
-    marked entry."""
+    """Max |U - c*P| between the synthesized evolution U and the oracle P of
+    D draws, phi (D,) and float rates (D, n), given each draw's marked index
+    (D,) and coupling part of its pattern's `_energies`, (D, 2^n): shape
+    (D,).  P is the damping entries, then e^{i*beta} on the marked entry.
+    c matches one unmarked reference entry (all-g, or all-e when all-g is
+    marked), so the marked entry's phase stays an untouched test quantity."""
     u = evolve(_energies(ising, rates), phi)
     draws = np.arange(len(marked))
     p = damping_entries(rates.shape[1], phi, rates).astype(np.complex128)
@@ -117,25 +111,11 @@ def _realization_errors(ising: np.ndarray, marked: np.ndarray, phi,
     return np.max(np.abs(np.subtract(u, p, out=p)), axis=1)
 
 
-def verify_gate_realization(n: int, pattern: str, phi: float, rates) -> float:
-    """Max |U - c*P| between synthesized evolution U and the oracle P.
-
-    The alignment scalar c is fixed by matching one unmarked reference entry
-    (the all-g state, or all-e when all-g is the marked state), so the
-    marked entry's phase stays an untouched test quantity.
-    """
-    terms = coupling_assignment(n, pattern)
-    ising = coupling_signs(terms, n) @ np.array(list(terms.values()))
-    rates = check_rates([rates], (1, n))
-    return float(_realization_errors(ising[None], np.array([index_of(pattern)]),
-                                     check_phi([phi], (1,)), rates)[0])
-
-
 def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
     """Verify every marked pattern for each n over random (phi, rates) draws.
 
     Returns a list of (pattern, worst deviation) rows in deterministic order,
-    each the worst verify_gate_realization of its draws.  A draw is a row of
+    each the worst `_realization_errors` of its draws.  A draw is a row of
     rng.random: phi = 2 * its first entry, in (0, 2), and the n rates, in
     [0, 1), the rest.  All draws of one n, pattern by pattern, form one
     sequence of rows, each carrying its pattern's marked index and coupling

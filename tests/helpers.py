@@ -2,9 +2,11 @@
 
 Everything here builds full 2^n x 2^n operators with numpy.kron and applies
 them by plain matrix multiplication — deliberately the slow, obviously
-correct formulation.  It also checks gate synthesis one draw at a time,
-writes the `run` report and the reference-table rows from the per-pattern
-dict of `report`, parses the reference tables into dicts line by line,
+correct formulation, on the oracle's entries (`oracle_gate`).  It holds
+the one-run oracles `run`, `report` and `marked_amplitude_trace`, checks
+gate synthesis one draw at a time, writes the `run` report and the
+reference-table rows from the per-pattern dict of `report`, parses the
+reference tables into dicts line by line,
 writes comparison CSV and JSON one row at a time, wraps the engine's
 kernels (the power table and the materialization of product terms),
 counts its calls per recurrence block and per state block and plans both
@@ -21,22 +23,54 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
 
 import dqsa
-from dqsa import search
-from dqsa.basis import all_patterns
+from dqsa import search, synthesis
+from dqsa.basis import all_patterns, index_of
 from dqsa.experiments import sweep_to_csv
-from dqsa.gates import oracle_gate, tau, w_gate
-from dqsa.search import RunConfig, report
-from dqsa.synthesis import build_hamiltonian, coupling_assignment, evolve
+from dqsa.gates import damping_entries, tau, w_gate
+from dqsa.search import RunConfig, reports
+from dqsa.synthesis import coupling_assignment, coupling_signs, evolve
 
 # Directory holding the ``dqsa`` package this process imported: ``src`` when
 # the suite runs uninstalled, site-packages when it runs installed.
 DQSA_ROOT = Path(dqsa.__file__).resolve().parents[1]
 CHILD_PATH = os.pathsep.join(["/usr/bin", "/bin"])
+
+
+def run(config: RunConfig) -> np.ndarray:
+    """Final (unnormalized) amplitudes of the search run, shape (2^n,)."""
+    return search._materialize(*search._terms(config, *search._batch(config)))[0]
+
+
+def report(config: RunConfig) -> SimpleNamespace:
+    """Probabilities of the final state, split marked vs remaining: the
+    marked_pattern and its marked_prob, every remaining-state probability in
+    index order (the dict unmarked), their sum_unmarked and the survival."""
+    _, (row,) = reports(config)
+    rest = dict(zip(all_patterns(config.n), row.tolist()))
+    marked, survival = rest.pop(config.marked), float(row.sum())
+    return SimpleNamespace(marked_pattern=config.marked, marked_prob=marked, unmarked=rest,
+                           sum_unmarked=survival - marked, survival=survival)
+
+
+def marked_amplitude_trace(config: RunConfig) -> list:
+    """Marked-state amplitude after each iteration (length = iterations)."""
+    (amps,) = search._marked_rounds(config)
+    rounds = np.arange(1, config.iterations + 1)
+    return (amps[0, 2::2] * np.exp(1j * rounds * (np.pi * config.phi))).tolist()
+
+
+def oracle_gate(x: str, phi, rates) -> np.ndarray:
+    """Diagonal phase oracle's entries, shaped as by `damping_entries`:
+    damping on every state, extra e^{i*beta} (beta = phi*pi) on x."""
+    ix, entries = index_of(x), damping_entries(len(x), phi, rates).astype(np.complex128)
+    entries[..., ix] *= np.exp(1j * (np.asarray(phi, dtype=np.float64) * math.pi))
+    return entries
 
 
 def dense_single_qubit(n: int, qubit: int, gate2: np.ndarray) -> np.ndarray:
@@ -100,12 +134,35 @@ def two_level(n: int, phi: float, k: int) -> list:
     return amplitudes
 
 
-def draw_deviation(pattern: str, phi: float, rates) -> float:
-    """Max |U - c*P| of one (phi, rates) draw, by the scalar gate functions:
-    the evolution U of the pattern's coupling Hamiltonian against its oracle
-    P, aligned on the all-g entry (all-e when all-g is marked)."""
+def defining_energies(terms: dict, rates) -> np.ndarray:
+    """Diagonal energies of the couplings ``terms`` (as coupling_assignment
+    returns them) on n = len(rates) qubits by their defining sum, state by
+    state: E[y] = -sum_tuples J * prod z_s(y) - (i/2) * sum of excited rates,
+    with z_s(y) = +1 when qubit s is excited in y, else -1.  Shape (2^n,)."""
+    n = len(rates)
+    out = np.empty(2**n, dtype=np.complex128)
+    for y in range(2**n):
+        zy = [1.0 if (y >> (n - 1 - v)) & 1 else -1.0 for v in range(n)]
+        real = sum(j * math.prod(zy[s - 1] for s in tup) for tup, j in terms.items())
+        imag = -0.5 * sum(r for r, z in zip(rates, zy) if z > 0)
+        out[y] = complex(-real, imag)
+    return out
+
+
+def synthesized_energies(terms: dict, rates) -> np.ndarray:
+    """The energies as verification_sweep computes them: `coupling_signs`
+    times the couplings' values, then `synthesis._energies`.  Shape (2^n,)."""
+    ising = coupling_signs(terms, len(rates)) @ np.array(list(terms.values()))
+    return synthesis._energies(ising, np.asarray(rates, dtype=np.float64))
+
+
+def draw_deviation(pattern: str, phi: float, rates, energies=defining_energies) -> float:
+    """Max |U - c*P| of one (phi, rates) draw: the evolution U of the
+    ``energies`` of the pattern's couplings against its oracle P, aligned on
+    the all-g entry (all-e when all-g is marked).  By default the energies
+    come from their defining sum, which shares no code with the sweep."""
     n = len(pattern)
-    u = evolve(build_hamiltonian(coupling_assignment(n, pattern), rates), phi)
+    u = evolve(energies(coupling_assignment(n, pattern), rates), phi)
     p = oracle_gate(pattern, phi, rates)
     ref = 2**n - 1 if pattern == "g" * n else 0
     c = u[ref] / p[ref]
@@ -114,13 +171,16 @@ def draw_deviation(pattern: str, phi: float, rates) -> float:
 
 def per_draw_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240) -> list:
     """verification_sweep one draw at a time: each draw takes phi from
-    uniform(0, 2), then its n rates from uniform(0, 1)."""
+    uniform(0, 2), then its n rates from uniform(0, 1).  On the sweep's own
+    `synthesized_energies` the rows can equal the sweep's bit for bit; the
+    defining sum differs from them in the last bits."""
     rng = np.random.default_rng(seed)
     rows = []
     for n in ns:
         for pattern in all_patterns(n):
             rows.append((pattern, max(
-                draw_deviation(pattern, rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0, n).tolist())
+                draw_deviation(pattern, rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0, n).tolist(),
+                               synthesized_energies)
                 for _ in range(draws))))
     return rows
 

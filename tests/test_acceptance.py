@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dqsa.basis import all_patterns, pattern_of
+from dqsa.basis import all_patterns
 from dqsa.experiments import (
     SUMMARY_GROVER,
     SUMMARY_PHI_P,
@@ -23,7 +23,7 @@ from dqsa.experiments import (
     sweep_to_csv,
 )
 from dqsa.gates import w_gate
-from dqsa.search import RunConfig, points_per_block, report
+from dqsa.search import RunConfig, points_per_block
 from dqsa.synthesis import compose_w, verification_sweep
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     grover_closed_form,
     record_blocks,
     recurrence_width,
+    report,
     worst_row_vs_report,
 )
 
@@ -121,7 +122,7 @@ def test_criterion_6_invariant_suite():
     worst = 0.0
     for _ in range(25):
         n = int(rng.integers(1, 7))
-        pat = pattern_of(int(rng.integers(0, 2**n)), n)
+        pat = all_patterns(n)[int(rng.integers(0, 2**n))]
         rep = report(RunConfig(n, pat, float(rng.uniform(0, 2))))
         worst = max(worst, abs(rep.survival - 1.0))
     checks["lossless survival=1"] = worst <= 1e-12
@@ -130,7 +131,7 @@ def test_criterion_6_invariant_suite():
     worst = 0.0
     for _ in range(25):
         n = int(rng.integers(1, 6))
-        pat = pattern_of(int(rng.integers(0, 2**n)), n)
+        pat = all_patterns(n)[int(rng.integers(0, 2**n))]
         rates = tuple(rng.uniform(0, 3.5, size=n))
         rep = report(RunConfig(n, pat, float(rng.uniform(0, 2)), rates))
         worst = max(worst, rep.survival)

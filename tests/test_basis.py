@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dqsa.basis import MAX_QUBITS, all_patterns, bits, index_of, pattern_of, validate_pattern
+from dqsa.basis import MAX_QUBITS, all_patterns, bits, index_of, validate_pattern
 from dqsa.errors import InvalidPattern
 from dqsa.gates import damping_entries, w_gate
 
@@ -30,7 +30,7 @@ class TestIndexing:
     ])
     def test_known_indices(self, pattern, index):
         assert index_of(pattern) == index
-        assert pattern_of(index, len(pattern)) == pattern
+        assert all_patterns(len(pattern))[index] == pattern
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_bits_spell_the_patterns(self, n):
@@ -45,7 +45,6 @@ class TestIndexing:
         assert len(set(pats)) == 2**n
         for i, pat in enumerate(pats):
             assert index_of(pat) == i
-            assert pattern_of(i, n) == pat
 
     def test_first_qubit_most_significant(self):
         # flipping qubit 1 moves the index by 2^(n-1)
@@ -68,22 +67,6 @@ class TestIndexing:
 
     def test_max_length_accepted(self):
         assert index_of("e" * MAX_QUBITS) == 2**MAX_QUBITS - 1
-
-    def test_pattern_of_range_checks(self):
-        with pytest.raises(InvalidPattern):
-            pattern_of(4, 2)
-        with pytest.raises(InvalidPattern):
-            pattern_of(-1, 2)
-        with pytest.raises(InvalidPattern):
-            pattern_of(0, 0)
-
-    @pytest.mark.parametrize("index,n", [(1.0, 2), (True, 1), (np.float64(0.0), 1), (0, 2.0)])
-    def test_pattern_of_rejects_non_integers(self, index, n):
-        with pytest.raises(InvalidPattern, match="must be an integer"):
-            pattern_of(index, n)
-
-    def test_pattern_of_takes_numpy_integers(self):
-        assert pattern_of(np.int64(2), np.int64(2)) == "eg"
 
 
 class TestOperations:

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, config handling, documentation."""
 
 import dataclasses
+import inspect
 import json
 import re
 import shlex
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import dqsa
 from dqsa import cli, experiments
-from dqsa.cli import config_from_dict, config_to_dict, load_config, main
+from dqsa.cli import config_from_dict, config_to_dict, main
 from dqsa.errors import MalformedConfig
 from dqsa.experiments import SweepSpec, peak_search, sweep
 from dqsa.search import RunConfig
@@ -334,27 +336,27 @@ class TestConfigFiles:
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"n": 3, "marked": "ege", "phi": 1.0,
                                     "gammas": [0.1, 0.2, 0.3], "iterations": 4}))
-        cfg = load_config(str(path))
+        cfg = config_from_dict(cli._read_json(str(path)))
         assert cfg == RunConfig(3, "ege", 1.0, (0.1, 0.2, 0.3), iterations=4)
 
     def test_load_phase_sweep_config(self, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"n": 2, "marked": "ee",
                                     "phi": {"start": 0, "stop": 1, "steps": 5}}))
-        cfg = load_config(str(path))
+        cfg = config_from_dict(cli._read_json(str(path)))
         assert isinstance(cfg, SweepSpec)
         assert cfg.axis == "phase"
         assert cfg.steps == 5
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MalformedConfig):
-            load_config(str(tmp_path / "absent.json"))
+            config_from_dict(cli._read_json(str(tmp_path / "absent.json")))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(MalformedConfig):
-            load_config(str(path))
+            config_from_dict(cli._read_json(str(path)))
 
     def test_unknown_field_rejected(self):
         with pytest.raises(MalformedConfig):
@@ -594,6 +596,16 @@ class TestDocumentedCommands:
     def _blocks(self, language):
         text = (REPO_ROOT / "README.md").read_text()
         return re.findall(rf"```{language}\n(.*?)```", text, flags=re.DOTALL)
+
+    def test_every_exported_name_is_documented(self):
+        # what `dqsa` exports is what README documents; the note on removed
+        # names does not count
+        text = (REPO_ROOT / "README.md").read_text()
+        text = re.sub(r"\n## Python API changes\n.*?(?=\n## )", "", text, flags=re.DOTALL)
+        names = [name for name, value in vars(dqsa).items()
+                 if not name.startswith("_") and not inspect.ismodule(value)]
+        assert "RunConfig" in names
+        assert [name for name in names if not re.search(rf"\b{name}\b", text)] == []
 
     def test_readme_has_bash_examples(self):
         assert len(self._blocks("bash")) >= 3

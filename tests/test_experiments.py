@@ -15,7 +15,7 @@ from dqsa.errors import (
     UnknownTable,
     UnsupportedSize,
 )
-from dqsa.search import RunConfig, points_per_block, report, reports, summaries
+from dqsa.search import RunConfig, points_per_block, reports, summaries
 from dqsa.experiments import (
     AVAILABLE_TABLES,
     GROVER_TOLERANCE,
@@ -47,6 +47,7 @@ from helpers import (
     grover_closed_form,
     planned_blocks,
     record_blocks,
+    report,
     run_json_by_dict,
     table_by_dict,
     table_text,

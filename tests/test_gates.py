@@ -14,15 +14,22 @@ from dqsa.gates import (
     check_phi,
     check_rates,
     damping_entries,
-    oracle_gate,
     tau,
     w_gate,
     xi_factor,
 )
-from dqsa.search import RunConfig, run
+from dqsa.search import RunConfig
 from dqsa.synthesis import evolve
 
-from helpers import dense_diffusion, dense_terms, dense_walsh, layer_on_terms, random_terms
+from helpers import (
+    dense_diffusion,
+    dense_terms,
+    dense_walsh,
+    layer_on_terms,
+    oracle_gate,
+    random_terms,
+    run,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 

@@ -10,11 +10,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqsa.basis import index_of, pattern_of
-from dqsa.gates import damping_entries, oracle_gate, w_gate
-from dqsa.search import RunConfig, report, summaries
+from dqsa.basis import all_patterns, index_of
+from dqsa.gates import damping_entries, w_gate
+from dqsa.search import RunConfig, summaries
 
-from helpers import dense_diffusion
+from helpers import dense_diffusion, oracle_gate, report
 
 phis = st.floats(min_value=0.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 rate_values = st.floats(min_value=0.0, max_value=3.5, allow_nan=False, allow_infinity=False)
@@ -24,7 +24,7 @@ rate_values = st.floats(min_value=0.0, max_value=3.5, allow_nan=False, allow_inf
 def patterns(draw, min_n=1, max_n=6):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     index = draw(st.integers(min_value=0, max_value=2**n - 1))
-    return pattern_of(index, n)
+    return all_patterns(n)[index]
 
 
 @st.composite
@@ -105,8 +105,8 @@ def test_zero_phase_leaves_the_uniform_distribution(pattern, iterations):
 @given(n=st.integers(min_value=1, max_value=6), phi=phis,
        a=st.integers(min_value=0, max_value=63), b=st.integers(min_value=0, max_value=63))
 def test_lossless_search_is_blind_to_the_marked_pattern(n, phi, a, b):
-    pat_a = pattern_of(a % 2**n, n)
-    pat_b = pattern_of(b % 2**n, n)
+    pat_a = all_patterns(n)[a % 2**n]
+    pat_b = all_patterns(n)[b % 2**n]
     rho_a = report(RunConfig(n, pat_a, phi)).marked_prob
     rho_b = report(RunConfig(n, pat_b, phi)).marked_prob
     assert abs(rho_a - rho_b) <= 1e-10
@@ -133,7 +133,7 @@ def test_oracle_entries_never_amplify(pattern, phi, rates):
 @given(n=st.integers(min_value=1, max_value=12), index=st.integers(min_value=0))
 def test_index_pattern_bijection(n, index):
     index %= 2**n
-    assert index_of(pattern_of(index, n)) == index
+    assert index_of(all_patterns(n)[index]) == index
 
 
 @given(pattern=patterns(max_n=4),

@@ -19,18 +19,15 @@ from dqsa.errors import (
     NegativePhase,
     OverdampedQubit,
 )
-from dqsa.gates import PHASE_BOUND, oracle_gate
+from dqsa.gates import PHASE_BOUND
 from dqsa.search import (
     RunConfig,
     _batch,
     _marked_probabilities,
     _materialize,
     _terms,
-    marked_amplitude_trace,
     points_per_block,
-    report,
     reports,
-    run,
     summaries,
 )
 
@@ -39,9 +36,13 @@ from helpers import (
     damped_configs,
     dense_run,
     grover_closed_form,
+    marked_amplitude_trace,
+    oracle_gate,
     planned_blocks,
     record_blocks,
     recurrence_width,
+    report,
+    run,
     two_level,
 )
 
@@ -294,8 +295,6 @@ class TestReport:
 
 class TestTrace:
     def test_trace_length_and_final_value(self):
-        from dqsa.basis import index_of
-
         cfg = RunConfig(4, "egge", 0.9, (0.1, 0.0, 0.3, 0.2), iterations=5)
         trace = marked_amplitude_trace(cfg)
         assert len(trace) == 5

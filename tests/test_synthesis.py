@@ -10,21 +10,25 @@ import scipy.linalg
 from dqsa import synthesis
 from dqsa.basis import all_patterns, index_of
 from dqsa.errors import DimensionMismatch, NegativePhase, OverdampedQubit, UnsupportedSize
-from dqsa.gates import oracle_gate, w_gate, xi_factor
+from dqsa.gates import w_gate, xi_factor
 from dqsa.search import BLOCK_AMPLITUDES
 from dqsa.synthesis import (
     THETA,
-    build_hamiltonian,
     compose_w,
     coupling_assignment,
     evolve,
     v1_gate,
     v2_gate,
     verification_sweep,
-    verify_gate_realization,
 )
 
-from helpers import per_draw_sweep
+from helpers import (
+    defining_energies,
+    draw_deviation,
+    oracle_gate,
+    per_draw_sweep,
+    synthesized_energies,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -71,13 +75,9 @@ class TestCouplingAssignment:
     def test_terms_expand_to_projector(self, n):
         # sum over tuples of J * prod z(y) must equal theta * 2^n [y == x]
         for pattern in all_patterns(n):
-            terms = coupling_assignment(n, pattern)
-            for y in range(2**n):
-                zy = [1.0 if (y >> (n - 1 - v)) & 1 else -1.0 for v in range(n)]
-                total = sum(j * math.prod(zy[s - 1] for s in tup)
-                            for tup, j in terms.items())
-                expected = THETA * 2**n if y == index_of(pattern) else 0.0
-                assert total == pytest.approx(expected, abs=1e-12)
+            total = -defining_energies(coupling_assignment(n, pattern), (0.0,) * n)
+            expected = np.where(np.arange(2**n) == index_of(pattern), THETA * 2**n, 0.0)
+            np.testing.assert_allclose(total, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_g_magnitudes_times_signs(self, n):
@@ -103,11 +103,11 @@ class TestCouplingAssignment:
 
 class TestHamiltonian:
     def test_energies_two_qubit_all_excited(self):
-        h = build_hamiltonian(coupling_assignment(2, "ee"), (0.0, 0.0))
+        h = synthesized_energies(coupling_assignment(2, "ee"), (0.0, 0.0))
         np.testing.assert_allclose(h, [0, 0, 0, -4], atol=1e-12)
 
     def test_damping_term(self):
-        h = build_hamiltonian(coupling_assignment(2, "ee"), (0.3, 0.5))
+        h = synthesized_energies(coupling_assignment(2, "ee"), (0.3, 0.5))
         # imaginary part: -(1/2) * sum of rates over excited qubits
         np.testing.assert_allclose(h.imag, [0, -0.25, -0.15, -0.4], atol=1e-12)
 
@@ -120,15 +120,11 @@ class TestHamiltonian:
     def test_energies_equal_term_by_term_sum(self, n, terms):
         # the vectorized energies against the defining sum, state by state
         rates = tuple(np.random.default_rng(n).uniform(0.0, 1.0, n).tolist())
-        got = build_hamiltonian(terms, rates)
-        for y in range(2**n):
-            zy = [1.0 if (y >> (n - 1 - v)) & 1 else -1.0 for v in range(n)]
-            real = sum(j * math.prod(zy[s - 1] for s in tup) for tup, j in terms.items())
-            imag = -0.5 * sum(r for r, z in zip(rates, zy) if z > 0)
-            assert abs(got[y] - complex(-real, imag)) <= 1e-12
+        got = synthesized_energies(terms, rates)
+        assert np.max(np.abs(got - defining_energies(terms, rates))) <= 1e-12
 
     def test_evolution_matches_expm(self):
-        h = build_hamiltonian(coupling_assignment(3, "ege"), (0.2, 0.0, 0.7))
+        h = synthesized_energies(coupling_assignment(3, "ege"), (0.2, 0.0, 0.7))
         got = evolve(h, 0.83)
         ref = np.diag(scipy.linalg.expm(-1j * (0.83 * math.pi / 8) * np.diag(h)))
         np.testing.assert_allclose(got, ref, atol=1e-12)
@@ -136,7 +132,7 @@ class TestHamiltonian:
     @pytest.mark.parametrize("phi,error", [(-0.5, NegativePhase), (math.nan, ValueError),
                                            (True, ValueError)])
     def test_evolution_phase_checked(self, phi, error):
-        h = build_hamiltonian(coupling_assignment(2, "ee"), (0.0, 0.0))
+        h = synthesized_energies(coupling_assignment(2, "ee"), (0.0, 0.0))
         with pytest.raises(error, match="phi"):
             evolve(h, phi)
 
@@ -149,10 +145,10 @@ class TestHamiltonian:
     def test_evolution_realizes_oracle(self, pattern, rates):
         n = len(pattern)
         phi = 0.77
-        dev = verify_gate_realization(n, pattern, phi, rates)
+        dev = draw_deviation(pattern, phi, rates)
         assert dev < 1e-12
         # and directly: entries equal the oracle's up to one global scalar
-        u = evolve(build_hamiltonian(coupling_assignment(n, pattern), rates), phi)
+        u = evolve(synthesized_energies(coupling_assignment(n, pattern), rates), phi)
         p = oracle_gate(pattern, phi, rates)
         c = u[0] / p[0]
         np.testing.assert_allclose(u, c * p, atol=1e-12)
@@ -171,20 +167,6 @@ class TestHamiltonian:
         a = verification_sweep(ns=(2,), draws=2, seed=5)
         b = verification_sweep(ns=(2,), draws=2, seed=5)
         assert a == b
-
-    @pytest.mark.parametrize("seed", [7, 20240])
-    def test_sweep_rows_equal_per_draw_verification(self, seed):
-        # the sweep builds each pattern's couplings once; its rows must be
-        # exactly the worst of verify_gate_realization over the same draws
-        rng = np.random.default_rng(seed)
-        rows = []
-        for n in (2, 3, 4):
-            for pattern in all_patterns(n):
-                rows.append((pattern, max(
-                    verify_gate_realization(n, pattern, rng.uniform(0.0, 2.0),
-                                            rng.uniform(0.0, 1.0, size=n).tolist())
-                    for _ in range(20))))
-        assert verification_sweep(seed=seed) == rows
 
     @pytest.mark.parametrize("seed", [7, 20240])
     @pytest.mark.parametrize("draws", [1, 20])
@@ -232,16 +214,13 @@ class TestHamiltonian:
             tracemalloc.stop()
         assert peak <= 6 * 2**20
 
-    def test_verify_gate_realization_returns_a_float(self):
-        assert type(verify_gate_realization(2, "ge", 0.77, (0.1, 0.2))) is float
-
     @pytest.mark.parametrize("terms,rates,bad", [
         ({(0,): 1.0}, (0.0, 0.0), r"\(0,\)"),
         (coupling_assignment(3, "ege"), (0.0, 0.0), r"\(3,\)"),
     ])
     def test_qubit_outside_register_rejected(self, terms, rates, bad):
         with pytest.raises(DimensionMismatch, match=bad):
-            build_hamiltonian(terms, rates)
+            synthesis.coupling_signs(terms, len(rates))
 
 
 class TestPulses:

@@ -59,12 +59,10 @@ def config_from_dict(raw: dict):
     for field in ("n", "marked", "phi"):
         if field not in raw:
             raise MalformedConfig(f"missing required field '{field}' (flag --{field} or config)")
-    for field in ("phi", "iterations"):  # the classes would read a null as unset
+    for field in ("phi", "gammas", "iterations"):  # the classes would read None as left out
         if field in raw and raw[field] is None:
             raise MalformedConfig(f"field '{field}' must not be null")
-    gammas = raw.get("gammas", ())
-    if "gammas" in raw and not (isinstance(gammas, (list, tuple)) and gammas):
-        raise MalformedConfig("field 'gammas' must be a non-empty list of numbers")
+    gammas = raw.get("gammas")
 
     phi = raw["phi"]
     if isinstance(phi, dict) and "gbar" in raw:
@@ -124,7 +122,7 @@ def _parse_phi_grid(text: str):
 
 
 def _emit(text: str, out: str | None):
-    if out:
+    if out is not None:
         try:
             with open(out, "w") as fh:
                 fh.write(text)
@@ -136,7 +134,7 @@ def _emit(text: str, out: str | None):
 
 def _merged_config(args):
     """The config file's fields, with each given flag in place of its field."""
-    raw = _read_json(args.config) if args.config else {}
+    raw = {} if args.config is None else _read_json(args.config)
     for field, parse in (("n", int), ("marked", str), ("phi", _parse_phi_grid),
                          ("gammas", _parse_gammas), ("iterations", int)):
         value = vars(args).get(field)  # sweep has no --iterations
@@ -208,7 +206,7 @@ def _cmd_appendix(args) -> int:
 
 
 def _cmd_verify_gates(args) -> int:
-    ns = (args.n,) if args.n else (2, 3, 4)
+    ns = (2, 3, 4) if args.n is None else (args.n,)
     rows = verification_sweep(ns, draws=args.draws, seed=args.seed)
     ok = True
     for pattern, worst in rows:
@@ -222,8 +220,8 @@ def _cmd_verify_gates(args) -> int:
 
 def _cmd_peak(args) -> int:
     marked = "g" * args.n if args.marked is None else args.marked
-    rates = () if args.gammas is None else _parse_gammas(args.gammas)
-    if rates:  # checked after the pattern, as in peak_search, but naming the flag
+    rates = None if args.gammas is None else _parse_gammas(args.gammas)
+    if rates is not None:  # checked after the pattern, as in peak_search, but naming the flag
         validate_pattern(marked, args.n)
         check_rates(rates, (args.n,), "--gammas")
     phi, rho = experiments.peak_search(args.n, marked, rates, args.convention)

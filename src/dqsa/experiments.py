@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import all_patterns
 from .errors import UnknownTable, UnsupportedSize
-from .gates import check_rates, check_reals, tau, unset, whole_number
+from .gates import check_rates, check_reals, tau, whole_number
 from .search import RunConfig, _marked_probabilities, reports, summaries
 
 # Reference summary row per size: the peak phase coefficient phi_p, the peak
@@ -90,7 +90,7 @@ def table1(n: int) -> tuple:
 def table1_comparison(ns=None, present_tolerance: float = PRESENT_TOLERANCE,
                       grover_tolerance: float = GROVER_TOLERANCE) -> ComparisonReport:
     """Compare computed peak/phi=1 probabilities against the reference row."""
-    ns = ns or sorted(SUMMARY_PHI_P)
+    ns = sorted(SUMMARY_PHI_P) if ns is None else ns
     computed = np.array([table1(n)[1:] for n in ns]).ravel()
     paper = np.array([(SUMMARY_PRESENT[n], SUMMARY_GROVER[n]) for n in ns]).ravel()
     labels = [f"n={n} {kind}" for n in ns for kind in ("present", "grover")]
@@ -98,7 +98,7 @@ def table1_comparison(ns=None, present_tolerance: float = PRESENT_TOLERANCE,
     return ComparisonReport(labels, paper, computed, tolerances, present_tolerance)
 
 
-def peak_search(n: int, marked: str, rates=(), convention: str = "composite") -> tuple:
+def peak_search(n: int, marked: str, rates=None, convention: str = "composite") -> tuple:
     """(phi, rho) maximizing the marked probability over phi in (0, 1].
 
     Scans a step-1e-3 grid (first-maximum wins, so plateaus resolve toward
@@ -128,7 +128,7 @@ class SweepSpec:
     """A 1-D sweep (see `sweep`): over phi (axis="phase", fixed rates) or
     over a uniform rate scale g (axis="dissipation", fixed phi, default 1.0,
     rates = g * weights), on a grid of ``steps`` evenly spaced points from
-    ``start`` to ``stop``.  A field the axis does not use must stay unset."""
+    ``start`` to ``stop``.  A field the axis does not use must stay None."""
 
     n: int
     marked: str
@@ -136,18 +136,17 @@ class SweepSpec:
     start: float = 0.0
     stop: float = 1.0
     steps: int = 2
-    rates: tuple = ()
+    rates: tuple | None = None
     phi: float | None = None
-    weights: tuple = ()
+    weights: tuple | None = None
     convention: str = "composite"
 
     def __post_init__(self):
         if self.axis not in ("phase", "dissipation"):
             raise ValueError(f"axis must be 'phase' or 'dissipation', got {self.axis!r}")
         for name in ("phi", "weights") if self.axis == "phase" else ("rates",):
-            if not unset(getattr(self, name)):
+            if getattr(self, name) is not None:
                 raise ValueError(f"a {self.axis} sweep does not use {name}")
-            object.__setattr__(self, name, None if name == "phi" else ())
         grid = "phi" if self.axis == "phase" else "gbar"
         object.__setattr__(self, "start", check_reals(self.start, f"{grid} start"))
         object.__setattr__(self, "stop", check_reals(self.stop, f"{grid} stop"))
@@ -162,7 +161,7 @@ class SweepSpec:
             object.__setattr__(self, "rates", config.rates)
         else:
             object.__setattr__(self, "phi", config.phi)
-            weights = (1.0,) * config.n if unset(self.weights) else self.weights
+            weights = (1.0,) * config.n if self.weights is None else self.weights
             weights = check_reals(weights, "rate weights (gammas)", (config.n,))
             object.__setattr__(self, "weights", tuple(weights.tolist()))
             check_rates(self.stop * max(self.weights), name="gbar stop times weight")

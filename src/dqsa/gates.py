@@ -13,8 +13,8 @@ are dimensionless and must stay below 4, where the detuning factor
 xi = sqrt(16 - g^2)/4 becomes non-real, and a run's total oracle phase,
 iterations*phi*pi, must stay a finite float.  `check_reals` is the one check of
 every phase, rate and tolerance, scalar or array; `check_phi` and
-`check_rates` name its two uses, and `unset` tells an omitted sequence
-field (None, or an empty tuple, list or array) from a given one.
+`check_rates` name its two uses.  An input left out or None takes its
+default; an empty tuple, list or array is a value, of the wrong length.
 
 Two conventions exist for how the rate enters the one-qubit W gate:
 
@@ -90,14 +90,6 @@ def check_reals(values, name: str, shape: tuple = (), negative=ValueError, below
             if bad.any():
                 raise error(f"{name} must be {rule}, got {array[bad].flat[0]}")
     return float(array) if not shape else array
-
-
-def unset(values) -> bool:
-    """Whether an optional sequence field is left unset: None, or an empty
-    tuple, list or array.  Anything else is a value, checked as given."""
-    if isinstance(values, np.ndarray):
-        return values.size == 0
-    return values is None or isinstance(values, (tuple, list)) and not values
 
 
 def shape_of(values, name: str) -> tuple:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .basis import bits, index_of, validate_pattern
 from .errors import DimensionMismatch
-from .gates import check_convention, check_phi, check_rates, tau, unset, w_gate, whole_number
+from .gates import check_convention, check_phi, check_rates, tau, w_gate, whole_number
 
 # 16-byte units per block, in each of its two stages: a state block, as
 # points_per_block counts it, is 52 runs at n=9 and 12 at n=12 with 11
@@ -78,13 +78,13 @@ class RunConfig:
     n: int
     marked: str
     phi: float
-    rates: tuple = ()
+    rates: tuple | None = None
     iterations: int | None = None
     convention: str = "composite"
 
     def __post_init__(self):
         validate_pattern(self.marked, whole_number(self.n, "n"))
-        rates = check_rates((0.0,) * self.n if unset(self.rates) else self.rates, (self.n,),
+        rates = check_rates((0.0,) * self.n if self.rates is None else self.rates, (self.n,),
                             "rates (gammas)")
         object.__setattr__(self, "rates", tuple(rates.tolist()))
         if self.iterations is None:

@@ -148,15 +148,30 @@ class TestRun:
         ["table1", "--n", "2"],
         ["appendix", "--table", "2"],
     ], ids=["run", "sweep", "table1", "appendix"])
-    @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["no-dir", "a-dir"])
+    @pytest.mark.parametrize("target", ["missing/out.csv", ".", None],
+                             ids=["no-dir", "a-dir", "empty"])
     def test_unwritable_out_exits_1(self, capsys, tmp_path, argv, target):
-        # a missing directory or a directory path: one line naming --out and
-        # the OS error, not an uncaught FileNotFoundError/IsADirectoryError
-        code, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / target)])
+        # a missing directory, a directory path or an empty path (a path,
+        # not "no --out"): one line naming --out and the OS error, not an
+        # uncaught FileNotFoundError/IsADirectoryError
+        path = "" if target is None else str(tmp_path / target)
+        code, out, err = run_cli(capsys, argv + ["--out", path])
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "--out" in err
         assert "No such file or directory" in err or "Is a directory" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("path", ["absent.json", None], ids=["missing", "empty"])
+    def test_unreadable_config_exits_1(self, capsys, tmp_path, command, path):
+        # every field is also given as a flag, so only the path can fail: an
+        # empty one is a path, not "no --config"
+        argv = [command, "--config", "" if path is None else str(tmp_path / path),
+                "--n", "2", "--marked", "ee", "--phi", "1" if command == "run" else "0:1:3"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "cannot read config" in err
 
     @pytest.mark.parametrize("seed", ["-1", "-20240"])
     def test_negative_seed_exits_1(self, capsys, seed):

@@ -92,6 +92,7 @@ class TestSummaryTable:
         rep = table1_comparison(ns=(2, 3))
         assert rep.all_pass
         assert rep.labels == ["n=2 present", "n=2 grover", "n=3 present", "n=3 grover"]
+        assert table1_comparison(ns=[]).labels == []  # no sizes; only None means all
 
     # The paper's phi_p column is not the argmax: P(phi_p) falls short of the
     # maximum over (0, 1] by this much, as measured.  For n = 2..5 that
@@ -208,6 +209,7 @@ class TestSweepSpec:
         ("rates", dict(axis="dissipation", rates=(0.3, 0.0))),
         ("weights", dict(weights=np.ones(2))),
         ("rates", dict(axis="dissipation", rates=np.array([0.3, 0.0]))),
+        ("weights", dict(weights=[])),  # empty, but given
     ])
     def test_field_unused_by_axis_rejected(self, field, kwargs):
         # such a field used to be ignored: the rows equalled a sweep without it
@@ -217,16 +219,16 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("kwargs,same", [
         (dict(rates=np.array([0.1, 0.2])), dict(rates=(0.1, 0.2))),
-        (dict(rates=np.zeros(0), weights=np.zeros(0)), dict()),
-        (dict(weights=[]), dict()),
+        (dict(rates=None, weights=None), dict()),
+        (dict(weights=None), dict()),
         (dict(axis="dissipation", weights=np.array([1.0, 0.5])),
          dict(axis="dissipation", weights=(1.0, 0.5))),
-        (dict(axis="dissipation", weights=np.zeros(0), rates=np.zeros(0)),
-         dict(axis="dissipation")),
+        (dict(axis="dissipation", weights=None, rates=None),
+         dict(axis="dissipation", weights=(1.0, 1.0))),
     ])
     def test_numpy_fields_read_as_their_tuple(self, kwargs, same):
-        # an array is read as its tuple is, not by its truth value; an empty
-        # one, or an empty list, is unset
+        # an array is read as its tuple is, not by its truth value; None is
+        # the field left out
         args = dict(n=2, marked="ee", start=0.0, stop=1.0, steps=3)
         spec = SweepSpec(**args | kwargs)
         assert spec == SweepSpec(**args | same)
@@ -282,7 +284,7 @@ class TestPhaseSweep:
 
 
 
-def dissipation_spec(n, marked, phi, start, stop, steps, weights=()) -> SweepSpec:
+def dissipation_spec(n, marked, phi, start, stop, steps, weights=None) -> SweepSpec:
     return SweepSpec(n=n, marked=marked, axis="dissipation", start=start, stop=stop,
                      steps=steps, phi=phi, weights=weights)
 
@@ -312,8 +314,10 @@ class TestDissipationSweep:
         assert rows[1][3] == pytest.approx(direct.marked_prob, abs=1e-15)
 
     def test_weight_length_checked(self):
-        with pytest.raises(DimensionMismatch):
-            dissipation_spec(3, "ege", 1.0, 0.0, 1.0, 3, weights=(1.0, 0.5))
+        # an empty one too: only None takes the default weights of 1
+        for weights in ((1.0, 0.5), np.zeros(0), ()):
+            with pytest.raises(DimensionMismatch, match=r"rate weights \(gammas\)"):
+                dissipation_spec(3, "ege", 1.0, 0.0, 1.0, 3, weights=weights)
 
     @pytest.mark.parametrize("bad", [True, math.nan, math.inf])
     def test_non_finite_or_bool_weight_rejected(self, bad):

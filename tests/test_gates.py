@@ -36,13 +36,18 @@ HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 class TestPhase:
     def test_beta_and_tau(self):
-        # the oracle's marked entry carries e^{i*beta}, beta = phi*pi, and its
-        # damping exp(-(tau/2) * excited rates), tau = phi*pi/2^n
-        entries = oracle_gate("ege", 0.5, (0.2, 0.4, 0.6))
-        assert entries[index_of("ege")] == pytest.approx(
-            np.exp(1j * 0.5 * math.pi) * math.exp(-0.25 * math.pi / 8 * 0.8), abs=1e-15)
-        assert entries[index_of("gge")] == pytest.approx(
+        # each state's damping is exp(-(tau/2) * excited rates), tau = phi*pi/2^n
+        rates = (0.2, 0.4, 0.6)
+        damping = damping_entries(3, 0.5, rates)
+        assert damping[index_of("ege")] == pytest.approx(
+            math.exp(-0.25 * math.pi / 8 * 0.8), abs=1e-15)
+        assert damping[index_of("gge")] == pytest.approx(
             math.exp(-0.25 * math.pi / 8 * 0.6), abs=1e-15)
+        # the test oracle, which dense_run and dense_diffusion use, is that
+        # damping with e^{i*beta}, beta = phi*pi, on the marked entry alone
+        phase = np.ones(8, dtype=complex)
+        phase[index_of("ege")] = np.exp(1j * 0.5 * math.pi)
+        np.testing.assert_array_equal(oracle_gate("ege", 0.5, rates), damping * phase)
 
     def test_tau(self):
         assert tau(0.5, 3) == 0.5 * math.pi / 8
@@ -52,7 +57,7 @@ class TestPhase:
         with pytest.raises(NegativePhase):
             check_phi(-0.1)
         with pytest.raises(NegativePhase):
-            oracle_gate("ee", -0.1, (0.0, 0.0))
+            damping_entries(2, -0.1, (0.0, 0.0))
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, True, "1.0", 1e308])
     def test_non_finite_or_non_number_phase_rejected(self, phi):
@@ -196,35 +201,33 @@ class TestRaggedInput:
         (lambda: xi_factor(RAGGED), "rates"),
         (lambda: damping_entries(2, RAGGED, [(0.1, 0.2)] * 2), "phi"),
         (lambda: damping_entries(2, [0.5, 1.0], RAGGED), "rates"),
-        (lambda: oracle_gate("ee", RAGGED, [(0.1, 0.2)] * 2), "phi"),
         (lambda: evolve(np.zeros((2, 4)), RAGGED), "phi"),
         (lambda: evolve([[0.0, 1.0], [0.0]], 0.5), "energies"),
     ], ids=["w_gate", "xi_factor", "damping_entries-phi", "damping_entries-rates",
-            "oracle_gate", "evolve-phi", "evolve-energies"])
+            "evolve-phi", "evolve-energies"])
     def test_ragged_argument_named(self, call, name):
         with pytest.raises(DimensionMismatch, match=name):
             call()
 
 
 class TestOracle:
+    # the oracle is its damping, `damping_entries`, with a phase on the
+    # marked entry (see TestPhase::test_beta_and_tau)
     def test_known_entries(self):
-        # n=2, marked ee, phi=1: tau/2 = pi/8, marked picks up e^{i pi} = -1
+        # n=2, phi=1: tau/2 = pi/8
         ga, gb = 1 / 113, 1 / 90
-        e = oracle_gate("ee", 1.0, (ga, gb))
+        e = damping_entries(2, 1.0, (ga, gb))
         assert e[index_of("gg")] == pytest.approx(1.0, abs=1e-15)
         assert e[index_of("ge")] == pytest.approx(math.exp(-math.pi / 8 * gb), abs=1e-15)
         assert e[index_of("eg")] == pytest.approx(math.exp(-math.pi / 8 * ga), abs=1e-15)
-        assert e[index_of("ee")] == pytest.approx(-math.exp(-math.pi / 8 * (ga + gb)), abs=1e-12)
+        assert e[index_of("ee")] == pytest.approx(math.exp(-math.pi / 8 * (ga + gb)), abs=1e-15)
 
     def test_zero_phase_is_identity(self):
-        gate = oracle_gate("eg", 0.0, (0.7, 0.3))
-        np.testing.assert_allclose(gate, np.ones(4), atol=1e-15)
+        np.testing.assert_array_equal(damping_entries(2, 0.0, (0.7, 0.3)), np.ones(4))
 
     def test_zero_rates_is_pure_phase_flip(self):
-        gate = oracle_gate("ge", 1.0, (0.0, 0.0))
-        expected = np.ones(4, dtype=complex)
-        expected[index_of("ge")] = -1.0
-        np.testing.assert_allclose(gate, expected, atol=1e-12)
+        # no damping at all, so the oracle is its phase alone
+        np.testing.assert_array_equal(damping_entries(2, 1.0, (0.0, 0.0)), np.ones(4))
 
     def test_damping_entries_bounded(self):
         d = damping_entries(3, 1.7, (0.9, 0.4, 0.2))
@@ -254,22 +257,14 @@ class TestOracle:
     def test_batch_shapes_checked(self, phi, rates):
         with pytest.raises(DimensionMismatch):
             damping_entries(2, phi, rates)
-        with pytest.raises(DimensionMismatch):
-            oracle_gate("ee", phi, rates)
 
     def test_batch_values_checked(self):
         with pytest.raises(NegativePhase):
-            oracle_gate("ee", [0.5, -1.0], [(0.1, 0.2)] * 2)
+            damping_entries(2, [0.5, -1.0], [(0.1, 0.2)] * 2)
         with pytest.raises(OverdampedQubit):
-            oracle_gate("ee", [0.5, 1.0], [(0.1, 0.2), (4.0, 0.0)])
+            damping_entries(2, [0.5, 1.0], [(0.1, 0.2), (4.0, 0.0)])
         with pytest.raises(ValueError, match="phi"):
             damping_entries(2, [0.5, True], [(0.1, 0.2)] * 2)
-
-    def test_oracle_flips_uniform_state_component(self):
-        # H x H |gg> then the phase oracle for ee: last amplitude negated
-        gate = oracle_gate("ee", 1.0, (0.0, 0.0))
-        out = gate * np.full(4, 0.5)
-        np.testing.assert_allclose(out, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
 
 class TestDiffusion:

@@ -172,9 +172,9 @@ def test_bad_value_rejected_by_every_route(workdir, kind, field, values, config_
     if (kind, field) in (("phase", "phi"), ("gbar", "gbar")):
         return  # a grid object has no constructor argument
     key = {"run": "rates", "phase": "rates", "gbar": "weights"}[kind] if field == "gammas" else field
-    unset_by_none = ("rates", "weights", "iterations") + (("phi",) if kind == "gbar" else ())
-    if value is None and key in unset_by_none or value == [] and key in ("rates", "weights"):
-        return  # the constructors read these as unset: only the schema rejects them
+    defaults = ("rates", "weights", "iterations") + (("phi",) if kind == "gbar" else ())
+    if value is None and key in defaults:
+        return  # None is the constructors' "take the default": only the schema rejects it
     with pytest.raises((ValueError, DqsaError)):
         CONSTRUCTOR[kind](**{key: value})
 

@@ -138,8 +138,9 @@ class TestRunConfig:
     @pytest.mark.parametrize("rates,expected", [
         (np.array([0.1, 0.2, 0.3]), (0.1, 0.2, 0.3)),
         (np.arange(3), (0.0, 1.0, 2.0)),
-        (np.zeros(0), (0.0, 0.0, 0.0)),  # empty, so unset, as () is
-        ([], (0.0, 0.0, 0.0)),
+        (np.zeros(3), (0.0, 0.0, 0.0)),
+        (np.array([0.5, 0.25, 0.125], dtype=np.float32), (0.5, 0.25, 0.125)),
+        (None, (0.0, 0.0, 0.0)),  # None, as when left out, takes the default
     ])
     def test_numpy_rates_read_as_their_tuple(self, rates, expected):
         # an array is read as its tuple is, not by its truth value
@@ -153,9 +154,12 @@ class TestRunConfig:
         (np.array([True, False, True]), ValueError),
         (np.array([0.1, 0.2]), DimensionMismatch),
         (0.0, DimensionMismatch),  # a scalar is no rate list, zero or not
+        (np.zeros(0), DimensionMismatch),  # empty is a wrong length; None takes the default
+        ([], DimensionMismatch),
+        ((), DimensionMismatch),
     ])
     def test_numpy_rates_checked_as_their_tuple(self, rates, error):
-        with pytest.raises(error):
+        with pytest.raises(error, match=r"rates \(gammas\)"):
             RunConfig(3, "ege", 1.0, rates)
 
 

@@ -195,9 +195,7 @@ def _comparison_exit(rep, args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    ns = [args.n] if args.n is not None else None
-    tolerances = () if args.tolerance is None else (args.tolerance, args.tolerance)
-    return _comparison_exit(experiments.table1_comparison(ns, *tolerances), args)
+    return _comparison_exit(experiments.table1_comparison(args.n, args.tolerance), args)
 
 
 def _cmd_appendix(args) -> int:

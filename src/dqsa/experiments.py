@@ -47,13 +47,16 @@ OFFSET_TABLES = (3, 11)
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Comparison columns, an entry per row: a row passes iff its absdiff is
-    at most its tolerance.  ``tolerance`` is the report's headline one."""
+    at most its tolerance, which the real-input rule checks (`check_reals`)."""
 
     labels: list
     paper: np.ndarray
     computed: np.ndarray
     tolerances: np.ndarray
-    tolerance: float
+
+    def __post_init__(self):
+        tolerances = check_reals(self.tolerances, "tolerance", (len(self.labels),))
+        object.__setattr__(self, "tolerances", tolerances)
 
     @property
     def absdiff(self) -> np.ndarray:
@@ -87,15 +90,15 @@ def table1(n: int) -> tuple:
     return (phi_p, present, grover)
 
 
-def table1_comparison(ns=None, present_tolerance: float = PRESENT_TOLERANCE,
-                      grover_tolerance: float = GROVER_TOLERANCE) -> ComparisonReport:
-    """Compare computed peak/phi=1 probabilities against the reference row."""
-    ns = sorted(SUMMARY_PHI_P) if ns is None else ns
+def table1_comparison(n=None, tolerance=None) -> ComparisonReport:
+    """Computed peak/phi=1 probabilities against the reference row of size n, or
+    of every size, within ``tolerance`` (None: PRESENT_/GROVER_TOLERANCE by column)."""
+    ns = sorted(SUMMARY_PHI_P) if n is None else [n]
     computed = np.array([table1(n)[1:] for n in ns]).ravel()
     paper = np.array([(SUMMARY_PRESENT[n], SUMMARY_GROVER[n]) for n in ns]).ravel()
     labels = [f"n={n} {kind}" for n in ns for kind in ("present", "grover")]
-    tolerances = np.tile([present_tolerance, grover_tolerance], len(ns))
-    return ComparisonReport(labels, paper, computed, tolerances, present_tolerance)
+    tolerances = [PRESENT_TOLERANCE, GROVER_TOLERANCE] if tolerance is None else [tolerance] * 2
+    return ComparisonReport(labels, paper, computed, np.tile(tolerances, len(ns)))
 
 
 def peak_search(n: int, marked: str, rates=None, convention: str = "composite") -> tuple:
@@ -220,6 +223,8 @@ def _parse_table(table_id: int, text: str):
         if ((kinds[grid] != ["marked"] + ["unmarked"] * (grid.shape[1] - 1)).any()
                 or (pat[grid] != pat[grid[:, :1]]).any() or (phi[grid] != phi[grid[:, :1]]).any()):
             raise ValueError(f"each cell needs one marked row and 0 or {2**n - 1} unmarked rows")
+        if phis != tuple(cells := sorted(set(phi.tolist()))):  # np.unique imports numpy.ma
+            raise ValueError(f"header phis {phis} are not the cells' {cells}")
     except (KeyError, ValueError) as e:
         raise ValueError(f"reference table {table_id} is malformed: {e}") from e
     return n, rates, phis, pat[grid[:, 0]].tolist(), phi[grid[:, 0]], values[grid]
@@ -245,8 +250,7 @@ def appendix_reproduce(table_id: int, tolerance: float = TABLE_TOLERANCE,
     suffixes = [" marked"] + [f" unmarked[{k}]" for k in range(paper.shape[1] - 1)]
     cells = [f"table{table_id:02d} {pat} phi={phi:g}" for pat, phi in zip(patterns, phis.tolist())]
     labels = [cell + suffix for cell in cells for suffix in suffixes]
-    return ComparisonReport(labels, paper.ravel(), computed.ravel(),
-                            np.full(paper.size, tolerance), tolerance)
+    return ComparisonReport(labels, paper.ravel(), computed.ravel(), np.full(paper.size, tolerance))
 
 
 def comparison_to_csv(rep: ComparisonReport) -> str:
@@ -258,7 +262,7 @@ def comparison_to_csv(rep: ComparisonReport) -> str:
 
 def comparison_to_json(rep: ComparisonReport) -> str:
     keys = ("label", "paper", "computed", "absdiff", "pass")
-    doc = {"tolerance": rep.tolerance, "all_pass": rep.all_pass,
+    doc = {"tolerance": float(rep.tolerances.max()), "all_pass": rep.all_pass,
            "rows": [dict(zip(keys, row)) for row in rep.rows()]}
     return json.dumps(doc, indent=2) + "\n"
 

@@ -128,6 +128,8 @@ def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
     """
     if draws < 1:  # no draw would read as a worst deviation of 0
         raise ValueError(f"draws must be >= 1, got {draws}")
+    if len(ns) == 0:  # no size would read as nothing failed
+        raise ValueError("ns must hold at least one register size")
     rng = np.random.default_rng(seed)
     rows = []
     for n in ns:

@@ -89,10 +89,10 @@ class TestSummaryTable:
             assert grover == pytest.approx(grover_closed_form(n), abs=1e-12)
 
     def test_comparison_small_sizes(self):
-        rep = table1_comparison(ns=(2, 3))
-        assert rep.all_pass
-        assert rep.labels == ["n=2 present", "n=2 grover", "n=3 present", "n=3 grover"]
-        assert table1_comparison(ns=[]).labels == []  # no sizes; only None means all
+        for n in (2, 3):
+            rep = table1_comparison(n)
+            assert rep.all_pass
+            assert rep.labels == [f"n={n} present", f"n={n} grover"]
 
     # The paper's phi_p column is not the argmax: P(phi_p) falls short of the
     # maximum over (0, 1] by this much, as measured.  For n = 2..5 that
@@ -399,6 +399,7 @@ class TestReferenceTables:
         pytest.param(GOOD_ROWS.replace("ee,0.5,unmarked,0.01", "ee,0.25,unmarked,0.01"),
                      id="stray-phi"),
         pytest.param(GOOD_ROWS.replace("0.9", "high"), id="not-a-number"),
+        pytest.param(GOOD_ROWS.replace(",0.5,", ",0.6,"), id="phi-not-in-header"),
         pytest.param("", id="no-rows"),
     ])
     def test_malformed_table_raises_naming_it(self, rows):
@@ -459,10 +460,19 @@ class TestReferenceTables:
         assert type(rep.all_pass) is bool and type(rep.worst) is float
         assert rep.worst == max(rep.absdiff.tolist())
 
+    # inf or NaN would pass or fail every row whatever it holds, a negative
+    # value fail every row; a bool or a string is no tolerance at all
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1e-3, True, "x"])
+    @pytest.mark.parametrize("compare", [pytest.param(appendix_reproduce, id="appendix"),
+                                         pytest.param(table1_comparison, id="table1")])
+    def test_bad_tolerance_raises_naming_it(self, compare, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            compare(2, tolerance=tolerance)
+
 
 class TestSerialization:
     def test_comparison_csv_shape(self):
-        rep = table1_comparison(ns=(2,))
+        rep = table1_comparison(2)
         text = comparison_to_csv(rep)
         lines = text.strip().split("\n")
         assert lines[0] == "label,paper,computed,absdiff,pass"
@@ -471,7 +481,7 @@ class TestSerialization:
         assert lines[1].endswith(",true")
 
     def test_comparison_json_round_trip(self):
-        rep = table1_comparison(ns=(2,))
+        rep = table1_comparison(2)
         doc = json.loads(comparison_to_json(rep))
         assert doc["all_pass"] is True
         assert {"label", "paper", "computed", "absdiff", "pass"} == set(doc["rows"][0])
@@ -484,18 +494,20 @@ class TestSerialization:
         assert (comparison_to_csv(rep), comparison_to_json(rep)) == comparison_by_rows(
             rows, TABLE_TOLERANCE)
 
-    @pytest.mark.parametrize("ns,tolerances", [
-        (None, ()), ((4,), ()), ((9, 2), ()), (None, (1e-9, 1e-9)), ((3,), (1e-3, 1e-12))])
-    def test_table1_output_equals_row_by_row(self, ns, tolerances):
-        rep = table1_comparison(ns, *tolerances)
-        present_tol, grover_tol = tolerances or (PRESENT_TOLERANCE, GROVER_TOLERANCE)
+    @pytest.mark.parametrize("n,tolerance", [
+        (None, None), (4, None), (9, None), (None, 1e-9), (3, 1e-12)])
+    def test_table1_output_equals_row_by_row(self, n, tolerance):
+        rep = table1_comparison(n, tolerance)
+        present_tol, grover_tol = ((PRESENT_TOLERANCE, GROVER_TOLERANCE) if tolerance is None
+                                   else (tolerance, tolerance))
         rows = []
-        for n in ns or sorted(SUMMARY_PHI_P):
-            _, present, grover = table1(n)
-            rows.append((f"n={n} present", SUMMARY_PRESENT[n], present, present_tol))
-            rows.append((f"n={n} grover", SUMMARY_GROVER[n], grover, grover_tol))
+        for size in sorted(SUMMARY_PHI_P) if n is None else [n]:
+            _, present, grover = table1(size)
+            rows.append((f"n={size} present", SUMMARY_PRESENT[size], present, present_tol))
+            rows.append((f"n={size} grover", SUMMARY_GROVER[size], grover, grover_tol))
+        # the JSON's headline tolerance is the loosest row's
         assert (comparison_to_csv(rep), comparison_to_json(rep)) == comparison_by_rows(
-            rows, present_tol)
+            rows, max(present_tol, grover_tol))
 
     def test_sweep_csv_headers(self):
         spec = SweepSpec(n=2, marked="ee", start=0.2, stop=0.4, steps=2)

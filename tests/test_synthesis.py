@@ -163,6 +163,11 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="draws"):
             verification_sweep(ns=(2,), draws=0)
 
+    def test_verification_sweep_needs_a_size(self):
+        # no size would return no rows, which reads as nothing failed
+        with pytest.raises(ValueError, match="ns"):
+            verification_sweep(ns=())
+
     def test_verification_sweep_deterministic(self):
         a = verification_sweep(ns=(2,), draws=2, seed=5)
         b = verification_sweep(ns=(2,), draws=2, seed=5)

@@ -12,7 +12,6 @@ produce byte-identical CSV/JSON.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -80,23 +79,18 @@ class ComparisonReport:
                    self.absdiff.tolist(), self.passed.tolist())
 
 
-def table1(n: int) -> tuple:
-    """(phi_p, probability at phi_p, probability at phi=1) for size n, read
-    from the engine's recurrence alone (no 2^n state is built)."""
-    if n not in SUMMARY_PHI_P:
-        raise UnsupportedSize(f"summary table covers n=2..9, got {n}")
-    phi_p = SUMMARY_PHI_P[n]
-    present, grover = _marked_probabilities(RunConfig(n, "e" * n, 1.0), phi=[phi_p, 1.0])
-    return (phi_p, present, grover)
-
-
 def table1_comparison(n=None, tolerance=None) -> ComparisonReport:
     """Computed peak/phi=1 probabilities against the reference row of size n, or
-    of every size, within ``tolerance`` (None: PRESENT_/GROVER_TOLERANCE by column)."""
+    of every size, within ``tolerance`` (None: PRESENT_/GROVER_TOLERANCE by column).
+    Each size's two probabilities are read from the engine's recurrence alone
+    (no 2^n state is built), at its SUMMARY_PHI_P and at phi=1."""
+    if n is not None and whole_number(n, "n") not in SUMMARY_PHI_P:
+        raise UnsupportedSize(f"summary table covers n=2..9, got {n}")
     ns = sorted(SUMMARY_PHI_P) if n is None else [n]
-    computed = np.array([table1(n)[1:] for n in ns]).ravel()
-    paper = np.array([(SUMMARY_PRESENT[n], SUMMARY_GROVER[n]) for n in ns]).ravel()
-    labels = [f"n={n} {kind}" for n in ns for kind in ("present", "grover")]
+    computed = np.array([_marked_probabilities(RunConfig(m, "e" * m, 1.0),
+                                               phi=[SUMMARY_PHI_P[m], 1.0]) for m in ns]).ravel()
+    paper = np.array([(SUMMARY_PRESENT[m], SUMMARY_GROVER[m]) for m in ns]).ravel()
+    labels = [f"n={m} {kind}" for m in ns for kind in ("present", "grover")]
     tolerances = [PRESENT_TOLERANCE, GROVER_TOLERANCE] if tolerance is None else [tolerance] * 2
     return ComparisonReport(labels, paper, computed, np.tile(tolerances, len(ns)))
 
@@ -204,15 +198,17 @@ def _parse_table(table_id: int, text: str):
     """(n, rates, phis, patterns, cell_phis, paper) of reference table
     ``table_id``'s text, an entry per (pattern, phi) cell, sorted: paper
     (cells, 2^n) holds a cell's marked value, then its remaining-state values
-    descending; it is (cells, 1) if the table gives none.  Raises ValueError
-    naming the table if it is malformed."""
+    descending; it is (cells, 1) if the table gives none.  Each header rate is
+    a fraction a/b or a whole number.  Raises ValueError naming the table if
+    it is malformed."""
     head, _, body = text.partition("\npattern,phi,kind,value\n")
     meta = {k.strip(): v.strip() for k, _, v in
             (line[1:].partition(":") for line in head.splitlines() if line.startswith("#"))}
     fields = body.strip().replace("\n", ",").split(",")
     try:
         n = int(meta["n"])
-        rates = tuple(float(Fraction(r.strip())) for r in meta["rates"].split(","))
+        rates = tuple(int(a) / (int(b) if slash else 1) for a, slash, b in
+                      (r.partition("/") for r in meta["rates"].split(",")))
         phis = tuple(float(p) for p in meta["phis"].split(","))
         pat, kinds = np.array(fields[0::4]), np.array(fields[2::4])
         phi, values = np.array(fields[1::4], dtype=float), np.array(fields[3::4], dtype=float)
@@ -225,7 +221,7 @@ def _parse_table(table_id: int, text: str):
             raise ValueError(f"each cell needs one marked row and 0 or {2**n - 1} unmarked rows")
         if phis != tuple(cells := sorted(set(phi.tolist()))):  # np.unique imports numpy.ma
             raise ValueError(f"header phis {phis} are not the cells' {cells}")
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, ZeroDivisionError) as e:
         raise ValueError(f"reference table {table_id} is malformed: {e}") from e
     return n, rates, phis, pat[grid[:, 0]].tolist(), phi[grid[:, 0]], values[grid]
 

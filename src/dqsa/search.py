@@ -23,7 +23,7 @@ recurrence over those amplitudes.  W_v, a damped Hadamard, and d_v are real,
 so every table of vectors is real (float64), and only the phases make the
 recurrence and the c_t complex.  `_recurrence` runs the engine up to the
 recurrence's amplitudes (B, T), which hold the marked amplitude after every
-round: the marked probability (read by `experiments.table1` and
+round: the marked probability (read by `table1_comparison` and
 `peak_search`) comes from them, with no state.
 `_terms` turns them into the engine's product, the coefficients (B, T) and
 vectors u (n, 2, B, T), and only `_materialize` builds the 2^n amplitudes,
@@ -301,19 +301,13 @@ def _blocks(config, phi, rates, marked):
             yield marked[rows], probs
 
 
-def _marked_rounds(config, phi=None, rates=None, marked=None):
-    """Yield `_recurrence`'s amplitudes (B, T) per recurrence block of the
-    batch (see `summaries`); no state is built."""
-    for block in _recurrence_blocks(config, phi, rates, marked):
-        yield _recurrence(config, *block)[2]
-
-
 def _marked_probabilities(config, phi=None, rates=None, marked=None) -> list:
     """Marked probability |amps[:, 2k]|^2 per run of the batch (see
-    `summaries`), in order, from the recurrence alone."""
+    `summaries`), in order, from `_recurrence`'s amplitudes (B, T) per
+    recurrence block alone; no state is built."""
     out = []
-    for amps in _marked_rounds(config, phi, rates, marked):
-        last = amps[:, -1]
+    for block in _recurrence_blocks(config, phi, rates, marked):
+        last = _recurrence(config, *block)[2][:, -1]
         out += (last.real * last.real + last.imag * last.imag).tolist()
     return out
 

@@ -60,7 +60,7 @@ def report(config: RunConfig) -> SimpleNamespace:
 
 def marked_amplitude_trace(config: RunConfig) -> list:
     """Marked-state amplitude after each iteration (length = iterations)."""
-    (amps,) = search._marked_rounds(config)
+    amps = search._recurrence(config, *search._batch(config))[2]
     rounds = np.arange(1, config.iterations + 1)
     return (amps[0, 2::2] * np.exp(1j * rounds * (np.pi * config.phi))).tolist()
 

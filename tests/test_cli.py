@@ -574,6 +574,13 @@ class TestInstalledEntryPoint:
         assert out.returncode == code == 1
         assert out.stderr == err
 
+    def test_import_leaves_fractions_unloaded(self):
+        # the CLI reads the tables' a/b rates by int division, not Fraction
+        out = subprocess.run([sys.executable, "-c", "import sys, dqsa.cli; "
+                              "print('fractions' in sys.modules)"],
+                             env=child_env(), capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
+
 
 class TestDeterminism:
     def test_run_json_bytes_do_not_depend_on_blas_threads(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from dqsa.experiments import (
     sweep,
     sweep_to_csv,
     sweep_to_json,
-    table1,
     table1_comparison,
 )
 
@@ -68,16 +68,22 @@ def marked_cells(table_id: int) -> dict:
 
 class TestSummaryTable:
     def test_table1_row_for_four_qubits(self):
-        phi_p, present, grover = table1(4)
-        assert phi_p == 0.6933
+        present, grover = table1_comparison(4).computed
+        assert SUMMARY_PHI_P[4] == 0.6933
         assert present >= 0.999
         assert grover == pytest.approx(0.9613, abs=5e-4)
 
     def test_unsupported_size(self):
         with pytest.raises(UnsupportedSize):
-            table1(10)
+            table1_comparison(10)
         with pytest.raises(UnsupportedSize):
-            table1(1)
+            table1_comparison(1)
+
+    @pytest.mark.parametrize("n", [2.0, "2", True])
+    def test_size_must_be_an_int(self, n):
+        # a float equal to a size, a numeral or a bool is not a size
+        with pytest.raises(ValueError, match="n must be an integer"):
+            table1_comparison(n)
 
     def test_grover_closed_form(self):
         assert grover_closed_form(3) == pytest.approx(0.9453, abs=5e-5)
@@ -85,7 +91,7 @@ class TestSummaryTable:
 
     def test_closed_form_matches_simulation(self):
         for n in (2, 3, 4, 5):
-            _, _, grover = table1(n)
+            _, grover = table1_comparison(n).computed
             assert grover == pytest.approx(grover_closed_form(n), abs=1e-12)
 
     def test_comparison_small_sizes(self):
@@ -103,7 +109,7 @@ class TestSummaryTable:
 
     @pytest.mark.parametrize("n", sorted(PHI_P_SHORTFALL))
     def test_phi_p_column_offset(self, n):
-        _, present, grover = table1(n)
+        present, grover = table1_comparison(n).computed
         if n <= 5:
             k = n - 1
             long = 2 / math.pi * math.asin(math.sin(math.pi / (4 * k + 2)) * 2 ** (n / 2))
@@ -406,6 +412,18 @@ class TestReferenceTables:
         with pytest.raises(ValueError, match="reference table 7 is malformed"):
             _parse_table(7, self.table_text(rows))
 
+    @pytest.mark.parametrize("rates", ["1/0", "1/", "1/2/3", "0.5", "a/b"])
+    def test_bad_rate_raises_naming_the_table(self, rates):
+        text = self.table_text(self.GOOD_ROWS).replace("1/10, 0", rates + ", 0")
+        with pytest.raises(ValueError, match="reference table 7 is malformed"):
+            _parse_table(7, text)
+
+    @pytest.mark.parametrize("table_id", AVAILABLE_TABLES)
+    def test_rates_equal_their_fractions(self, table_id):
+        (line,) = [ln for ln in table_text(table_id).splitlines() if ln.startswith("# rates:")]
+        exact = tuple(float(Fraction(r)) for r in line.partition(":")[2].split(","))
+        assert load_table(table_id)[1] == exact
+
     @pytest.mark.parametrize("field", ["n", "rates", "phis"])
     def test_missing_header_field_raises_naming_it(self, field):
         text = "\n".join(line for line in self.table_text(self.GOOD_ROWS).split("\n")
@@ -502,7 +520,7 @@ class TestSerialization:
                                    else (tolerance, tolerance))
         rows = []
         for size in sorted(SUMMARY_PHI_P) if n is None else [n]:
-            _, present, grover = table1(size)
+            present, grover = table1_comparison(size).computed.tolist()
             rows.append((f"n={size} present", SUMMARY_PRESENT[size], present, present_tol))
             rows.append((f"n={size} grover", SUMMARY_GROVER[size], grover, grover_tol))
         # the JSON's headline tolerance is the loosest row's

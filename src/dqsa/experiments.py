@@ -11,7 +11,7 @@ produce byte-identical CSV/JSON.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -125,7 +125,10 @@ class SweepSpec:
     """A 1-D sweep (see `sweep`): over phi (axis="phase", fixed rates) or
     over a uniform rate scale g (axis="dissipation", fixed phi, default 1.0,
     rates = g * weights), on a grid of ``steps`` evenly spaced points from
-    ``start`` to ``stop``.  A field the axis does not use must stay None."""
+    ``start`` to ``stop``.  A field the axis does not use must stay None.
+    ``config`` is the `RunConfig` the sweep's runs share: a phase sweep's
+    rates, or a dissipation sweep's phi, with n, the pattern and the
+    convention, checked once, when the spec is built."""
 
     n: int
     marked: str
@@ -137,6 +140,7 @@ class SweepSpec:
     phi: float | None = None
     weights: tuple | None = None
     convention: str = "composite"
+    config: RunConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.axis not in ("phase", "dissipation"):
@@ -153,7 +157,10 @@ class SweepSpec:
             raise ValueError(f"phase grid must lie in [0, 2], got [{self.start}, {self.stop}]")
         if self.axis == "dissipation" and not self.start <= self.stop < 4:
             raise ValueError(f"rate grid must lie in [0, 4), got [{self.start}, {self.stop}]")
-        config = self.config()  # checks n, the pattern, the rates or phi, the convention
+        # the config checks n, the pattern, the rates or phi, and the convention
+        phi = self.start if self.axis == "phase" else 1.0 if self.phi is None else self.phi
+        config = RunConfig(self.n, self.marked, phi, self.rates, convention=self.convention)
+        object.__setattr__(self, "config", config)
         if self.axis == "phase":
             object.__setattr__(self, "rates", config.rates)
         else:
@@ -163,33 +170,21 @@ class SweepSpec:
             object.__setattr__(self, "weights", tuple(weights.tolist()))
             check_rates(self.stop * max(self.weights), name="gbar stop times weight")
 
-    def config(self) -> RunConfig:
-        """The `RunConfig` the sweep's runs share: a phase sweep's rates, or a
-        dissipation sweep's phi, with n, the pattern and the convention."""
-        if self.axis == "phase":
-            return RunConfig(self.n, self.marked, self.start, self.rates,
-                             convention=self.convention)
-        return RunConfig(self.n, self.marked, 1.0 if self.phi is None else self.phi,
-                         convention=self.convention)
-
-    def grid(self) -> list:
-        """The ``steps`` points, the last exactly ``stop``."""
-        return np.linspace(self.start, self.stop, self.steps).tolist()
-
 
 def sweep(spec: SweepSpec) -> list:
-    """Samples over the spec's grid, in grid order.
+    """Samples over the spec's grid of ``steps`` points, the last exactly
+    ``stop``, in grid order.
 
     A phase sweep gives (phi, tau, marked_prob, sum_unmarked, survival) rows;
     a dissipation sweep gives (gbar, phi, tau, marked_prob, sum_unmarked,
     survival) rows, with rates gbar * weights.
     """
-    grid, config = spec.grid(), spec.config()
+    grid = np.linspace(spec.start, spec.stop, spec.steps).tolist()
     if spec.axis == "phase":
-        samples = summaries(config, phi=grid)
+        samples = summaries(spec.config, phi=grid)
         keys = [(phi, tau(phi, spec.n)) for phi in grid]
     else:
-        samples = summaries(config, rates=[[g * w for w in spec.weights] for g in grid])
+        samples = summaries(spec.config, rates=[[g * w for w in spec.weights] for g in grid])
         keys = [(g, spec.phi, tau(spec.phi, spec.n)) for g in grid]
     return [(*key, *sample) for key, sample in zip(keys, samples)]
 
@@ -234,7 +229,7 @@ def appendix_reproduce(table_id: int, tolerance: float = TABLE_TOLERANCE,
     as multisets (both sides sorted descending, then paired), because the
     source tables do not attribute those values to specific states.
     """
-    if table_id not in AVAILABLE_TABLES:
+    if whole_number(table_id, "table_id") not in AVAILABLE_TABLES:
         raise UnknownTable(f"no reference table {table_id}; available: {AVAILABLE_TABLES}")
     text = resources.files("dqsa").joinpath(f"data/table{table_id:02d}.csv").read_text()
     n, rates, _, patterns, phis, paper = _parse_table(table_id, text)

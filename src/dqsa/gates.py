@@ -32,7 +32,6 @@ tabulated variant is one only up to g ~ 2.28 (well past every bundled
 table's rates, which stay below 1), and amplifies beyond that.
 """
 
-import itertools
 import math
 import numbers
 import sys
@@ -67,15 +66,10 @@ def check_reals(values, name: str, shape: tuple = (), negative=ValueError, below
         array = np.asarray(values)
     except ValueError:  # nested sequences of unequal lengths
         raise DimensionMismatch(f"{name}: expected shape {shape}, got a ragged array") from None
-    types = ()
-    if array.ndim and not isinstance(values, np.ndarray):  # bools hidden in a list
-        items = values
-        for _ in range(array.ndim - 1):
-            items = itertools.chain.from_iterable(items)
-        types = set(map(type, items))
-    if array.dtype.kind not in "iuf" or bool in types or np.bool_ in types:
-        bad = next((v for v in np.asarray(values, dtype=object).flat
-                    if np.asarray(v).dtype.kind not in "iuf"), values)
+    listed = array.ndim and not isinstance(values, np.ndarray)  # a list's bools read as numbers
+    leaves = np.asarray(values, dtype=object) if listed or array.dtype.kind not in "iuf" else None
+    if array.dtype.kind not in "iuf" or listed and {bool, np.bool_} & set(map(type, leaves.flat)):
+        bad = next((v for v in leaves.flat if np.asarray(v).dtype.kind not in "iuf"), values)
         if type(bad) is int:  # an int numpy cannot hold: echo its size, not its digits
             raise ValueError(f"{name}: an int of {abs(bad).bit_length()} bits is too large "
                              "(numpy holds ints in [-2**63, 2**64))")

@@ -187,8 +187,12 @@ def _materialize(coeffs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def _batch(config, phi=None, rates=None, marked=None):
     """The runs of a batch (see `summaries`) as checked arrays: marked basis
     indices (B,), phi (B,) and rates (B, n).  B is the length of the first
-    array given, else 1."""
+    array given, else 1.  A scalar, or a string ``marked``, is no per-run
+    array: it raises DimensionMismatch naming its argument."""
     n = config.n
+    for name, runs in (("phi", phi), ("rates", rates), ("marked", marked)):
+        if runs is not None and not np.iterable(runs) or name == "marked" and isinstance(runs, str):
+            raise DimensionMismatch(f"{name}: expected one entry per run, got {runs!r}")
     b = len(next((a for a in (phi, rates, marked) if a is not None), [config]))
     phi = np.full(b, config.phi) if phi is None else check_phi(phi, (b,), config.iterations)
     rates = np.full((b, n), config.rates) if rates is None else check_rates(rates, (b, n))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import all_patterns, bits, validate_pattern
 from .errors import DimensionMismatch, UnsupportedSize
-from .gates import check_phi, check_rates, damping_entries, shape_of, tau, xi_factor
+from .gates import check_phi, check_rates, damping_entries, shape_of, tau, whole_number, xi_factor
 from .search import BLOCK_AMPLITUDES
 
 THETA = 1.0  # coupling energy scale in natural units
@@ -42,7 +42,7 @@ def coupling_assignment(n: int, pattern: str) -> dict:
     theta/24 per quadruple.  All other components are 0.  Here z_v = +1 if
     qubit v is excited in `pattern`, else -1.
     """
-    if n not in (2, 3, 4):
+    if whole_number(n, "n") not in (2, 3, 4):
         raise UnsupportedSize(f"coupling synthesis supports n in {{2,3,4}}, got {n}")
     validate_pattern(pattern, n)
 
@@ -87,9 +87,11 @@ def _energies(ising: np.ndarray, rates: np.ndarray) -> np.ndarray:
 
 def evolve(energies: np.ndarray, phi) -> np.ndarray:
     """Diagonal time evolution exp(-i * E[y] * tau), tau = phi*pi/2^n, of
-    energies of shape (2^n,), or (D, 2^n) with phases of shape (D,)."""
-    t = tau(check_phi(phi, shape_of(phi, "phi")[:1]),
-            shape_of(energies, "energies")[-1].bit_length() - 1)
+    energies of shape (2^n,), n >= 1, or (D, 2^n) with phases of shape (D,)."""
+    size = (shape_of(energies, "energies") or (0,))[-1]
+    if size < 2 or size & (size - 1):
+        raise DimensionMismatch(f"energies: the last axis must hold 2^n >= 2 entries, got {size}")
+    t = tau(check_phi(phi, shape_of(phi, "phi")[:1]), size.bit_length() - 1)
     return np.exp(-1j * energies * np.asarray(t)[..., None])
 
 
@@ -126,13 +128,15 @@ def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
     alike for every pattern of n, are built once per n, and a pattern's
     couplings are the magnitudes times its signs.
     """
-    if draws < 1:  # no draw would read as a worst deviation of 0
+    if whole_number(draws, "draws") < 1:  # no draw would read as a worst deviation of 0
         raise ValueError(f"draws must be >= 1, got {draws}")
+    if whole_number(seed, "seed") < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if len(ns) == 0:  # no size would read as nothing failed
         raise ValueError("ns must hold at least one register size")
     rng = np.random.default_rng(seed)
     rows = []
-    for n in ns:
+    for n in [whole_number(n, "n") for n in ns]:  # each, before "g" * n
         terms, size = coupling_assignment(n, "g" * n), BLOCK_AMPLITUDES // 2 ** (n + 1)
         signs, magnitudes = coupling_signs(terms, n), np.abs(list(terms.values()))
         ising = np.array([signs @ (magnitudes * pattern_signs) for pattern_signs in signs])

@@ -581,6 +581,18 @@ class TestInstalledEntryPoint:
                              env=child_env(), capture_output=True, text=True)
         assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
 
+    @pytest.mark.parametrize("setting", [None, "1"])
+    def test_child_writes_bytecode_only_as_the_suite_does(self, monkeypatch, setting):
+        # a child that dropped PYTHONDONTWRITEBYTECODE wrote src/dqsa/__pycache__
+        # even when the suite ran with it set
+        if setting is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", setting)
+        out = subprocess.run([sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
+                             env=child_env(), capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (0, f"{setting is not None}\n"), out.stderr
+
 
 class TestDeterminism:
     def test_run_json_bytes_do_not_depend_on_blas_threads(self):

@@ -154,16 +154,17 @@ class TestPeakSearch:
 
 class TestSweepSpec:
     def test_grid_endpoints(self):
+        # the grid is column 0 of the sweep's rows
         spec = SweepSpec(n=2, marked="ee", start=0.0, stop=1.0, steps=5)
-        assert spec.grid() == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+        assert [row[0] for row in sweep(spec)] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_grid_ends_exactly_at_stop(self):
         # start + k*step overshot stop to 4.0: the spec built, and its sweep
         # then raised OverdampedQubit
         stop = float(np.nextafter(4, 0))
         spec = SweepSpec(n=1, marked="e", axis="dissipation", start=0.0, stop=stop, steps=4)
-        assert spec.grid()[-1] == stop
-        assert [row[0] for row in sweep(spec)] == spec.grid()
+        assert [row[0] for row in sweep(spec)] == np.linspace(0.0, stop, 4).tolist()
+        assert sweep(spec)[-1][0] == stop
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
@@ -260,6 +261,34 @@ class TestSweepSpec:
         spec = SweepSpec(n=2, marked="ee", axis="dissipation", steps=3)
         assert spec.phi == 1.0
 
+    @pytest.mark.parametrize("kwargs,config", [
+        (dict(start=0.25, rates=(0.1, 0.2)), RunConfig(2, "eg", 0.25, (0.1, 0.2))),
+        (dict(axis="dissipation", phi=0.5, weights=(1.0, 0.5)), RunConfig(2, "eg", 0.5)),
+        (dict(axis="dissipation", convention="tabulated"),
+         RunConfig(2, "eg", 1.0, convention="tabulated")),
+    ])
+    def test_config_is_the_shared_run_config(self, kwargs, config):
+        # an attribute set when the spec is built; it takes no part in the
+        # spec's repr, equality or hash, which its own fields decide
+        spec = SweepSpec(n=2, marked="eg", steps=3, **kwargs)
+        assert spec.config == config
+        assert "config" not in repr(spec)
+        assert not hasattr(spec, "grid")
+        with pytest.raises(TypeError):
+            SweepSpec(n=2, marked="eg", config=config)
+
+    @pytest.mark.parametrize("axis", ["phase", "dissipation"])
+    def test_sweep_builds_no_run_config(self, monkeypatch, axis):
+        # the spec checked its RunConfig once, when it was built; the sweep
+        # reuses it on either axis
+        spec = SweepSpec(n=3, marked="ege", axis=axis, steps=4)
+        built, check = [], RunConfig.__post_init__
+        monkeypatch.setattr(RunConfig, "__post_init__",
+                            lambda config: built.append(config) or check(config))
+        rows = sweep(spec)
+        assert built == []
+        assert len(rows) == 4
+
 
 class TestPhaseSweep:
     def test_zero_phase_leaves_uniform_distribution(self):
@@ -341,6 +370,14 @@ class TestReferenceTables:
             appendix_reproduce(1)
         with pytest.raises(UnknownTable):
             appendix_reproduce(12)
+
+    @pytest.mark.parametrize("table_id", [2.0, "2", True, np.float64(2.0)],
+                             ids=["float", "str", "bool", "numpy-float"])
+    def test_table_id_must_be_an_int(self, table_id):
+        # 2.0 had failed formatting the file name, and True was reported as
+        # "no reference table True"
+        with pytest.raises(ValueError, match="table_id must be an integer"):
+            appendix_reproduce(table_id)
 
     def test_unknown_convention(self):
         with pytest.raises(ValueError, match="convention"):

@@ -238,6 +238,21 @@ class TestBatch:
         with pytest.raises(DimensionMismatch, match=list(arrays)[-1]):
             summaries(RunConfig(2, "ee", 1.0), **arrays)
 
+    @pytest.mark.parametrize("arrays,name", [
+        (dict(marked="ge"), "marked"),  # had given two runs, one per symbol
+        (dict(phi=[0.5, 0.6], marked="ge"), "marked"),
+        (dict(phi=0.5), "phi"),  # had raised TypeError from len()
+        (dict(phi=np.float64(0.5)), "phi"),
+        (dict(phi=np.array(0.5)), "phi"),
+        (dict(rates=0.2), "rates"),
+        (dict(phi=[0.5], rates=0.2), "rates"),
+        (dict(marked=1), "marked"),
+    ])
+    @pytest.mark.parametrize("entry", [summaries, reports, search._marked_probabilities])
+    def test_scalar_or_string_is_no_per_run_array(self, entry, arrays, name):
+        with pytest.raises(DimensionMismatch, match=f"^{name}: expected one entry per run"):
+            entry(RunConfig(1, "g", 1.0), **arrays)
+
 
 class TestKnownOutcomes:
     def test_two_qubit_search_is_exact(self):

@@ -136,6 +136,20 @@ class TestHamiltonian:
         with pytest.raises(error, match="phi"):
             evolve(h, phi)
 
+    @pytest.mark.parametrize("energies", [np.zeros(0), np.zeros(1), np.zeros(3), np.zeros(6),
+                                          np.zeros((2, 3)), np.zeros(()), [0.0, 0.0, 0.0]])
+    def test_evolution_needs_a_power_of_two_entries(self, energies):
+        # three entries had evolved as n=1, and none as n=-1
+        with pytest.raises(DimensionMismatch, match="energies"):
+            evolve(energies, 0.5)
+
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    def test_evolution_accepts_a_power_of_two_entries(self, size):
+        energies = np.arange(size, dtype=float)
+        got = evolve(energies, 0.5)
+        assert got.shape == (size,)
+        np.testing.assert_array_equal(got, np.exp(-1j * energies * (0.5 * math.pi / size)))
+
     @pytest.mark.parametrize("pattern,rates", [
         ("ee", (0.0, 0.0)),
         ("ge", (1 / 113, 1 / 90)),
@@ -162,6 +176,23 @@ class TestHamiltonian:
     def test_verification_sweep_needs_a_draw(self):
         with pytest.raises(ValueError, match="draws"):
             verification_sweep(ns=(2,), draws=0)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(draws=2.5), "draws"), (dict(draws="3"), "draws"), (dict(draws=True), "draws"),
+        (dict(seed=1.5), "seed"), (dict(seed="7"), "seed"), (dict(seed=False), "seed"),
+        (dict(seed=-1), "seed"), (dict(ns=(2.0,)), "n"), (dict(ns=(3, True)), "n"),
+        (dict(ns=("2",)), "n"),
+    ])
+    def test_verification_sweep_integers_checked(self, kwargs, name):
+        # each was a TypeError from deep inside, numpy's own error, or (draws
+        # True) one silent draw
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            verification_sweep(**dict(ns=(2,), draws=1) | kwargs)
+
+    @pytest.mark.parametrize("n", [2.0, "2", True])
+    def test_coupling_size_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            coupling_assignment(n, "ee")
 
     def test_verification_sweep_needs_a_size(self):
         # no size would return no rows, which reads as nothing failed

@@ -17,11 +17,23 @@ from .search import RunConfig, reports
 from .synthesis import verification_sweep
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs; a repeated key, which
+    `json.load` would let the last one win, raises MalformedConfig."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedConfig(f"config repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str):
-    """The JSON value stored at ``path``; `config_from_dict` checks its root."""
+    """The JSON value stored at ``path``, with no key repeated in any of its
+    objects; `config_from_dict` checks its root."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise MalformedConfig(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:

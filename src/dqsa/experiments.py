@@ -184,7 +184,7 @@ def sweep(spec: SweepSpec) -> list:
         samples = summaries(spec.config, phi=grid)
         keys = [(phi, tau(phi, spec.n)) for phi in grid]
     else:
-        samples = summaries(spec.config, rates=[[g * w for w in spec.weights] for g in grid])
+        samples = summaries(spec.config, rates=np.outer(grid, spec.weights))
         keys = [(g, spec.phi, tau(spec.phi, spec.n)) for g in grid]
     return [(*key, *sample) for key, sample in zip(keys, samples)]
 

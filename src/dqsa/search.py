@@ -16,15 +16,17 @@ product term qubit by qubit, and a phase on one basis state adds one more
 product term: that basis state times (e^{i*beta} - 1) times its amplitude.
 So after k rounds the state is exactly sum_t c_t (x)_v u_{t,v}, a sum of
 T = 2k + 1 product terms (Vidal, PRL 91, 147902 (2003)).  The engine
-tabulates M_v^j u for j = 0..2k and the three start vectors u (W_v e_0,
-e_{x_v} and e_0), takes each term's amplitudes at x and at 0 from products
-of that table over the qubits, and gets the coefficients c_t from a scalar
-recurrence over those amplitudes.  W_v, a damped Hadamard, and d_v are real,
-so every table of vectors is real (float64), and only the phases make the
-recurrence and the c_t complex.  `_recurrence` runs the engine up to the
-recurrence's amplitudes (B, T), which hold the marked amplitude after every
-round: the marked probability (read by `table1_comparison` and
-`peak_search`) comes from them, with no state.
+tabulates M_v^j u for j = 0..2k+1 and two start vectors u, e_0 and e_{x_v}:
+d_v leaves e_0 alone, so M_v e_0 = W_v e_0, and the first term, W_v e_0
+after j layers, is e_0 at age j + 1.  It takes each term's amplitudes at x
+and at 0 from products of that table over the qubits, and gets the
+coefficients c_t from a scalar recurrence over those amplitudes.  W_v, a
+damped Hadamard, and d_v are real, so every table of vectors is real
+(float64), and only the phases make the recurrence and the c_t complex.
+`_recurrence` runs the engine up to the recurrence's amplitudes (B, T),
+which hold the marked amplitude after every round: the marked probability
+(read by `table1_comparison` and `peak_search`) comes from them, with no
+state.
 `_terms` turns them into the engine's product, the coefficients (B, T) and
 vectors u (n, 2, B, T), and only `_materialize` builds the 2^n amplitudes,
 in one real batched matrix product of two half Kronecker tables.  A run
@@ -56,10 +58,10 @@ from .gates import check_convention, check_phi, check_rates, tau, w_gate, whole_
 
 # 16-byte units per block, in each of its two stages: a state block, as
 # points_per_block counts it, is 52 runs at n=9 and 12 at n=12 with 11
-# iterations; a recurrence block, at T*(6n + 16) units per run rounded down
-# to whole state blocks, is 104 and 60.  Counted so, the tracemalloc peak of
-# `summaries` on the TestMemory grids was 0.87-1.94 MiB.  Smaller blocks are
-# slower: on a 2-core x86-64 VM the benchmark's sweep-n9 op_s.p50 was
+# iterations; a recurrence block, at T*(3n + 16) units per run rounded down
+# to whole state blocks, is 156 and 108.  Counted so, the tracemalloc peak
+# of `summaries` on the TestMemory grids was 0.82-2.06 MiB.  Smaller blocks
+# are slower: on a 2-core x86-64 VM the benchmark's sweep-n9 op_s.p50 was
 # 0.0218 s at 2^16 complex entries against 0.0172 s at 2^17.  Larger ones
 # cost memory: at 2^18 reproduce's peak RSS rose 4.8%, near the benchmark's
 # 5% bound, and the n=6 grid peaked at 4.3 MiB.
@@ -101,10 +103,10 @@ def _run_units(n: int) -> tuple:
     """16-byte units one run holds at register size n: in a state block, a
     fixed part and a part per term (see `points_per_block`), and in a
     recurrence block a part per term alone, with no 2^n and no half tables:
-    6*n for the power table and the vectors (8*n reals, counted with room
-    for their temporaries) and 16 for the recurrence."""
+    3*n for the power table of two start vectors and the vectors taken from
+    it (4*n + 2*n reals) and 16 for the recurrence."""
     low, high = 2 ** (n // 2), 2 ** (n - n // 2)
-    return 1.5 * 2**n + RUN_ENTRIES, 1.5 * high + 0.5 * low + 3 * n + 16, 6 * n + 16
+    return 1.5 * 2**n + RUN_ENTRIES, 1.5 * high + 0.5 * low + 3 * n + 16, 3 * n + 16
 
 
 def points_per_block(n: int, iterations: int) -> int:
@@ -122,11 +124,11 @@ def points_per_block(n: int, iterations: int) -> int:
 
 
 def _max_iterations(n: int) -> int:
-    """The most rounds for which one run at register size n fits the budget
-    in both stages of a block."""
-    fixed, per_term, recurrence = _run_units(n)
-    terms = min((BLOCK_AMPLITUDES - fixed) // per_term, BLOCK_AMPLITUDES // recurrence)
-    return (int(terms) - 1) // 2
+    """The most rounds for which one run at register size n fits a state
+    block; it then fits a recurrence block too, whose count per term is the
+    state block's less the half tables."""
+    fixed, per_term, _ = _run_units(n)
+    return (int((BLOCK_AMPLITUDES - fixed) // per_term) - 1) // 2
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray, out=None) -> np.ndarray:
@@ -205,32 +207,33 @@ def _batch(config, phi=None, rates=None, marked=None):
 
 def _recurrence(config, marked, phi, rates) -> tuple:
     """A block of runs after k rounds, short of its terms: the power table
-    (2, T, 3, n, B), e^{i beta} - 1 (B, 1), and the recurrence's amplitudes
-    (B, T) at the phase events, where column 2j is the marked amplitude
-    after j rounds less its phase e^{i j beta}.  ``config`` gives n, k and
-    the convention, the arrays (see `_batch`) each run's values."""
+    (2, T + 1, 2, n, B) of the start vectors e_0 and e_{x_v}, e^{i beta} - 1
+    (B, 1), and the recurrence's amplitudes (B, T) at the phase events,
+    where column 2j is the marked amplitude after j rounds less its phase
+    e^{i j beta}.  ``config`` gives n, k and the convention, the arrays (see
+    `_batch`) each run's values."""
     n, k = config.n, config.iterations
     b, t = len(phi), 2 * k + 1
-    w = w_gate(rates, config.convention).transpose(2, 3, 1, 0)
+    m = w_gate(rates, config.convention).transpose(2, 3, 1, 0)
     beta = np.pi * phi
-    m = w.copy()
-    m[:, 1] = w[:, 1] * np.exp(-0.5 * tau(phi, n) * rates.T)
+    m[:, 1] *= np.exp(-0.5 * tau(phi, n) * rates.T)
 
-    # Start vectors per qubit: W_v e_0 (the first term), e_{x_v} (each
-    # x-phase term) and e_0 (each 0-phase term).
+    # Start vectors per qubit: e_0 (kind 0) and e_{x_v} (kind 1).  The
+    # damping leaves e_0 alone, so M_v e_0 = W_v e_0, and the first term,
+    # M^j W e_0, is e_0 at age j + 1.
     x = bits(n, marked).T.astype(bool)
-    start = np.zeros((2, 3, n, b))
-    start[:, 0] = w[:, 0]
+    start = np.zeros((2, 2, n, b))
+    start[0, 0] = 1.0
     start[1, 1] = x
     start[0, 1] = ~x
-    start[0, 2] = 1.0
-    table = _powers(m, start, t)
-    # Amplitude at x and at 0 of each start vector after j layers, (t, 3, B).
-    # The product over qubits is a loop of elementwise multiplies, in qubit
-    # order: a `prod` picks its loop, and so its rounding, by strides that
-    # change with the block size.  Likewise numpy multiplies a one-element
-    # complex array in place with scalar arithmetic, so the per-run columns
-    # of the recurrence below are updated out of place.
+    table = _powers(m, start, t + 1)
+    # Amplitude at x and at 0 of each start vector after j layers,
+    # (t + 1, 2, B).  The product over qubits is a loop of elementwise
+    # multiplies, in qubit order: a `prod` picks its loop, and so its
+    # rounding, by strides that change with the block size.  Likewise numpy
+    # multiplies a one-element complex array in place with scalar
+    # arithmetic, so the per-run columns of the recurrence below are
+    # updated out of place.
     at_x, at_0 = np.where(x[0], table[1, :, :, 0], table[0, :, :, 0]), table[0, :, :, 0]
     for v in range(1, n):
         at_x = at_x * np.where(x[v], table[1, :, :, v], table[0, :, :, v])
@@ -248,10 +251,10 @@ def _recurrence(config, marked, phi, rates) -> tuple:
     # global phase e^{i beta} of each round, and `_terms` puts e^{i k beta}
     # on the coefficients.
     even = np.arange(t) % 2 == 0
-    first = np.where(even, at_x[..., 0], at_0[..., 0])
+    first = np.where(even, at_x[:, 1:, 0], at_0[:, 1:, 0])
     alpha = (np.exp(1j * beta) - 1.0)[:, None]
-    kernels = (alpha * np.where(even, at_x[..., 1], at_x[..., 2])[:, ::-1],
-               alpha * np.where(even, at_0[..., 2], at_0[..., 1])[:, ::-1])
+    kernels = (alpha * np.where(even, at_x[:, :t, 1], at_x[:, :t, 0])[:, ::-1],
+               alpha * np.where(even, at_0[:, :t, 0], at_0[:, :t, 1])[:, ::-1])
     amps = np.empty((b, t), dtype=np.complex128)
     amps[:, 0] = first[:, 0]
     for e in range(1, t):
@@ -266,12 +269,11 @@ def _terms(config, marked, phi, rates) -> tuple:
     e^{i k beta} included, and per-qubit vectors (n, 2, B, T)."""
     table, alpha, amps = _recurrence(config, marked, phi, rates)
     t = amps.shape[1]
-    # Term 0 has seen all 2k layers, term t >= 1 the 2k - t + 1 after its
-    # event; odd terms started at e_x, even ones at e_0.
-    ages = t - 1 - np.maximum(np.arange(t) - 1, 0)
-    kinds = 2 - np.arange(t) % 2
-    kinds[0] = 0
-    table = np.moveaxis(table, (3, 4), (0, 2))[..., ages, kinds]
+    # Term t is at age T - t: term 0 is e_0 after all 2k + 1 layers, W's
+    # among them, and term t >= 1 has seen the 2k - t + 1 layers after its
+    # event, from e_x if t is odd and from e_0 if it is even.
+    kinds = np.arange(t)
+    table = np.moveaxis(table, (3, 4), (0, 2))[..., t - kinds, kinds % 2]
     coeffs = np.ones(amps.shape, dtype=np.complex128)
     coeffs[:, 1:] = alpha * amps[:, :-1]
     return coeffs * np.exp(1j * config.iterations * (np.pi * phi))[:, None], table
@@ -279,7 +281,7 @@ def _terms(config, marked, phi, rates) -> tuple:
 
 def _recurrence_blocks(config, phi, rates, marked):
     """Yield the batch (see `summaries`), checked, as (marked indices, phi,
-    rates) per recurrence block, of T*(6n + 16) 16-byte units per run (see
+    rates) per recurrence block, of T*(3n + 16) 16-byte units per run (see
     `_run_units`), rounded down to whole state blocks, at least one."""
     marked, phi, rates = _batch(config, phi, rates, marked)
     n, k = config.n, config.iterations

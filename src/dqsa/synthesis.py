@@ -87,11 +87,14 @@ def _energies(ising: np.ndarray, rates: np.ndarray) -> np.ndarray:
 
 def evolve(energies: np.ndarray, phi) -> np.ndarray:
     """Diagonal time evolution exp(-i * E[y] * tau), tau = phi*pi/2^n, of
-    energies of shape (2^n,), n >= 1, or (D, 2^n) with phases of shape (D,)."""
-    size = (shape_of(energies, "energies") or (0,))[-1]
+    energies of shape (2^n,), n >= 1, with one phase, or (D, 2^n) with
+    phases of shape (D,), one per row; other phase shapes raise
+    DimensionMismatch."""
+    shape = shape_of(energies, "energies")
+    size = (shape or (0,))[-1]
     if size < 2 or size & (size - 1):
         raise DimensionMismatch(f"energies: the last axis must hold 2^n >= 2 entries, got {size}")
-    t = tau(check_phi(phi, shape_of(phi, "phi")[:1]), size.bit_length() - 1)
+    t = tau(check_phi(phi, shape[:-1]), size.bit_length() - 1)
     return np.exp(-1j * energies * np.asarray(t)[..., None])
 
 

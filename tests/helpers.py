@@ -364,11 +364,11 @@ def split(points: int, width: int) -> list:
 
 
 def recurrence_width(n: int, iterations: int) -> int:
-    """Runs per recurrence block, counted at T*(6n + 16) 16-byte units per
+    """Runs per recurrence block, counted at T*(3n + 16) 16-byte units per
     run (T = 2*iterations + 1) from the engine's budget, rounded down to a
     whole number of state blocks and never less than one."""
     size = search.points_per_block(n, iterations)
-    units = (2 * iterations + 1) * (6 * n + 16)
+    units = (2 * iterations + 1) * (3 * n + 16)
     return max(size, search.BLOCK_AMPLITUDES // units // size * size)
 
 

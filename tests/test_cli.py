@@ -223,6 +223,24 @@ class TestRun:
         assert "MalformedConfig" in err
         assert field in err
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"n": 2, "marked": "ee", "phi": 0.5, "phi": 1.0}', "phi"),
+        ('{"n": 2, "marked": "ee", "phi": {"start": 0, "stop": 1, "steps": 3, "stop": 2}}',
+         "stop"),
+        ('{"n": 2, "marked": "ee", "phi": 0.5, "gbar": {"start": 0, "start": 0.1, "stop": 1, '
+         '"steps": 3}}', "start"),
+    ], ids=["root", "phi-grid", "gbar-grid"])
+    def test_repeated_config_key_exits_1(self, capsys, tmp_path, text, key):
+        # json.load keeps the last of two equal keys, so the first was ignored
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        command = "run" if text.count("{") == 1 else "sweep"
+        code, out, err = run_cli(capsys, [command, "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "MalformedConfig" in err
+        assert f"repeats the key '{key}'" in err
+
     @pytest.mark.parametrize("flags", [[], ["--n", "2", "--phi", "x"]])
     def test_non_object_config_exits_1(self, capsys, tmp_path, flags):
         # flags merge into an object root only; config_from_dict rejects the rest

@@ -47,6 +47,7 @@ from helpers import (
     grover_closed_form,
     planned_blocks,
     record_blocks,
+    recurrence_width,
     report,
     run_json_by_dict,
     table_by_dict,
@@ -625,15 +626,15 @@ class TestRunConfigCount:
 
 class TestBlocks:
     def test_block_split_matches_report(self, monkeypatch):
-        # a whole engine block plus a one-point last block (at n=7 a
-        # recurrence block is one state block): every row, the last one
+        # a whole recurrence block plus a one-point last block (at n=7 a
+        # recurrence block is two state blocks): every row, the last one
         # included, agrees with a standalone report of its point
         n, marked, rates = 7, "geegeeg", (0.1, 0.0, 0.4, 0.2, 0.05, 0.3, 0.0)
-        steps = points_per_block(n, n - 1) + 1
+        size, steps = points_per_block(n, n - 1), recurrence_width(n, n - 1) + 1
         spec = SweepSpec(n=n, marked=marked, start=0.05, stop=1.95, steps=steps, rates=rates)
         blocks = record_blocks(monkeypatch)
         rows = sweep(spec)
-        assert blocks.recurrence == blocks.state == [steps - 1, 1]
+        assert (blocks.recurrence, blocks.state) == ([2 * size, 1], [size, size, 1])
         assert len(rows) == steps
         assert worst_row_vs_report(rows, spec) <= 1e-15
         assert sweep_to_csv(rows) == sweep_to_csv(sweep(spec))
@@ -655,11 +656,11 @@ class TestBlocks:
     def test_dissipation_block_split_matches_report(self, monkeypatch):
         # the same on the rate axis, with per-qubit weights
         n, marked, weights = 7, "egeggee", (1.0, 0.5, 0.0, 0.25, 2.0, 1.0, 0.75)
-        steps = points_per_block(n, n - 1) + 1
+        size, steps = points_per_block(n, n - 1), recurrence_width(n, n - 1) + 1
         spec = dissipation_spec(n, marked, 0.81, 0.0, 0.95, steps, weights)
         blocks = record_blocks(monkeypatch)
         rows = sweep(spec)
-        assert blocks.recurrence == blocks.state == [steps - 1, 1]
+        assert (blocks.recurrence, blocks.state) == ([2 * size, 1], [size, size, 1])
         assert len(rows) == steps
         assert worst_row_vs_report(rows, spec) <= 1e-15
         text = sweep_to_csv(rows, axis="dissipation")

@@ -85,10 +85,10 @@ CASES = [
     ("run", "gammas", bad_gammas(), "gammas|rates", "gammas|rates"),
     ("phase", "gammas", bad_gammas(), "gammas|rates", "gammas|rates"),
     ("gbar", "gammas", bad_gammas(overdamped=False), "gammas", "gammas"),
-    # past 1927 rounds at n=3 one run outgrows an engine block; the counts
+    # past 2046 rounds at n=3 one run outgrows an engine block; the counts
     # above it stay small, so that a lost bound fails fast, not out of memory
     ("run", "iterations", bad_counts | st.none() | st.integers(max_value=0)
-     | st.integers(min_value=1928, max_value=2100), "iterations", "iterations"),
+     | st.integers(min_value=2047, max_value=2220), "iterations", "iterations"),
     ("phase", "start", bad_reals, "phi start", "phi"),
     ("phase", "stop", bad_reals, "phi stop", "phi"),
     ("phase", "steps", bad_counts | st.none() | st.integers(max_value=1), "steps", "steps|--phi"),

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dqsa.search import _materialize, _powers
+from dqsa.gates import tau, w_gate
+from dqsa.search import RunConfig, _batch, _materialize, _powers, _recurrence, _terms
 
 from helpers import dense_single_qubit, dense_terms, layer_on_terms, random_terms
 
@@ -63,3 +64,24 @@ def test_complex_tables_raise(n):
             _powers(mats.transpose(1, 2, 0, 3), (vecs + 1j * vecs).transpose(1, 3, 0, 2), 2)
         with pytest.raises(TypeError):
             _powers(mats.transpose(1, 2, 0, 3) * 1j, vecs.transpose(1, 3, 0, 2), 2)
+
+
+@pytest.mark.parametrize("convention", ["composite", "tabulated"])
+def test_first_term_is_w_e0_evolved(convention):
+    # the damping diag(1, d_v) leaves e_0 alone, so M_v e_0 = W_v e_0: the
+    # power table's e_0 column at age j + 1 is bitwise W e_0 evolved j
+    # layers, and the first term's vectors are it at j = 2k
+    rng = np.random.default_rng(7)
+    n, b, k = 5, 6, 4
+    config = RunConfig(n, "g" * n, 1.0, iterations=k, convention=convention)
+    patterns = ["".join(rng.choice(["g", "e"], n)) for _ in range(b)]
+    marked, phi, rates = _batch(config, rng.uniform(0.0, 2.0, b),
+                                rng.uniform(0.0, 1.5, (b, n)), patterns)
+    w = w_gate(rates, convention).transpose(2, 3, 1, 0)
+    m = w.copy()
+    m[:, 1] = w[:, 1] * np.exp(-0.5 * tau(phi, n) * rates.T)
+    evolved = _powers(m, w[:, :1], 2 * k + 1)[:, :, 0]  # (2, T, n, B)
+    table = _recurrence(config, marked, phi, rates)[0]
+    assert np.array_equal(table[:, 1:, 0], evolved)
+    vecs = _terms(config, marked, phi, rates)[1]
+    assert np.array_equal(vecs[..., 0], evolved[:, -1].transpose(1, 0, 2))

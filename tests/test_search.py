@@ -86,11 +86,10 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(2, "ee", 1.0, iterations=0)
 
-    @pytest.mark.parametrize("n,limit", [(1, 2910), (2, 2340), (6, 1259), (7, 1005)])
+    @pytest.mark.parametrize("n,limit", [(1, 2910), (2, 2518), (6, 1308), (7, 1005)])
     def test_iterations_bounded_by_one_run_per_block(self, n, limit):
-        # past the limit one run outgrows an engine block: its state block
-        # at n=1 and from n=7 on, its recurrence block at n = 2..6 (n=9 and
-        # n=12 are checked on every route in test_input_boundary.py)
+        # past the limit one run outgrows its state block, at every n (n=9
+        # and n=12 are checked on every route in test_input_boundary.py)
         assert RunConfig(n, "e" * n, 1.0, iterations=limit).iterations == limit
         with pytest.raises(ValueError, match=rf"iterations must be <= {limit} at n={n}\b"):
             RunConfig(n, "e" * n, 1.0, iterations=limit + 1)
@@ -436,7 +435,8 @@ class TestEngineCalls:
     # alone
     @pytest.mark.parametrize("entry", [summaries, reports])
     @pytest.mark.parametrize("n,iterations,points", [(3, 2, 1000), (9, 8, 60), (12, 11, 7),
-                                                     (12, 50, 5), (9, 8, 110), (12, 11, 70)])
+                                                     (12, 50, 5), (9, 8, 110), (12, 11, 70),
+                                                     (9, 8, 200), (12, 11, 120)])
     def test_one_terms_and_one_materialize_call_per_block(self, monkeypatch, entry, n,
                                                           iterations, points):
         calls = record_blocks(monkeypatch)
@@ -444,11 +444,12 @@ class TestEngineCalls:
         assert (calls.recurrence, calls.state) == planned_blocks(n, iterations, points)
         assert calls.dtypes == [np.float64] * len(calls.state)
 
-    @pytest.mark.parametrize("n,iterations,size,width", [(3, 2, 555, 555), (7, 6, 119, 119),
-                                                         (9, 8, 52, 104), (12, 11, 12, 60)])
+    @pytest.mark.parametrize("n,iterations,size,width", [(3, 2, 555, 555), (7, 6, 119, 238),
+                                                         (9, 8, 52, 156), (12, 11, 12, 108)])
     def test_block_widths(self, n, iterations, size, width):
-        # the recurrence block is a whole number of state blocks: one from
-        # n=2 to n=8 at k = n - 1, two at n=9 and five at n=12
+        # the recurrence block is a whole number of state blocks: at
+        # k = n - 1 one from n=3 to n=6, two at n=2, 7 and 8, three at n=9
+        # and nine at n=12
         assert (points_per_block(n, iterations), recurrence_width(n, iterations)) == (size, width)
 
     def test_run_is_one_block(self, monkeypatch):
@@ -499,8 +500,8 @@ class TestMarkedRead:
 class TestBudget:
     # a row does not depend on the width of its blocks, so every budget gives
     # the same bytes, in the blocks each budget plans: at n=9 recurrence
-    # blocks of 3, 52 and 104 runs split into state blocks of 1, 26 and 52
-    # at 2^12, 2^16 and 2^17 (at n=12, k=50, 1, 6 and 10 split into 1, 2
+    # blocks of 5, 78 and 156 runs split into state blocks of 1, 26 and 52
+    # at 2^12, 2^16 and 2^17 (at n=12, k=50, 1, 12 and 20 split into 1, 2
     # and 5: the 5 points make one recurrence block at 2^16 and 2^17); the
     # marked read evolves the same recurrence blocks and no state block
     @pytest.mark.parametrize("entry", [summaries, reports, _marked_probabilities])
@@ -528,11 +529,11 @@ class TestMemory:
     # A state block's budget counts each run's amplitudes and probabilities,
     # its real half tables and power table, the right table times the
     # coefficients, and its recurrence (see points_per_block); a recurrence
-    # block's counts T*(6n + 16) per run.  At 2^17 16-byte units the peak
-    # was 0.87-1.94 MiB on the grids here (n=2 lowest; 1.93 MiB at n=9 and
-    # 1.94 MiB at n=12 with 120 points, whole recurrence blocks of 104 and
-    # 60 runs), 1.17 MiB at n=12 with 50 iterations and 1.62 MiB at n=12
-    # with the most iterations allowed there, 346.
+    # block's counts T*(3n + 16) per run.  At 2^17 16-byte units the peak
+    # was 0.82-2.06 MiB on the grids here (n=2 lowest; 2.06 MiB at n=9 and
+    # 2.05 MiB at n=12 with 120 points, in recurrence blocks of 156 and 108
+    # runs), 1.17 MiB at n=12 with 50 iterations and 1.60 MiB at n=12 with
+    # the most iterations allowed there, 346.
     @pytest.mark.parametrize("n,points", [(2, 1000), (3, 1000), (4, 1000), (6, 1000),
                                           (9, 1000), (12, 40), (7, 1000), (12, 120)])
     def test_summaries_peak_is_bounded(self, n, points):

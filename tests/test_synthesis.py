@@ -143,6 +143,16 @@ class TestHamiltonian:
         with pytest.raises(DimensionMismatch, match="energies"):
             evolve(energies, 0.5)
 
+    @pytest.mark.parametrize("energies,phi", [
+        (np.zeros(4), [0.5, 0.6]),  # had evolved as two rows
+        (np.zeros(4), [0.5]),
+        (np.zeros((3, 4)), [0.5, 0.5]),  # had failed in numpy's broadcast
+        (np.zeros((3, 4)), 0.5),
+    ], ids=["vector-two-phases", "vector-phase-list", "rows-two-phases", "rows-one-phase"])
+    def test_evolution_needs_one_phase_per_energy_row(self, energies, phi):
+        with pytest.raises(DimensionMismatch, match=r"phi: expected shape"):
+            evolve(energies, phi)
+
     @pytest.mark.parametrize("size", [2, 4, 8])
     def test_evolution_accepts_a_power_of_two_entries(self, size):
         energies = np.arange(size, dtype=float)

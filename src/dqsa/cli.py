@@ -166,7 +166,8 @@ def _tolerance(text: str) -> float:
 
 def _at_least(low: int):
     """The type of an int flag of at least ``low``: one --draws or more, and
-    a --seed >= 0, which numpy's random generator needs."""
+    a --seed >= 0, since Python's generator seeds by |seed|, so -s would
+    give the draws of s."""
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as an "invalid integer value"
         if value < low:

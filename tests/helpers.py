@@ -19,6 +19,7 @@ import cmath
 import json
 import math
 import os
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -170,16 +171,21 @@ def draw_deviation(pattern: str, phi: float, rates, energies=defining_energies) 
 
 
 def per_draw_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240) -> list:
-    """verification_sweep one draw at a time: each draw takes phi from
-    uniform(0, 2), then its n rates from uniform(0, 1).  On the sweep's own
-    `synthesized_energies` the rows can equal the sweep's bit for bit; the
-    defining sum differs from them in the last bits."""
-    rng = np.random.default_rng(seed)
+    """verification_sweep one draw at a time: each float is one
+    getrandbits(64) of random.Random(seed), shifted to 53 bits and scaled
+    by 2^-53; a draw takes phi as twice the first, then its n rates.  On the
+    sweep's own `synthesized_energies` the rows can equal the sweep's bit
+    for bit; the defining sum differs from them in the last bits."""
+    rng = random.Random(seed)
+
+    def uniform() -> float:
+        return (rng.getrandbits(64) >> 11) * 2.0**-53
+
     rows = []
     for n in ns:
         for pattern in all_patterns(n):
             rows.append((pattern, max(
-                draw_deviation(pattern, rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0, n).tolist(),
+                draw_deviation(pattern, 2.0 * uniform(), [uniform() for _ in range(n)],
                                synthesized_energies)
                 for _ in range(draws))))
     return rows

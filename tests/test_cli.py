@@ -175,7 +175,7 @@ class TestRun:
 
     @pytest.mark.parametrize("seed", ["-1", "-20240"])
     def test_negative_seed_exits_1(self, capsys, seed):
-        # numpy's generator rejects it with a message that names no flag
+        # Python's generator seeds by |seed|, so -s would repeat the draws of s
         code, out, err = run_cli(capsys, ["verify-gates", "--n", "2", "--seed", seed])
         assert code == 1
         assert out == ""
@@ -598,6 +598,30 @@ class TestInstalledEntryPoint:
                               "print('fractions' in sys.modules)"],
                              env=child_env(), capture_output=True, text=True)
         assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n", "2", "--marked", "ee", "--phi", "1"],
+        ["sweep", "--n", "2", "--marked", "ee", "--phi", "0:1:3"],
+        ["table1", "--n", "2"],
+        ["appendix", "--table", "2"],
+        ["verify-gates", "--n", "2"],
+        ["peak", "--n", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_subcommand_leaves_openssl_unloaded(self, argv):
+        # numpy.random imports secrets, hashlib and _hashlib, which maps
+        # OpenSSL: `python -m dqsa verify-gates` peaked at 36.1 MiB resident
+        # when it drew from numpy's generator, 30.2 MiB without it.  The
+        # child runs `python -m dqsa` through runpy, then lists them.
+        script = ("import runpy, sys\n"
+                  "try:\n"
+                  "    runpy.run_module('dqsa', run_name='__main__', alter_sys=True)\n"
+                  "except SystemExit as stop:\n"
+                  "    code = stop.code\n"
+                  "names = ('numpy.random', 'secrets', 'hashlib', '_hashlib')\n"
+                  "print(code, [name for name in names if name in sys.modules])\n")
+        out = subprocess.run([sys.executable, "-c", script, *argv],
+                             env=child_env(), capture_output=True, text=True)
+        assert out.stdout.splitlines()[-1] == "0 []", out.stderr
 
     @pytest.mark.parametrize("setting", [None, "1"])
     def test_child_writes_bytecode_only_as_the_suite_does(self, monkeypatch, setting):

@@ -1,6 +1,7 @@
 """Coupling assignment, Hamiltonian synthesis, and pulse compositions."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -204,6 +205,20 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="n must be an integer"):
             coupling_assignment(n, "ee")
 
+    @pytest.mark.parametrize("ns", [3, np.int64(3), np.array(3), "23"],
+                             ids=["int", "int64", "0-d-array", "string"])
+    def test_verification_sweep_sizes_must_be_a_sequence(self, ns):
+        # a scalar raised a bare TypeError from len(), and "23" was read as the
+        # sizes "2" and "3", which failed as non-integers
+        with pytest.raises(DimensionMismatch, match="^ns: "):
+            verification_sweep(ns=ns, draws=1)
+
+    @pytest.mark.parametrize("ns", [np.array([3]), iter([3]), (n for n in [3])],
+                             ids=["array", "iterator", "generator"])
+    def test_verification_sweep_takes_any_iterable_of_sizes(self, ns):
+        # a generator had failed in len(), like a scalar
+        assert verification_sweep(ns=ns, draws=2, seed=5) == verification_sweep((3,), 2, 5)
+
     def test_verification_sweep_needs_a_size(self):
         # no size would return no rows, which reads as nothing failed
         with pytest.raises(ValueError, match="ns"):
@@ -214,12 +229,30 @@ class TestHamiltonian:
         b = verification_sweep(ns=(2,), draws=2, seed=5)
         assert a == b
 
+    def test_numpy_integers_accepted(self):
+        # random.Random raises TypeError for a numpy integer seed
+        got = verification_sweep(ns=(np.int64(2),), draws=np.int64(2), seed=np.int64(5))
+        assert got == verification_sweep(ns=(2,), draws=2, seed=5)
+
     @pytest.mark.parametrize("seed", [7, 20240])
     @pytest.mark.parametrize("draws", [1, 20])
     def test_sweep_rows_equal_per_draw_reference(self, seed, draws):
         # the sweep checks each size's draws as one sequence; its rows must be
         # exactly those of one check per draw on the same random numbers
         assert verification_sweep(draws=draws, seed=seed) == per_draw_sweep(draws=draws, seed=seed)
+
+    def test_first_draw_is_pinned(self, monkeypatch):
+        # one 64-bit word of Python's generator per float, least significant
+        # 32 bits first, on numpy's 53-bit grid: phi is twice the first float
+        draws = []
+        errors = synthesis._realization_errors
+        monkeypatch.setattr(synthesis, "_realization_errors",
+                            lambda *args: draws.append(args[2:]) or errors(*args))
+        verification_sweep(ns=(2,), draws=1, seed=0)
+        phi, rates = draws[0]
+        words = random.Random(0)
+        assert phi[0] == 2 * (words.getrandbits(64) >> 11) * 2**-53
+        assert rates[0].tolist() == [(words.getrandbits(64) >> 11) * 2**-53 for _ in range(2)]
 
     @pytest.mark.parametrize("rows", [1, 3, 7, 20])
     def test_block_size_does_not_change_rows(self, monkeypatch, rows):
@@ -250,8 +283,9 @@ class TestHamiltonian:
         assert sizes == [4 * 20, 8 * 20, 16 * 20]
 
     def test_sweep_peak_is_bounded(self):
-        # a block of 4096 draws at n=4 peaked at 3.9 MiB after a first call
-        # (4.7 MiB on it); the 20000 draws in one block took 21 MiB
+        # a block of 4096 draws at n=4 peaked at 3.9 MiB, on a first call as
+        # after one (4.7 MiB on a first call with numpy's generator); the
+        # 20000 draws in one block took 18.6 MiB
         tracemalloc.start()
         try:
             verification_sweep(ns=(4,), draws=20000)

@@ -99,20 +99,6 @@ def config_from_dict(raw: dict):
         raise MalformedConfig(f"invalid config: {type(e).__name__}: {e}") from e
 
 
-def config_to_dict(cfg) -> dict:
-    """Serialize a RunConfig or SweepSpec back to the JSON schema."""
-    if isinstance(cfg, RunConfig):
-        return {"n": cfg.n, "marked": cfg.marked, "phi": cfg.phi,
-                "gammas": list(cfg.rates), "iterations": cfg.iterations,
-                "convention": cfg.convention}
-    grid = {"start": cfg.start, "stop": cfg.stop, "steps": cfg.steps}
-    if cfg.axis == "phase":
-        return {"n": cfg.n, "marked": cfg.marked, "phi": grid,
-                "gammas": list(cfg.rates), "convention": cfg.convention}
-    return {"n": cfg.n, "marked": cfg.marked, "phi": cfg.phi, "gbar": grid,
-            "gammas": list(cfg.weights), "convention": cfg.convention}
-
-
 def _parse_gammas(text: str):
     try:
         return tuple(float(x) for x in text.split(","))
@@ -306,7 +292,3 @@ def main(argv=None) -> int:
     except (DqsaError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

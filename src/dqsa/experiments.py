@@ -36,12 +36,6 @@ TABLE_TOLERANCE = 2e-3
 
 AVAILABLE_TABLES = tuple(range(2, 12))
 
-# Tables whose strong-dissipation cells are reproduced only by the
-# "tabulated" gate convention; under the default composite convention they
-# carry a known systematic offset (worst marked deviation < 9e-3).  See
-# README "Known systematic offset".
-OFFSET_TABLES = (3, 11)
-
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
@@ -68,10 +62,6 @@ class ComparisonReport:
     @property
     def all_pass(self) -> bool:
         return bool(self.passed.all())
-
-    @property
-    def worst(self) -> float:
-        return float(self.absdiff.max(initial=0.0))
 
     def rows(self):
         """(label, paper, computed, absdiff, pass) per row, as Python values."""

@@ -12,8 +12,8 @@ the evolution time phi*pi/2^n in natural units.  Dissipation rates ``g_v``
 are dimensionless and must stay below 4, where the detuning factor
 xi = sqrt(16 - g^2)/4 becomes non-real, and a run's total oracle phase,
 iterations*phi*pi, must stay a finite float.  `check_reals` is the one check of
-every phase, rate and tolerance, scalar or array; `check_phi` and
-`check_rates` name its two uses.  An input left out or None takes its
+every phase, rate, tolerance and pulse duration, scalar or array; `check_phi`
+and `check_rates` name its two uses.  An input left out or None takes its
 default; an empty tuple, list or array is a value, of the wrong length.
 
 Two conventions exist for how the rate enters the one-qubit W gate:
@@ -152,7 +152,9 @@ def w_gate(g, convention: str = "composite") -> np.ndarray:
 
 def damping_entries(n: int, phi, rates) -> np.ndarray:
     """Per-basis-state damping factors exp(-(tau/2) * sum of excited rates),
-    tau = phi*pi/2^n: shape (2^n,), or (D, 2^n) for phi (D,) and rates (D, n)."""
+    tau = phi*pi/2^n, n >= 1: shape (2^n,), or (D, 2^n) for phi (D,) and rates (D, n)."""
+    if whole_number(n, "n") < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     phi = check_phi(phi, shape_of(phi, "phi")[:1])
     excited = bits(n) @ check_rates(rates, np.shape(phi) + (n,))[..., None]  # one product per row
     return np.exp(-0.5 * np.asarray(tau(phi, n))[..., None] * excited[..., 0])

@@ -25,7 +25,8 @@ import numpy as np
 
 from .basis import all_patterns, bits, validate_pattern
 from .errors import DimensionMismatch, UnsupportedSize
-from .gates import check_phi, check_rates, damping_entries, shape_of, tau, whole_number, xi_factor
+from .gates import (check_phi, check_rates, check_reals, damping_entries, shape_of, tau,
+                    whole_number, xi_factor)
 from .search import BLOCK_AMPLITUDES
 
 THETA = 1.0  # coupling energy scale in natural units
@@ -69,6 +70,7 @@ def coupling_signs(terms, n: int) -> np.ndarray:
     odd-multiplicity qubits that are ground in y.  A tuple naming a qubit
     outside 1..n raises DimensionMismatch.
     """
+    whole_number(n, "n")
     for tup in terms:
         if not all(1 <= s <= n for s in tup):
             raise DimensionMismatch(f"coupling {tup} names a qubit outside 1..{n}")
@@ -170,7 +172,9 @@ def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
 
 
 def v1_gate(duration: float) -> np.ndarray:
-    """Bare sigma-z pulse exp(+i * duration * sigma_z)."""
+    """Bare sigma-z pulse exp(+i * duration * sigma_z); ``duration`` follows
+    the real-input rule (`check_reals`)."""
+    duration = check_reals(duration, "duration")
     return np.diag([np.exp(-1j * duration), np.exp(1j * duration)]).astype(np.complex128)
 
 
@@ -178,8 +182,9 @@ def v2_gate(duration: float, g: float) -> np.ndarray:
     """Rotated damped pulse exp(-i * H * duration), H = sigma_x - i(g/2)|e><e|.
 
     A = H + (ig/4) I squares to xi^2 I (gates.xi_factor), so exp(-iHt) =
-    e^{-gt/4} (cos(xi t) I - i sin(xi t)/xi A), with xi > 0 for g < 4."""
-    g = check_rates(g)
+    e^{-gt/4} (cos(xi t) I - i sin(xi t)/xi A), with xi > 0 for g < 4.
+    ``duration`` and ``g`` follow the real-input rule (`check_reals`)."""
+    duration, g = check_reals(duration, "duration"), check_rates(g)
     xi = xi_factor(g)
     a = np.array([[0.25j * g, 1.0], [1.0, -0.25j * g]])
     return math.exp(-0.25 * g * duration) * (

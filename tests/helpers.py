@@ -11,7 +11,9 @@ writes comparison CSV and JSON one row at a time, wraps the engine's
 kernels (the power table and the materialization of product terms),
 counts its calls per recurrence block and per state block and plans both
 for the tests that check them, draws random damped configs, gives the
-exact undamped marked amplitudes of the two-level picture, and builds the
+exact undamped marked amplitudes of the two-level picture, runs a damped
+config with one rate on every qubit on its symmetric classes of basis
+states, writes a config back as the JSON schema, and builds the
 environment for tests that start a child process.
 """
 
@@ -106,6 +108,50 @@ def dense_run(n, marked, phi, rates=None, iterations=None, convention="composite
     for _ in range(iterations):
         state = step @ state
     return state
+
+
+def symmetric_power(q: np.ndarray, m: int) -> np.ndarray:
+    """The one-qubit gate ``q`` on each of m qubits, restricted to states
+    that every permutation of the m qubits leaves unchanged: entry [j', j]
+    takes the amplitude of one basis state with j excited to that of one with
+    j' excited, sum_i C(j', i) C(m - j', j - i) q11^i q10^(j' - i)
+    q01^(j - i) q00^(m - j' - j + i).  Shape (m + 1, m + 1)."""
+    (q00, q01), (q10, q11) = q.tolist()
+    return np.array([[sum(math.comb(jp, i) * math.comb(m - jp, j - i) * q11**i * q10**(jp - i)
+                          * q01**(j - i) * q00**(m - jp - j + i)
+                          for i in range(max(0, j + jp - m), min(j, jp) + 1))
+                      for j in range(m + 1)] for jp in range(m + 1)])
+
+
+def symmetric_run(n: int, marked: str, phi: float, g: float, k: int,
+                  convention: str = "composite") -> tuple:
+    """(marked_prob, sum_unmarked, survival) of a run with the rate ``g`` on
+    every qubit, in the round order of `dense_run`, on one amplitude f(a, b)
+    per class of basis states: a excited among the marked pattern's w
+    e-qubits, b among its n - w g-qubits (Shammah et al., PRA 98, 063815
+    (2018)).  A W layer acts as the symmetric powers of w_gate(g) on each
+    group, the oracle's damping as the diagonal exp(-tau g (a + b) / 2) on
+    its own, and the phases e^{i beta} on f(w, 0), the marked state, and on
+    f(0, 0); C(w, a) C(n - w, b) basis states share f(a, b)."""
+    w = marked.count("e")
+    gate = w_gate(g, convention)
+    left, right = symmetric_power(gate, w), symmetric_power(gate, n - w)
+    excited = np.add.outer(np.arange(w + 1), np.arange(n - w + 1))
+    damping = np.exp(-0.5 * tau(phi, n) * g * excited)
+    phase = cmath.exp(1j * math.pi * phi)
+    f = np.zeros((w + 1, n - w + 1), dtype=np.complex128)
+    f[0, 0] = 1.0
+    f = left @ f @ right.T
+    for _ in range(k):
+        f = f * damping  # the oracle: its damping, then the phase on x
+        f[w, 0] *= phase
+        f = (left @ f @ right.T) * damping  # the diffusion: W, the oracle on 0, W
+        f[0, 0] *= phase
+        f = phase * (left @ f @ right.T)
+    counts = np.outer([math.comb(w, a) for a in range(w + 1)],
+                      [math.comb(n - w, b) for b in range(n - w + 1)])
+    marked_prob, survival = float(abs(f[w, 0]) ** 2), float(np.sum(counts * np.abs(f) ** 2))
+    return marked_prob, survival - marked_prob, survival
 
 
 def grover_closed_form(n: int) -> float:
@@ -204,6 +250,21 @@ def worst_row_vs_report(rows, spec) -> float:
         worst = max(worst, abs(rho - rep.marked_prob),
                     abs(sum_unmarked - rep.sum_unmarked), abs(surv - rep.survival))
     return worst
+
+
+def config_to_dict(cfg) -> dict:
+    """A RunConfig or SweepSpec as the JSON config schema that
+    `dqsa.cli.config_from_dict` reads."""
+    if isinstance(cfg, RunConfig):
+        return {"n": cfg.n, "marked": cfg.marked, "phi": cfg.phi,
+                "gammas": list(cfg.rates), "iterations": cfg.iterations,
+                "convention": cfg.convention}
+    grid = {"start": cfg.start, "stop": cfg.stop, "steps": cfg.steps}
+    if cfg.axis == "phase":
+        return {"n": cfg.n, "marked": cfg.marked, "phi": grid,
+                "gammas": list(cfg.rates), "convention": cfg.convention}
+    return {"n": cfg.n, "marked": cfg.marked, "phi": cfg.phi, "gbar": grid,
+            "gammas": list(cfg.weights), "convention": cfg.convention}
 
 
 def run_json_by_dict(config: RunConfig) -> str:

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, config handling, documentation."""
 
+import ast
 import dataclasses
 import inspect
 import json
@@ -16,12 +17,12 @@ from hypothesis import strategies as st
 
 import dqsa
 from dqsa import cli, experiments
-from dqsa.cli import config_from_dict, config_to_dict, main
+from dqsa.cli import config_from_dict, main
 from dqsa.errors import MalformedConfig
 from dqsa.experiments import SweepSpec, peak_search, sweep
 from dqsa.search import RunConfig
 
-from helpers import child_env, run_csv_by_report, run_json_by_dict
+from helpers import child_env, config_to_dict, run_csv_by_report, run_json_by_dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("run", "sweep", "table1", "appendix", "verify-gates", "peak")
@@ -673,15 +674,48 @@ class TestDocumentedCommands:
         text = (REPO_ROOT / "README.md").read_text()
         return re.findall(rf"```{language}\n(.*?)```", text, flags=re.DOTALL)
 
-    def test_every_exported_name_is_documented(self):
-        # what `dqsa` exports is what README documents; the note on removed
-        # names does not count
+    def _readme_without_api_changes(self):
+        # the note on removed names does not count as documenting them
         text = (REPO_ROOT / "README.md").read_text()
-        text = re.sub(r"\n## Python API changes\n.*?(?=\n## )", "", text, flags=re.DOTALL)
+        return re.sub(r"\n## Python API changes\n.*?(?=\n## )", "", text, flags=re.DOTALL)
+
+    def test_every_exported_name_is_documented(self):
+        # what `dqsa` exports is what README documents
+        text = self._readme_without_api_changes()
         names = [name for name, value in vars(dqsa).items()
                  if not name.startswith("_") and not inspect.ismodule(value)]
         assert "RunConfig" in names
         assert [name for name in names if not re.search(rf"\b{name}\b", text)] == []
+
+    def test_every_src_name_is_read_outside_tests(self):
+        # the package keeps only what it or README reads: each top-level def,
+        # class or assigned name occurs outside its own definition, and each
+        # method or property of a top-level class is read as `.name`
+        sources = {path.name: path.read_text()
+                   for path in sorted(Path(dqsa.__file__).parent.glob("*.py"))}
+        readme = self._readme_without_api_changes()
+        everything = "\n".join([readme, *sources.values()])
+        unread = []
+        for file, text in sources.items():
+            lines = text.splitlines(keepends=True)
+            for node in ast.parse(text).body:
+                if isinstance(node, ast.Assign | ast.AnnAssign):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.FunctionDef | ast.ClassDef):
+                    names = [node.name]
+                else:
+                    continue
+                if isinstance(node, ast.ClassDef):
+                    unread += [f"{file}:{node.name}.{item.name}" for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("__")
+                               and not re.search(rf"\.{item.name}\b", everything)]
+                rest = "".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+                others = "\n".join([readme, rest, *(t for f, t in sources.items() if f != file)])
+                unread += [f"{file}:{name}" for name in names if not name.startswith("__")
+                           and not re.search(rf"\b{name}\b", others)]
+        assert unread == []
 
     def test_readme_has_bash_examples(self):
         assert len(self._blocks("bash")) >= 3

@@ -20,7 +20,6 @@ from dqsa.search import RunConfig, points_per_block, reports, summaries
 from dqsa.experiments import (
     AVAILABLE_TABLES,
     GROVER_TOLERANCE,
-    OFFSET_TABLES,
     PRESENT_TOLERANCE,
     SUMMARY_GROVER,
     SUMMARY_PHI_P,
@@ -362,9 +361,15 @@ class TestDissipationSweep:
 
 
 class TestReferenceTables:
+    # the strong-dissipation tables that only the "tabulated" gate convention
+    # reproduces; under the default composite convention they carry a known
+    # systematic offset (worst marked deviation < 9e-3), README "Known
+    # systematic offset"
+    OFFSET_TABLES = (3, 11)
+
     def test_available_ids(self):
         assert AVAILABLE_TABLES == tuple(range(2, 12))
-        assert set(OFFSET_TABLES) <= set(AVAILABLE_TABLES)
+        assert set(self.OFFSET_TABLES) <= set(AVAILABLE_TABLES)
 
     def test_unknown_table(self):
         with pytest.raises(UnknownTable):
@@ -472,12 +477,12 @@ class TestReferenceTables:
     def test_weak_table_reproduces(self):
         rep = appendix_reproduce(2)
         assert rep.all_pass
-        assert rep.worst < 2e-4
+        assert rep.absdiff.max() < 2e-4
 
     def test_offset_table_under_both_conventions(self):
         composite = appendix_reproduce(3)
         assert not composite.all_pass
-        assert 2e-3 < composite.worst <= 9e-3
+        assert 2e-3 < composite.absdiff.max() <= 9e-3
         tabulated = appendix_reproduce(3, convention="tabulated")
         assert tabulated.all_pass
 
@@ -490,8 +495,9 @@ class TestReferenceTables:
     def test_strong_table_worst_cells(self, table_id):
         for convention, measured in zip(("composite", "tabulated"), self.STRONG_WORST[table_id]):
             rep = appendix_reproduce(table_id, convention=convention)
-            assert rep.worst == pytest.approx(measured, rel=1e-2)
-            assert rep.all_pass == (convention == "tabulated" or table_id not in OFFSET_TABLES)
+            assert rep.absdiff.max() == pytest.approx(measured, rel=1e-2)
+            offset = convention == "composite" and table_id in self.OFFSET_TABLES
+            assert rep.all_pass == (not offset)
 
     @pytest.mark.parametrize("convention", ["composite", "tabulated"])
     @pytest.mark.parametrize("table_id", AVAILABLE_TABLES)
@@ -513,8 +519,7 @@ class TestReferenceTables:
         assert rep.absdiff.tolist() == [abs(c - p) for p, c in
                                         zip(rep.paper.tolist(), rep.computed.tolist())]
         assert rep.passed.tolist() == [d <= TABLE_TOLERANCE for d in rep.absdiff.tolist()]
-        assert type(rep.all_pass) is bool and type(rep.worst) is float
-        assert rep.worst == max(rep.absdiff.tolist())
+        assert type(rep.all_pass) is bool
 
     # inf or NaN would pass or fail every row whatever it holds, a negative
     # value fail every row; a bool or a string is no tolerance at all

@@ -190,6 +190,17 @@ class TestWalshLayer:
         np.testing.assert_allclose(w @ w, np.eye(8), atol=1e-12)
 
 
+@pytest.mark.parametrize("n,rates,rule", [
+    (True, [0.1], "an integer"), (2.0, [0.1, 0.2], "an integer"), ("2", [0.1, 0.2], "an integer"),
+    (0, [], ">= 1"), (-1, [], ">= 1"),
+])
+def test_damping_size_checked_first(n, rates, rule):
+    # True gave two entries, 0 gave [1.], and 2.0 and -1 failed inside
+    # numpy's right_shift
+    with pytest.raises(ValueError, match=f"^n must be {rule}"):
+        damping_entries(n, 0.5, rates)
+
+
 RAGGED = [[0.1], [0.1, 0.2]]
 
 

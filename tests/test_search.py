@@ -43,6 +43,7 @@ from helpers import (
     recurrence_width,
     report,
     run,
+    symmetric_run,
     two_level,
 )
 
@@ -56,6 +57,19 @@ def undamped_runs(draw):
     phi = draw(st.floats(min_value=0.0, max_value=2.0))
     iterations = draw(st.integers(min_value=1, max_value=math.ceil(math.pi * 2 ** (n / 2) / 4)))
     return RunConfig(n, marked, phi, iterations=iterations)
+
+
+@st.composite
+def uniform_rate_runs(draw):
+    """Damped configs with one rate on every qubit, at n = 1..12 and up to 14
+    rounds, any marked pattern and phase, under either convention."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    marked = draw(st.text("ge", min_size=n, max_size=n))
+    phi = draw(st.floats(min_value=0.0, max_value=2.0))
+    g = draw(st.floats(min_value=0.0, max_value=1.5))
+    iterations = draw(st.integers(min_value=1, max_value=14))
+    convention = draw(st.sampled_from(("composite", "tabulated")))
+    return RunConfig(n, marked, phi, (g,) * n, iterations, convention)
 
 
 class TestRunConfig:
@@ -426,6 +440,34 @@ class TestProductEngine:
                 alone = RunConfig(9, patterns[k], float(phi[k]), tuple(rates[k].tolist()),
                                   convention=convention)
                 assert np.array_equal(row, run(alone))
+
+
+class TestSymmetricOracle:
+    # with one rate on every qubit the run keeps (w + 1)(n - w + 1) amplitudes
+    # (`helpers.symmetric_run`), so an oracle independent of the engine
+    # reaches the benchmark's n = 9 and 12, where `dense_run` does not
+    @given(cfg=uniform_rate_runs())
+    def test_uniform_rate_run_equals_symmetric_oracle(self, cfg):
+        ref = symmetric_run(cfg.n, cfg.marked, cfg.phi, cfg.rates[0], cfg.iterations,
+                            cfg.convention)
+        assert summaries(cfg)[0] == pytest.approx(ref, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("n,points,convention,blocks", [
+        (9, 400, "composite", [156, 156, 88]),
+        (12, 130, "tabulated", [108, 22]),
+    ])
+    def test_mixed_batch_equals_symmetric_oracle(self, n, points, convention, blocks):
+        # each point has its own pattern, phase and uniform rate, over
+        # several recurrence blocks and the state blocks within them
+        assert planned_blocks(n, n - 1, points)[0] == blocks
+        rng = np.random.default_rng(n)
+        patterns = ["".join(rng.choice(["g", "e"], n)) for _ in range(points)]
+        phis, rates = rng.uniform(0.0, 2.0, points), rng.uniform(0.0, 1.5, points)
+        config = RunConfig(n, "g" * n, 1.0, convention=convention)
+        rows = summaries(config, phi=phis, rates=np.outer(rates, np.ones(n)), marked=patterns)
+        for pattern, phi, g, row in zip(patterns, phis.tolist(), rates.tolist(), rows):
+            ref = symmetric_run(n, pattern, phi, g, n - 1, convention)
+            assert row == pytest.approx(ref, rel=0, abs=1e-12)
 
 
 class TestEngineCalls:

@@ -205,6 +205,12 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="n must be an integer"):
             coupling_assignment(n, "ee")
 
+    @pytest.mark.parametrize("n", [2.5, True, "2"])
+    def test_coupling_signs_size_must_be_an_int(self, n):
+        # 2.5 and True each raised a bare TypeError from range or bits
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            synthesis.coupling_signs(coupling_assignment(2, "ee"), n)
+
     @pytest.mark.parametrize("ns", [3, np.int64(3), np.array(3), "23"],
                              ids=["int", "int64", "0-d-array", "string"])
     def test_verification_sweep_sizes_must_be_a_sequence(self, ns):
@@ -328,6 +334,18 @@ class TestPulses:
             h = np.array([[0, 1], [1, -0.5j * g]], dtype=complex)
             ref = scipy.linalg.expm(-1j * duration * h)
             assert np.max(np.abs(v2_gate(duration, g) - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("pulse", [v1_gate, lambda duration: v2_gate(duration, 0.1)],
+                             ids=["v1", "v2"])
+    @pytest.mark.parametrize("duration,rule", [
+        (math.inf, "finite"), (math.nan, "finite"), (-1.0, "non-negative"),
+        (True, "an int or float"), ("a", "an int or float"),
+    ])
+    def test_duration_follows_the_input_rule(self, pulse, duration, rule):
+        # inf gave v1 a NaN matrix and v2 a math domain error, -1.0 gave v2 a
+        # gain (|det| = 1.051), True was a duration of 1 and "a" a bare TypeError
+        with pytest.raises(ValueError, match=f"^duration must be {rule}"):
+            pulse(duration)
 
     def test_v2_overdamped_rejected(self):
         with pytest.raises(OverdampedQubit):

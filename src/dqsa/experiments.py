@@ -17,8 +17,8 @@ from importlib import resources
 import numpy as np
 
 from .basis import all_patterns
-from .errors import UnknownTable, UnsupportedSize
-from .gates import check_rates, check_reals, tau, whole_number
+from .errors import DimensionMismatch, UnknownTable, UnsupportedSize
+from .gates import check_rates, check_reals, shape_of, tau, whole_number
 from .search import RunConfig, _marked_probabilities, reports, summaries
 
 # Reference summary row per size: the peak phase coefficient phi_p, the peak
@@ -40,7 +40,9 @@ AVAILABLE_TABLES = tuple(range(2, 12))
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Comparison columns, an entry per row: a row passes iff its absdiff is
-    at most its tolerance, which the real-input rule checks (`check_reals`)."""
+    at most its tolerance, which the real-input rule checks (`check_reals`).
+    A report has at least one row (ValueError), and ``paper`` and
+    ``computed`` one entry per label (DimensionMismatch naming the column)."""
 
     labels: list
     paper: np.ndarray
@@ -48,7 +50,14 @@ class ComparisonReport:
     tolerances: np.ndarray
 
     def __post_init__(self):
-        tolerances = check_reals(self.tolerances, "tolerance", (len(self.labels),))
+        rows = len(self.labels)
+        if not rows:
+            raise ValueError("a comparison report needs at least one row")
+        for name in ("paper", "computed"):
+            if (shape := shape_of(getattr(self, name), name)) != (rows,):
+                raise DimensionMismatch(f"{name}: expected one entry per label, shape ({rows},), "
+                                        f"got {shape}")
+        tolerances = check_reals(self.tolerances, "tolerance", (rows,))
         object.__setattr__(self, "tolerances", tolerances)
 
     @property
@@ -169,12 +178,13 @@ def sweep(spec: SweepSpec) -> list:
     a dissipation sweep gives (gbar, phi, tau, marked_prob, sum_unmarked,
     survival) rows, with rates gbar * weights.
     """
-    grid = np.linspace(spec.start, spec.stop, spec.steps).tolist()
+    points = np.linspace(spec.start, spec.stop, spec.steps)
+    grid = points.tolist()
     if spec.axis == "phase":
-        samples = summaries(spec.config, phi=grid)
+        samples = summaries(spec.config, phi=points)
         keys = [(phi, tau(phi, spec.n)) for phi in grid]
     else:
-        samples = summaries(spec.config, rates=np.outer(grid, spec.weights))
+        samples = summaries(spec.config, rates=np.outer(points, spec.weights))
         keys = [(g, spec.phi, tau(spec.phi, spec.n)) for g in grid]
     return [(*key, *sample) for key, sample in zip(keys, samples)]
 
@@ -255,9 +265,11 @@ def _sweep_columns(axis: str) -> list:
 
 
 def sweep_to_csv(samples: list, axis: str = "phase") -> str:
-    lines = [",".join(_sweep_columns(axis))]
-    lines += [",".join(repr(float(v)) for v in sample) for sample in samples]
-    return "\n".join(lines) + "\n"
+    """The samples as CSV rows under their header, each value the repr of
+    its float, written a column at a time.  `float` stays: numpy 2 writes
+    the repr of a numpy scalar as np.float64(...)."""
+    columns = (map(repr, map(float, column)) for column in zip(*samples))
+    return "\n".join([",".join(_sweep_columns(axis)), *map(",".join, zip(*columns))]) + "\n"
 
 
 def run_to_json(config: RunConfig, marked: int, row) -> str:

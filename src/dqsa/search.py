@@ -16,11 +16,13 @@ product term qubit by qubit, and a phase on one basis state adds one more
 product term: that basis state times (e^{i*beta} - 1) times its amplitude.
 So after k rounds the state is exactly sum_t c_t (x)_v u_{t,v}, a sum of
 T = 2k + 1 product terms (Vidal, PRL 91, 147902 (2003)).  The engine
-tabulates M_v^j u for j = 0..2k+1 and two start vectors u, e_0 and e_{x_v}:
-d_v leaves e_0 alone, so M_v e_0 = W_v e_0, and the first term, W_v e_0
-after j layers, is e_0 at age j + 1.  It takes each term's amplitudes at x
-and at 0 from products of that table over the qubits, and gets the
-coefficients c_t from a scalar recurrence over those amplitudes.  W_v, a
+tabulates, for j = 0..2k+1, the two sequences of vectors the recurrence
+reads: A_j = M_v^j e_{x_v} at even j and M_v^j e_0 at odd j, and B_j the
+converse.  d_v leaves e_0 alone, so M_v e_0 = W_v e_0, and the first term,
+W_v e_0 after j layers, is e_0 at age j + 1.  It takes the terms'
+amplitudes at x from products of A over the qubits and those at 0 from
+products of B, gets the coefficients c_t from a scalar recurrence over
+those amplitudes, and reads every term's vectors from A.  W_v, a
 damped Hadamard, and d_v are real, so every table of vectors is real
 (float64), and only the phases make the recurrence and the c_t complex.
 `_recurrence` runs the engine up to the recurrence's amplitudes (B, T),
@@ -60,7 +62,7 @@ from .gates import check_convention, check_phi, check_rates, tau, w_gate, whole_
 # points_per_block counts it, is 52 runs at n=9 and 12 at n=12 with 11
 # iterations; a recurrence block, at T*(3n + 16) units per run rounded down
 # to whole state blocks, is 156 and 108.  Counted so, the tracemalloc peak
-# of `summaries` on the TestMemory grids was 0.82-2.06 MiB.  Smaller blocks
+# of `summaries` on the TestMemory grids was 0.82-2.05 MiB.  Smaller blocks
 # are slower: on a 2-core x86-64 VM the benchmark's sweep-n9 op_s.p50 was
 # 0.0218 s at 2^16 complex entries against 0.0172 s at 2^17.  Larger ones
 # cost memory: at 2^18 reproduce's peak RSS rose 4.8%, near the benchmark's
@@ -103,8 +105,8 @@ def _run_units(n: int) -> tuple:
     """16-byte units one run holds at register size n: in a state block, a
     fixed part and a part per term (see `points_per_block`), and in a
     recurrence block a part per term alone, with no 2^n and no half tables:
-    3*n for the power table of two start vectors and the vectors taken from
-    it (4*n + 2*n reals) and 16 for the recurrence."""
+    3*n for the power table of the sequences A and B and the vectors taken
+    from it (4*n + 2*n reals) and 16 for the recurrence."""
     low, high = 2 ** (n // 2), 2 ** (n - n // 2)
     return 1.5 * 2**n + RUN_ENTRIES, 1.5 * high + 0.5 * low + 3 * n + 16, 3 * n + 16
 
@@ -207,7 +209,8 @@ def _batch(config, phi=None, rates=None, marked=None):
 
 def _recurrence(config, marked, phi, rates) -> tuple:
     """A block of runs after k rounds, short of its terms: the power table
-    (2, T + 1, 2, n, B) of the start vectors e_0 and e_{x_v}, e^{i beta} - 1
+    (2, T + 1, 2, n, B) of the sequences A and B by age j (A_j = M^j e_{x_v}
+    at even j and M^j e_0 at odd j, B_j the converse), e^{i beta} - 1
     (B, 1), and the recurrence's amplitudes (B, T) at the phase events,
     where column 2j is the marked amplitude after j rounds less its phase
     e^{i j beta}.  ``config`` gives n, k and the convention, the arrays (see
@@ -218,43 +221,49 @@ def _recurrence(config, marked, phi, rates) -> tuple:
     beta = np.pi * phi
     m[:, 1] *= np.exp(-0.5 * tau(phi, n) * rates.T)
 
-    # Start vectors per qubit: e_0 (kind 0) and e_{x_v} (kind 1).  The
-    # damping leaves e_0 alone, so M_v e_0 = W_v e_0, and the first term,
-    # M^j W e_0, is e_0 at age j + 1.
+    # The table holds the two sequences the recurrence reads, by age j:
+    # A_j (kind 0) is M^j e_x at even j and M^j e_0 at odd j, B_j (kind 1)
+    # the converse.  Ages 0 and 1 seed them, (e_x, e_0) and M (e_0, e_x),
+    # and M^2 carries each pair two ages on: its powers square as `_powers`
+    # squares M, so every entry is bitwise the M^j u of one start vector.
     x = bits(n, marked).T.astype(bool)
-    start = np.zeros((2, 2, n, b))
-    start[0, 0] = 1.0
-    start[1, 1] = x
-    start[0, 1] = ~x
-    table = _powers(m, start, t + 1)
-    # Amplitude at x and at 0 of each start vector after j layers,
-    # (t + 1, 2, B).  The product over qubits is a loop of elementwise
-    # multiplies, in qubit order: a `prod` picks its loop, and so its
-    # rounding, by strides that change with the block size.  Likewise numpy
-    # multiplies a one-element complex array in place with scalar
-    # arithmetic, so the per-run columns of the recurrence below are
-    # updated out of place.
-    at_x, at_0 = np.where(x[0], table[1, :, :, 0], table[0, :, :, 0]), table[0, :, :, 0]
+    seeds = np.zeros((2, 2, 2, n, b))
+    seeds[1, 0, 0] = x
+    seeds[0, 0, 0] = ~x
+    seeds[0, 0, 1] = 1.0
+    _matvec(m[:, :, None], seeds[:, 0, ::-1], out=seeds[:, 1])
+    square = _matvec(m[:, :, None], m)
+    del m  # not read past here: one fewer (2, 2, n, B) array lives through `_powers`
+    table = _powers(square, seeds.reshape(2, 4, n, b), k + 1).reshape(2, t + 1, 2, n, b)
+    # Amplitude at x of each A_j and at 0 of each B_j, (t + 1, B).  The
+    # product over qubits is a loop of elementwise multiplies, in qubit
+    # order: a `prod` picks its loop, and so its rounding, by strides that
+    # change with the block size.  Likewise numpy multiplies a one-element
+    # complex array in place with scalar arithmetic, so the per-run columns
+    # of the recurrence below are updated out of place.
+    at_x, at_0 = np.where(x[0], table[1, :, 0, 0], table[0, :, 0, 0]), table[0, :, 1, 0]
     for v in range(1, n):
-        at_x = at_x * np.where(x[v], table[1, :, :, v], table[0, :, :, v])
-        at_0 = at_0 * table[0, :, :, v]
-    at_x, at_0 = at_x.transpose(2, 0, 1), at_0.transpose(2, 0, 1)
+        at_x = at_x * np.where(x[v], table[1, :, 0, v], table[0, :, 0, v])
+        at_0 = at_0 * table[0, :, 1, v]
+    at_x, at_0 = at_x.T, at_0.T
 
     # Phase events e = 0..2k-1 alternate between x (even e) and 0 (odd e),
     # with one M layer between consecutive events.  Event e adds the term
     # t = e + 1 with coefficient (e^{i beta} - 1) times the amplitude at its
     # target, where a term made at event s has age e - s.  So at an x event
     # the x terms have even ages and the 0 terms odd ones, and the reverse
-    # at a 0 event; `kernels` holds each target's amplitudes by age,
-    # reversed and times e^{i beta} - 1, so one contiguous slice pairs with
-    # the amplitudes `amps` at the earlier events.  The recurrence drops the
-    # global phase e^{i beta} of each round, and `_terms` puts e^{i k beta}
-    # on the coefficients.
-    even = np.arange(t) % 2 == 0
-    first = np.where(even, at_x[:, 1:, 0], at_0[:, 1:, 0])
+    # at a 0 event: the x event reads A at x and the 0 event B at 0, by
+    # age.  `kernels` holds each of them reversed and times e^{i beta} - 1,
+    # so one contiguous slice pairs with the amplitudes `amps` at the
+    # earlier events.  The damping leaves e_0 alone, M_v e_0 = W_v e_0, so
+    # the first term at event e, W e_0 after e layers, is e_0 at age e + 1:
+    # A at x at the odd ages, B at 0 at the even ones.  The recurrence
+    # drops the global phase e^{i beta} of each round, and `_terms` puts
+    # e^{i k beta} on the coefficients.
+    first = np.empty((b, t))
+    first[:, 0::2], first[:, 1::2] = at_x[:, 1::2], at_0[:, 2::2]
     alpha = (np.exp(1j * beta) - 1.0)[:, None]
-    kernels = (alpha * np.where(even, at_x[:, :t, 1], at_x[:, :t, 0])[:, ::-1],
-               alpha * np.where(even, at_0[:, :t, 0], at_0[:, :t, 1])[:, ::-1])
+    kernels = alpha * at_x[:, t - 1::-1], alpha * at_0[:, t - 1::-1]
     amps = np.empty((b, t), dtype=np.complex128)
     amps[:, 0] = first[:, 0]
     for e in range(1, t):
@@ -271,9 +280,12 @@ def _terms(config, marked, phi, rates) -> tuple:
     t = amps.shape[1]
     # Term t is at age T - t: term 0 is e_0 after all 2k + 1 layers, W's
     # among them, and term t >= 1 has seen the 2k - t + 1 layers after its
-    # event, from e_x if t is odd and from e_0 if it is even.
-    kinds = np.arange(t)
-    table = np.moveaxis(table, (3, 4), (0, 2))[..., t - kinds, kinds % 2]
+    # event, from e_x if t is odd (an even age) and from e_0 if it is even
+    # (an odd age), so every term is A at its age.  The gather stays a fancy
+    # index: its copy is laid out (T, component, qubit, run) in memory, and
+    # a reversed view of the same values sends `_materialize`'s matmul down
+    # another path that rounds the last bits differently.
+    table = np.moveaxis(table, (3, 4), (0, 2))[..., t - np.arange(t), 0]
     coeffs = np.ones(amps.shape, dtype=np.complex128)
     coeffs[:, 1:] = alpha * amps[:, :-1]
     return coeffs * np.exp(1j * config.iterations * (np.pi * phi))[:, None], table
@@ -295,7 +307,8 @@ def _blocks(config, phi, rates, marked):
     """Yield (marked indices, probabilities) per state block of the batch;
     probabilities is (B, 2^n), each re^2 + im^2 of its amplitude.  Each
     recurrence block is evolved to its terms once, then materialized one
-    state block at a time."""
+    state block at a time; its terms are dropped before the next block is
+    evolved, so two blocks' terms never live at once."""
     size = points_per_block(config.n, config.iterations)
     for marked, phi, rates in _recurrence_blocks(config, phi, rates, marked):
         coeffs, vecs = _terms(config, marked, phi, rates)
@@ -305,6 +318,7 @@ def _blocks(config, phi, rates, marked):
             probs *= probs
             probs = probs[:, ::2] + probs[:, 1::2]  # rebound: no amplitudes live across the yield
             yield marked[rows], probs
+        del coeffs, vecs
 
 
 def _marked_probabilities(config, phi=None, rates=None, marked=None) -> list:

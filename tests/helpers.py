@@ -7,8 +7,8 @@ the one-run oracles `run`, `report` and `marked_amplitude_trace`, checks
 gate synthesis one draw at a time, writes the `run` report and the
 reference-table rows from the per-pattern dict of `report`, parses the
 reference tables into dicts line by line,
-writes comparison CSV and JSON one row at a time, wraps the engine's
-kernels (the power table and the materialization of product terms),
+writes comparison CSV and JSON and sweep CSV one row at a time, wraps the
+engine's kernels (the power table and the materialization of product terms),
 counts its calls per recurrence block and per state block and plans both
 for the tests that check them, draws random damped configs, gives the
 exact undamped marked amplitudes of the two-level picture, runs a damped
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 import dqsa
 from dqsa import search, synthesis
 from dqsa.basis import all_patterns, index_of
-from dqsa.experiments import sweep_to_csv
 from dqsa.gates import damping_entries, tau, w_gate
 from dqsa.search import RunConfig, reports
 from dqsa.synthesis import coupling_assignment, coupling_signs, evolve
@@ -278,11 +277,19 @@ def run_json_by_dict(config: RunConfig) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def sweep_csv_by_rows(samples, axis: str = "phase") -> str:
+    """Sweep samples as CSV under the axis' header, written one row at a
+    time, each value the repr of its Python float."""
+    header = ("gbar," if axis == "dissipation" else "") + "phi,tau,marked_prob,sum_unmarked,survival"
+    lines = [header] + [",".join(repr(float(v)) for v in sample) for sample in samples]
+    return "\n".join(lines) + "\n"
+
+
 def run_csv_by_report(config: RunConfig) -> str:
     """The `run --format csv` row from the three sums of `report`."""
     rep = report(config)
-    return sweep_to_csv([(config.phi, tau(config.phi, config.n), rep.marked_prob,
-                          rep.sum_unmarked, rep.survival)])
+    return sweep_csv_by_rows([(config.phi, tau(config.phi, config.n), rep.marked_prob,
+                               rep.sum_unmarked, rep.survival)])
 
 
 def table_text(table_id: int) -> str:

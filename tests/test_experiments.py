@@ -25,6 +25,7 @@ from dqsa.experiments import (
     SUMMARY_PHI_P,
     SUMMARY_PRESENT,
     TABLE_TOLERANCE,
+    ComparisonReport,
     SweepSpec,
     _parse_table,
     appendix_reproduce,
@@ -49,6 +50,7 @@ from helpers import (
     recurrence_width,
     report,
     run_json_by_dict,
+    sweep_csv_by_rows,
     table_by_dict,
     table_text,
     worst_row_vs_report,
@@ -521,6 +523,23 @@ class TestReferenceTables:
         assert rep.passed.tolist() == [d <= TABLE_TOLERANCE for d in rep.absdiff.tolist()]
         assert type(rep.all_pass) is bool
 
+    def test_empty_report_raises(self):
+        # no rows would read all_pass True, and the JSON's headline
+        # tolerance, the loosest row's, would have no row to come from
+        with pytest.raises(ValueError, match="at least one row"):
+            ComparisonReport([], np.zeros(0), np.zeros(0), [])
+
+    # a column without one entry per label would broadcast against the
+    # others: two computed values against one label read all_pass False,
+    # but the CSV writes one row that passes
+    @pytest.mark.parametrize("column", [np.array([0.0, 5.0]), np.zeros(0), np.zeros((1, 1)),
+                                        np.float64(0.0), [[0.0], [0.0, 1.0]]])
+    @pytest.mark.parametrize("name", ["paper", "computed"])
+    def test_column_without_an_entry_per_label_raises_naming_it(self, name, column):
+        columns = {"paper": np.zeros(1), "computed": np.zeros(1), name: column}
+        with pytest.raises(DimensionMismatch, match=f"^{name}:"):
+            ComparisonReport(["a"], tolerances=[0.1], **columns)
+
     # inf or NaN would pass or fail every row whatever it holds, a negative
     # value fail every row; a bool or a string is no tolerance at all
     @pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1e-3, True, "x"])
@@ -577,6 +596,18 @@ class TestSerialization:
         rows = sweep(dissipation_spec(2, "ee", 1.0, 0.0, 0.5, 2))
         text = sweep_to_csv(rows, axis="dissipation")
         assert text.startswith("gbar,phi,tau,marked_prob,sum_unmarked,survival\n")
+
+    # numpy 2 writes the repr of a numpy scalar as np.float64(...): the
+    # writer takes each value's Python float first, as the reference does
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32])
+    @pytest.mark.parametrize("axis", ["phase", "dissipation"])
+    def test_sweep_csv_of_numpy_scalars_equals_row_by_row(self, axis, scalar):
+        spec = (SweepSpec(n=3, marked="geg", start=0.1, stop=1.5, steps=4) if axis == "phase"
+                else dissipation_spec(3, "geg", 0.8, 0.0, 0.9, 4))
+        samples = [tuple(map(scalar, row)) for row in sweep(spec)]
+        text = sweep_to_csv(samples, axis)
+        assert text == sweep_csv_by_rows(samples, axis)
+        assert "np." not in text
 
     def test_sweep_json_columns(self):
         rows = sweep(dissipation_spec(2, "ee", 1.0, 0.0, 0.5, 2))

@@ -1,12 +1,14 @@
 """The engine's kernels: the power table of real per-qubit gates on
-product terms, the materialization of the terms into amplitudes, their
-determinism, and their refusal of complex tables."""
+product terms and the two sequences the recurrence reads from it, the
+materialization of the terms into amplitudes, their determinism, and their
+refusal of complex tables."""
 
 import warnings
 
 import numpy as np
 import pytest
 
+from dqsa.basis import bits
 from dqsa.gates import tau, w_gate
 from dqsa.search import RunConfig, _batch, _materialize, _powers, _recurrence, _terms
 
@@ -66,22 +68,48 @@ def test_complex_tables_raise(n):
             _powers(mats.transpose(1, 2, 0, 3) * 1j, vecs.transpose(1, 3, 0, 2), 2)
 
 
-@pytest.mark.parametrize("convention", ["composite", "tabulated"])
-def test_first_term_is_w_e0_evolved(convention):
-    # the damping diag(1, d_v) leaves e_0 alone, so M_v e_0 = W_v e_0: the
-    # power table's e_0 column at age j + 1 is bitwise W e_0 evolved j
-    # layers, and the first term's vectors are it at j = 2k
+def damped_block(convention: str, k: int, n: int = 5, b: int = 6) -> tuple:
+    """A random block of ``b`` runs with k rounds, as `_recurrence` takes it,
+    and its W and damped M gates, (2, 2, n, B) each."""
     rng = np.random.default_rng(7)
-    n, b, k = 5, 6, 4
     config = RunConfig(n, "g" * n, 1.0, iterations=k, convention=convention)
     patterns = ["".join(rng.choice(["g", "e"], n)) for _ in range(b)]
-    marked, phi, rates = _batch(config, rng.uniform(0.0, 2.0, b),
-                                rng.uniform(0.0, 1.5, (b, n)), patterns)
+    block = _batch(config, rng.uniform(0.0, 2.0, b), rng.uniform(0.0, 1.5, (b, n)), patterns)
+    _, phi, rates = block
     w = w_gate(rates, convention).transpose(2, 3, 1, 0)
     m = w.copy()
     m[:, 1] = w[:, 1] * np.exp(-0.5 * tau(phi, n) * rates.T)
+    return config, block, w, m
+
+
+@pytest.mark.parametrize("convention", ["composite", "tabulated"])
+def test_first_term_is_w_e0_evolved(convention):
+    # the damping diag(1, d_v) leaves e_0 alone, so M_v e_0 = W_v e_0: e_0
+    # at age j + 1, kind 0 (A) at odd ages and kind 1 (B) at even ones, is
+    # bitwise W e_0 evolved j layers, and the first term's vectors are it
+    # at j = 2k
+    k = 4
+    config, block, w, m = damped_block(convention, k)
     evolved = _powers(m, w[:, :1], 2 * k + 1)[:, :, 0]  # (2, T, n, B)
-    table = _recurrence(config, marked, phi, rates)[0]
-    assert np.array_equal(table[:, 1:, 0], evolved)
-    vecs = _terms(config, marked, phi, rates)[1]
+    table = _recurrence(config, *block)[0]
+    assert np.array_equal(table[:, 1::2, 0], evolved[:, 0::2])
+    assert np.array_equal(table[:, 2::2, 1], evolved[:, 1::2])
+    vecs = _terms(config, *block)[1]
     assert np.array_equal(vecs[..., 0], evolved[:, -1].transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("k", [1, 4, 11])
+@pytest.mark.parametrize("convention", ["composite", "tabulated"])
+def test_table_holds_the_sequences_read(convention, k):
+    # kind 0 (A) is M^j e_x at even ages j and M^j e_0 at odd ones, kind 1
+    # (B) the converse: each age bitwise the generic power table of its
+    # start vector, which takes M's powers by squaring as the table does
+    config, block, _, m = damped_block(convention, k)
+    x = bits(config.n, block[0]).T
+    e_0 = np.zeros(x.shape)
+    starts = np.stack((np.stack((1.0 - x, x)), np.stack((e_0 + 1.0, e_0))), axis=1)
+    powers = _powers(m, starts, 2 * k + 2)  # kinds e_x, e_0
+    table = _recurrence(config, *block)[0]
+    assert table.shape == powers.shape
+    assert np.array_equal(table[:, 0::2], powers[:, 0::2])
+    assert np.array_equal(table[:, 1::2], powers[:, 1::2, ::-1])

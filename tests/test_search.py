@@ -572,7 +572,7 @@ class TestMemory:
     # its real half tables and power table, the right table times the
     # coefficients, and its recurrence (see points_per_block); a recurrence
     # block's counts T*(3n + 16) per run.  At 2^17 16-byte units the peak
-    # was 0.82-2.06 MiB on the grids here (n=2 lowest; 2.06 MiB at n=9 and
+    # was 0.82-2.05 MiB on the grids here (n=2 lowest; 1.72 MiB at n=9 and
     # 2.05 MiB at n=12 with 120 points, in recurrence blocks of 156 and 108
     # runs), 1.17 MiB at n=12 with 50 iterations and 1.60 MiB at n=12 with
     # the most iterations allowed there, 346.

@@ -4,7 +4,8 @@ Everything here builds full 2^n x 2^n operators with numpy.kron and applies
 them by plain matrix multiplication — deliberately the slow, obviously
 correct formulation, on the oracle's entries (`oracle_gate`).  It holds
 the one-run oracles `run`, `report` and `marked_amplitude_trace`, checks
-gate synthesis one draw at a time, writes the `run` report and the
+gate synthesis one draw at a time, runs a search on a circuit of the
+synthesized gates alone, writes the `run` report and the
 reference-table rows from the per-pattern dict of `report`, parses the
 reference tables into dicts line by line,
 writes comparison CSV and JSON and sweep CSV one row at a time, wraps the
@@ -203,16 +204,12 @@ def synthesized_energies(terms: dict, rates) -> np.ndarray:
 
 
 def draw_deviation(pattern: str, phi: float, rates, energies=defining_energies) -> float:
-    """Max |U - c*P| of one (phi, rates) draw: the evolution U of the
-    ``energies`` of the pattern's couplings against its oracle P, aligned on
-    the all-g entry (all-e when all-g is marked).  By default the energies
-    come from their defining sum, which shares no code with the sweep."""
-    n = len(pattern)
-    u = evolve(energies(coupling_assignment(n, pattern), rates), phi)
-    p = oracle_gate(pattern, phi, rates)
-    ref = 2**n - 1 if pattern == "g" * n else 0
-    c = u[ref] / p[ref]
-    return float(np.max(np.abs(u - c * p)))
+    """Max |U - P| of one (phi, rates) draw, with no phase fitted: the
+    evolution U of the ``energies`` of the pattern's couplings against its
+    oracle P.  By default the energies come from their defining sum, which
+    shares no code with the sweep."""
+    u = evolve(energies(coupling_assignment(len(pattern), pattern), rates), phi)
+    return float(np.max(np.abs(u - oracle_gate(pattern, phi, rates))))
 
 
 def per_draw_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240) -> list:
@@ -234,6 +231,23 @@ def per_draw_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240) -> list:
                                synthesized_energies)
                 for _ in range(draws))))
     return rows
+
+
+def synthesized_run(marked: str, phi: float, rates, iterations: int) -> np.ndarray:
+    """Final amplitudes (2^n,) of a run on a dense circuit of synthesized
+    gates only: the W layer as the Kronecker product of `compose_w(g_v)`,
+    and the oracles on ``marked`` and on g...g as `evolve` of their
+    couplings' `synthesized_energies`.  The run is W, then ``iterations``
+    rounds of (O_x, W, O_0, W), with no phase fitted or added anywhere."""
+    n, w = len(marked), np.eye(1, dtype=np.complex128)
+    for g in rates:
+        w = np.kron(w, synthesis.compose_w(g))
+    o_x, o_0 = (evolve(synthesized_energies(coupling_assignment(n, p), rates), phi)
+                for p in (marked, "g" * n))
+    state = w[:, 0]
+    for _ in range(iterations):
+        state = w @ (o_0 * (w @ (o_x * state)))
+    return state
 
 
 def worst_row_vs_report(rows, spec) -> float:

@@ -2,17 +2,17 @@
 
 Each property here holds for *all* valid inputs, not just tabulated points:
 norm conservation without damping, contraction with it, diffusion symmetry,
-the basis-relabeling symmetry of the lossless search, and the real gates
-the engine's float64 tables rest on.
+the basis-relabeling symmetry of the lossless search, the qubit-relabeling
+symmetry of any run, and the real gates the engine's float64 tables rest on.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqsa.basis import all_patterns
+from dqsa.basis import all_patterns, index_of
 from dqsa.gates import damping_entries, w_gate
-from dqsa.search import RunConfig, summaries
+from dqsa.search import RunConfig, reports, summaries
 
 from helpers import dense_diffusion, report
 
@@ -110,6 +110,30 @@ def test_lossless_search_is_blind_to_the_marked_pattern(n, phi, a, b):
     rho_a = report(RunConfig(n, pat_a, phi)).marked_prob
     rho_b = report(RunConfig(n, pat_b, phi)).marked_prob
     assert abs(rho_a - rho_b) <= 1e-10
+
+
+@given(pattern=patterns(min_n=2), phi=phis, iterations=st.integers(min_value=1, max_value=8),
+       convention=st.sampled_from(["composite", "tabulated"]), data=st.data())
+def test_relabeling_qubits_permutes_the_probabilities(pattern, phi, iterations, convention, data):
+    # qubit v of the relabeled run is qubit order[v] of the original, its bit
+    # of the marked pattern and its rate (all distinct) moved with it, so its
+    # probability row is the original's with the bits of every state moved
+    # alike.  Rates stay below 2, where both conventions are contractions
+    # (tabulated amplifies past g ~ 2.28), so an absolute bound fits; 4000
+    # random configs gave at most 4.0e-15.
+    n = len(pattern)
+    rates = data.draw(st.lists(st.floats(min_value=0.0, max_value=2.0, exclude_max=True),
+                               min_size=n, max_size=n, unique=True))
+    order = data.draw(st.permutations(range(n)))
+
+    def moved(bits):
+        return "".join(bits[v] for v in order)
+
+    _, (row,) = reports(RunConfig(n, pattern, phi, tuple(rates), iterations, convention))
+    _, (got,) = reports(RunConfig(n, moved(pattern), phi, tuple(rates[v] for v in order),
+                                  iterations, convention))
+    states = [index_of(moved(p), n) for p in all_patterns(n)]
+    assert np.max(np.abs(got[states] - row)) <= 1e-14
 
 
 @settings(max_examples=30)

@@ -1,6 +1,8 @@
-"""Command-line front end.
-
-`build_parser` is the one table of subcommands and flags.  Exit codes:
+"""Command-line front end, one pipeline: `main` parses argv with
+`build_parser`, the one table of subcommands and flags; the subcommand's
+handler computes and returns its whole output text and exit code, writing
+nothing; then `main` writes the text once, to ``--out`` or stdout.  So a run
+that fails writes no output and leaves ``--out`` as it was.  Exit codes:
 0 success, 1 invalid input or usage (diagnostic on stderr naming the
 offending field), 2 when a comparison subcommand has at least one failing row.
 """
@@ -13,7 +15,7 @@ from . import experiments
 from .basis import MAX_QUBITS, validate_pattern
 from .errors import DqsaError, MalformedConfig
 from .gates import CONVENTIONS, check_rates, check_reals, tau
-from .search import RunConfig, reports
+from .search import RunConfig, reports, summaries
 from .synthesis import verification_sweep
 
 
@@ -162,68 +164,61 @@ def _at_least(low: int):
     return integer
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple:
     cfg = _merged_config(args)
     if not isinstance(cfg, RunConfig):
         raise MalformedConfig("run needs a scalar 'phi' (use the sweep subcommand for grids)")
-    (marked,), (row,) = reports(cfg)
     if args.format == "csv":
-        hit, survival = float(row[marked]), float(row.sum())
-        sample = (cfg.phi, tau(cfg.phi, cfg.n), hit, survival - hit, survival)
-        _emit(experiments.sweep_to_csv([sample]), args.out)
-    else:
-        _emit(experiments.run_to_json(cfg, marked, row), args.out)
-    return 0
+        (sums,) = summaries(cfg)
+        return experiments.sweep_to_csv([(cfg.phi, tau(cfg.phi, cfg.n), *sums)]), 0
+    (marked,), (row,) = reports(cfg)
+    return experiments.run_to_json(cfg, marked, row), 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     cfg = _merged_config(args)
     if isinstance(cfg, RunConfig):
         raise MalformedConfig("sweep needs a 'phi' grid (start:stop:steps) or a 'gbar' grid")
     samples = experiments.sweep(cfg)
     write = experiments.sweep_to_json if args.format == "json" else experiments.sweep_to_csv
-    _emit(write(samples, cfg.axis), args.out)
-    return 0
+    return write(samples, cfg.axis), 0
 
 
-def _comparison_exit(rep, args) -> int:
+def _comparison(rep, args) -> tuple:
     write = (experiments.comparison_to_json if args.format == "json"
              else experiments.comparison_to_csv)
-    _emit(write(rep), args.out)
-    return 0 if rep.all_pass else 2
+    return write(rep), 0 if rep.all_pass else 2
 
 
-def _cmd_table1(args) -> int:
-    return _comparison_exit(experiments.table1_comparison(args.n, args.tolerance), args)
+def _cmd_table1(args) -> tuple:
+    return _comparison(experiments.table1_comparison(args.n, args.tolerance), args)
 
 
-def _cmd_appendix(args) -> int:
+def _cmd_appendix(args) -> tuple:
     rep = experiments.appendix_reproduce(args.table, args.tolerance, args.convention)
-    return _comparison_exit(rep, args)
+    return _comparison(rep, args)
 
 
-def _cmd_verify_gates(args) -> int:
+def _cmd_verify_gates(args) -> tuple:
     ns = (2, 3, 4) if args.n is None else (args.n,)
     rows = verification_sweep(ns, draws=args.draws, seed=args.seed)
-    ok = True
-    for pattern, worst in rows:
-        passed = worst <= args.tolerance
-        ok = ok and passed
-        print(f"{pattern} max_deviation={worst:.3e} {'PASS' if passed else 'FAIL'}")
-    print(f"verify-gates: {'PASS' if ok else 'FAIL'} "
-          f"({len(rows)} patterns, {args.draws} draws each, tolerance {args.tolerance:g})")
-    return 0 if ok else 2
+    passed = [worst <= args.tolerance for _, worst in rows]
+    lines = [f"{pattern} max_deviation={worst:.3e} {'PASS' if ok else 'FAIL'}\n"
+             for (pattern, worst), ok in zip(rows, passed)]
+    ok = all(passed)
+    lines.append(f"verify-gates: {'PASS' if ok else 'FAIL'} "
+                 f"({len(rows)} patterns, {args.draws} draws each, tolerance {args.tolerance:g})\n")
+    return "".join(lines), 0 if ok else 2
 
 
-def _cmd_peak(args) -> int:
+def _cmd_peak(args) -> tuple:
     marked = "g" * args.n if args.marked is None else args.marked
     rates = None if args.gammas is None else _parse_gammas(args.gammas)
     if rates is not None:  # checked after the pattern, as in peak_search, but naming the flag
         validate_pattern(marked, args.n)
         check_rates(rates, (args.n,), "--gammas")
     phi, rho = experiments.peak_search(args.n, marked, rates, args.convention)
-    print(json.dumps({"phi": phi, "rho": rho}))
-    return 0
+    return json.dumps({"phi": phi, "rho": rho}) + "\n", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,9 +281,11 @@ def main(argv=None) -> int:
     """Run the CLI on ``argv`` (default: sys.argv[1:]); return its exit code."""
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        text, code = args.handler(args)
+        _emit(text, vars(args).get("out"))  # verify-gates and peak have no --out
+        return code
     except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if e.code else 0
     except (DqsaError, ValueError) as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        sys.stderr.write(f"{type(e).__name__}: {e}\n")
         return 1

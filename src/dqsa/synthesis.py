@@ -114,31 +114,23 @@ def _realization_errors(ising: np.ndarray, marked: np.ndarray, phi,
     return np.max(np.abs(np.subtract(u, p, out=p)), axis=1)
 
 
-def _uniforms(rng: random.Random, count: int) -> np.ndarray:
-    """``count`` floats in [0, 1) on the 53-bit grid k * 2^-53, as numpy's
-    Generator.random makes them: one 64-bit word each, read from
-    ``rng.getrandbits`` least significant first, as MT19937 fills it in
-    32-bit words, so the floats do not depend on how many one call takes."""
-    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
-    return (words >> 11) * 2.0**-53
-
-
 def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
     """Verify every marked pattern for each n over random (phi, rates) draws.
 
     Returns a list of (pattern, worst deviation) rows in deterministic order,
     each the worst `_realization_errors` of its draws.  The draws come from
-    Python's generator, random.Random(seed) (MT19937), through `_uniforms`:
-    a draw is n + 1 floats, phi = 2 * the first, in [0, 2), and the n rates,
-    in [0, 1), the rest.  All draws of one n, pattern by pattern, form one
-    sequence of rows, each carrying its pattern's marked index and coupling
-    part, checked in blocks of the engine's budget, BLOCK_AMPLITUDES
-    entries, where a draw holds two rows of 2^n: its evolution U and its
-    oracle P.  A block may span patterns, and the draws come in the same
-    order whatever the block size.  The coupling signs and magnitudes,
-    alike for every pattern of n, are built once per n, and a pattern's
-    couplings are the magnitudes times its signs.  ``ns`` is any iterable
-    of ints, read once; a scalar or a string raises DimensionMismatch.
+    Python's generator, random.Random(seed) (MT19937), one ``rng.random()``
+    per float, on the 53-bit grid k * 2^-53: a draw is n + 1 floats,
+    phi = 2 * the first, in [0, 2), and the n rates, in [0, 1), the rest.
+    All draws of one n, pattern by pattern, form one sequence of rows, each
+    carrying its pattern's marked index and coupling part, checked in blocks
+    of the engine's budget, BLOCK_AMPLITUDES entries, where a draw holds two
+    rows of 2^n: its evolution U and its oracle P.  A block may span
+    patterns, and the draws come in the same order whatever the block size.
+    The coupling signs and magnitudes, alike for every pattern of n, are
+    built once per n, and a pattern's couplings are the magnitudes times its
+    signs.  ``ns`` is any iterable of ints, read once; a scalar or a string
+    raises DimensionMismatch.
     """
     if whole_number(draws, "draws") < 1:  # no draw would read as a worst deviation of 0
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -158,7 +150,8 @@ def verification_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240):
         ising = np.array([signs @ (magnitudes * pattern_signs) for pattern_signs in signs])
         worst, total = np.zeros(2**n), 2**n * draws
         for start in range(0, total, size):
-            block = _uniforms(rng, min(size, total - start) * (n + 1)).reshape(-1, n + 1)
+            count = min(size, total - start) * (n + 1)
+            block = np.array([rng.random() for _ in range(count)]).reshape(-1, n + 1)
             marked = np.arange(start, start + len(block)) // draws
             errors = _realization_errors(ising[marked], marked, 2.0 * block[:, 0], block[:, 1:])
             np.maximum.at(worst, marked, errors)

@@ -213,21 +213,17 @@ def draw_deviation(pattern: str, phi: float, rates, energies=defining_energies) 
 
 
 def per_draw_sweep(ns=(2, 3, 4), draws: int = 20, seed: int = 20240) -> list:
-    """verification_sweep one draw at a time: each float is one
-    getrandbits(64) of random.Random(seed), shifted to 53 bits and scaled
-    by 2^-53; a draw takes phi as twice the first, then its n rates.  On the
-    sweep's own `synthesized_energies` the rows can equal the sweep's bit
-    for bit; the defining sum differs from them in the last bits."""
+    """verification_sweep one draw at a time: each float is one random()
+    of random.Random(seed); a draw takes phi as twice the first, then its n
+    rates.  On the sweep's own `synthesized_energies` the rows can equal the
+    sweep's bit for bit; the defining sum differs from them in the last
+    bits."""
     rng = random.Random(seed)
-
-    def uniform() -> float:
-        return (rng.getrandbits(64) >> 11) * 2.0**-53
-
     rows = []
     for n in ns:
         for pattern in all_patterns(n):
             rows.append((pattern, max(
-                draw_deviation(pattern, 2.0 * uniform(), [uniform() for _ in range(n)],
+                draw_deviation(pattern, 2.0 * rng.random(), [rng.random() for _ in range(n)],
                                synthesized_energies)
                 for _ in range(draws))))
     return rows

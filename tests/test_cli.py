@@ -534,6 +534,48 @@ class TestComparisons:
         assert "--gammas" in err
 
 
+class TestPipeline:
+    """A subcommand's handler computes its whole output and exit code and
+    writes nothing; `main` writes that text once, after the handler has
+    returned."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n", "2", "--marked", "ee", "--phi", "1", "--format", "csv"],
+        ["sweep", "--n", "2", "--marked", "ee", "--phi", "0:1:3"],
+        ["table1", "--n", "2"],
+        ["appendix", "--table", "2"],
+        ["verify-gates", "--n", "2", "--draws", "2", "--tolerance", "0"],  # exits 2
+        ["peak", "--n", "2"],
+    ], ids=SUBCOMMANDS)
+    def test_main_writes_what_the_handler_returns(self, capsys, argv):
+        args = cli.build_parser().parse_args(argv)
+        text, code = args.handler(args)
+        assert capsys.readouterr() == ("", "")
+        assert isinstance(text, str) and text.endswith("\n")
+        assert run_cli(capsys, argv) == (code, text, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n", "2", "--marked", "ee", "--phi", "1", "--gammas", "5,5"],
+        ["sweep", "--n", "2", "--marked", "ee", "--phi", "1"],
+        ["table1", "--n", "1"],
+        ["appendix", "--table", "99"],
+    ], ids=["run", "sweep", "table1", "appendix"])
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
+    def test_failed_run_leaves_out_untouched(self, capsys, tmp_path, argv, existing):
+        # a failure inside the handler comes before --out is opened, so the
+        # file is neither truncated nor created
+        target = tmp_path / "existing.csv"
+        if existing:
+            target.write_bytes(b"phi,tau\r\n0.5,kept\n")
+        code, out, err = run_cli(capsys, argv + ["--out", str(target)])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        if existing:
+            assert target.read_bytes() == b"phi,tau\r\n0.5,kept\n"
+        else:
+            assert not target.exists()
+
+
 class TestBenchmarkHooks:
     """perfbench/tracing.py times these names by replacing the module
     attribute; one the CLI stops calling through its module leaves the

@@ -216,7 +216,7 @@ def _cmd_peak(args) -> tuple:
     rates = None if args.gammas is None else _parse_gammas(args.gammas)
     if rates is not None:  # checked after the pattern, as in peak_search, but naming the flag
         validate_pattern(marked, args.n)
-        check_rates(rates, (args.n,), "--gammas")
+        check_rates(rates, (args.n,), "--gammas", args.convention)
     phi, rho = experiments.peak_search(args.n, marked, rates, args.convention)
     return json.dumps({"phi": phi, "rho": rho}) + "\n", 0
 

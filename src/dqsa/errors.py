@@ -18,7 +18,8 @@ class NegativePhase(DqsaError):
 
 
 class OverdampedQubit(DqsaError):
-    """Dissipation rate at or above 4 (in theta units): xi becomes non-real."""
+    """Dissipation rate at or above 4, where xi becomes non-real, or, in a
+    tabulated run, at or above 2.27574, where its gate amplifies."""
 
 
 class UnsupportedSize(DqsaError):

@@ -167,7 +167,7 @@ class SweepSpec:
             weights = (1.0,) * config.n if self.weights is None else self.weights
             weights = check_reals(weights, "rate weights (gammas)", (config.n,))
             object.__setattr__(self, "weights", tuple(weights.tolist()))
-            check_rates(self.stop * max(self.weights), name="gbar stop times weight")
+            check_rates(self.stop * weights.max(), (), "gbar stop times weight", self.convention)
 
 
 def sweep(spec: SweepSpec) -> list:

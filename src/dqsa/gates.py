@@ -7,13 +7,13 @@ factors, qubit 1 first.  The oracle is diagonal: `damping_entries` gives
 its damping as the (2^n,) array of entries in basis-index order, and its
 phase e^{i*beta} sits on the marked entry alone.  Nothing here keeps state.
 
-All times enter through the control phase ``phi`` = beta/pi; `tau` gives
-the evolution time phi*pi/2^n in natural units.  Dissipation rates ``g_v``
-are dimensionless and must stay below 4, where the detuning factor
-xi = sqrt(16 - g^2)/4 becomes non-real, and a run's total oracle phase,
-iterations*phi*pi, must stay a finite float.  `check_reals` is the one check of
-every phase, rate, tolerance and pulse duration, scalar or array; `check_phi`
-and `check_rates` name its two uses.  An input left out or None takes its
+All times enter through the control phase ``phi`` = beta/pi, an angle in
+[0, 2]; `tau` gives the evolution time phi*pi/2^n in natural units.
+Dissipation rates ``g_v`` are dimensionless and stay below 4, where the
+detuning factor xi = sqrt(16 - g^2)/4 becomes non-real; a run's rates stay
+below RATE_BOUNDS[convention].  `check_reals` is the one check of every
+phase, rate, tolerance and pulse duration, scalar or array; `check_phi` and
+`check_rates` name its two uses.  An input left out or None takes its
 default; an empty tuple, list or array is a value, of the wrong length.
 
 Two conventions exist for how the rate enters the one-qubit W gate:
@@ -28,13 +28,12 @@ Two conventions exist for how the rate enters the one-qubit W gate:
 The two agree to O(g^2) at weak rates and differ at the percent level as g
 approaches 1; see README "Known systematic offset" for measured numbers.
 The composite gate is a contraction on the whole domain 0 <= g < 4; the
-tabulated variant is one only up to g ~ 2.28 (well past every bundled
+tabulated variant is one only below g = 2.27574 (well past every bundled
 table's rates, which stay below 1), and amplifies beyond that.
 """
 
 import math
 import numbers
-import sys
 
 import numpy as np
 
@@ -42,10 +41,9 @@ from .basis import bits
 from .errors import DimensionMismatch, NegativePhase, OverdampedQubit
 
 CONVENTIONS = ("composite", "tabulated")
-
-# Bound on phi times the iteration count: k rounds turn the phases by k*phi*pi
-# in all, which stays a finite float below a quarter of the largest (pi < 4).
-PHASE_BOUND = sys.float_info.max / 4
+# A run's rates stay below these: the tabulated value is the g where the
+# spectral norm of w_gate(g, "tabulated") reaches 1.
+RATE_BOUNDS = {"composite": 4.0, "tabulated": 2.2757355160764945}
 
 
 def whole_number(value, name: str) -> int:
@@ -95,21 +93,20 @@ def shape_of(values, name: str) -> tuple:
         raise DimensionMismatch(f"{name}: got a ragged array") from None
 
 
-def check_phi(phi, shape: tuple = (), rounds: int = 1):
+def check_phi(phi, shape: tuple = ()):
     """Phases by the real-input rule (see `check_reals`); a negative one
-    raises NegativePhase, and one with phi * ``rounds`` >= PHASE_BOUND ValueError."""
+    raises NegativePhase, and one above 2 ValueError."""
     phi = check_reals(phi, "phi", shape, NegativePhase)
-    top = float(np.max(phi, initial=0.0))
-    if top and rounds >= PHASE_BOUND / top:  # an int compares exactly, however large
-        raise ValueError(f"phi times the iteration count must be below {PHASE_BOUND:.4g}, "
-                         f"got {top!r} x {rounds}")
+    if (top := float(np.max(phi, initial=0.0))) > 2:
+        raise ValueError(f"phi must lie in [0, 2], got {top!r}")
     return phi
 
 
-def check_rates(rates, shape: tuple = (), name: str = "rates"):
+def check_rates(rates, shape: tuple = (), name: str = "rates", convention: str = "composite"):
     """Dissipation rates by the real-input rule (see `check_reals`); a rate
-    >= 4 raises OverdampedQubit."""
-    return check_reals(rates, name, shape, below=4.0)
+    >= RATE_BOUNDS[``convention``] raises OverdampedQubit: 4, the bound of
+    every gate, or 2.27574 for a tabulated run, whose gate amplifies past it."""
+    return check_reals(rates, name, shape, below=RATE_BOUNDS[convention])
 
 
 def tau(phi, n: int):

@@ -89,7 +89,7 @@ class RunConfig:
     def __post_init__(self):
         validate_pattern(self.marked, whole_number(self.n, "n"))
         rates = check_rates((0.0,) * self.n if self.rates is None else self.rates, (self.n,),
-                            "rates (gammas)")
+                            "rates (gammas)", check_convention(self.convention))
         object.__setattr__(self, "rates", tuple(rates.tolist()))
         if self.iterations is None:
             object.__setattr__(self, "iterations", max(1, self.n - 1))
@@ -97,8 +97,7 @@ class RunConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.iterations > (limit := _max_iterations(self.n)):
             raise ValueError(f"iterations must be <= {limit} at n={self.n}, got {self.iterations}")
-        object.__setattr__(self, "phi", check_phi(self.phi, rounds=self.iterations))
-        check_convention(self.convention)
+        object.__setattr__(self, "phi", check_phi(self.phi))
 
 
 def _run_units(n: int) -> tuple:
@@ -198,8 +197,9 @@ def _batch(config, phi=None, rates=None, marked=None):
         if runs is not None and not np.iterable(runs) or name == "marked" and isinstance(runs, str):
             raise DimensionMismatch(f"{name}: expected one entry per run, got {runs!r}")
     b = len(next((a for a in (phi, rates, marked) if a is not None), [config]))
-    phi = np.full(b, config.phi) if phi is None else check_phi(phi, (b,), config.iterations)
-    rates = np.full((b, n), config.rates) if rates is None else check_rates(rates, (b, n))
+    phi = np.full(b, config.phi) if phi is None else check_phi(phi, (b,))
+    rates = (np.full((b, n), config.rates) if rates is None
+             else check_rates(rates, (b, n), convention=config.convention))
     marked = [config.marked] * b if marked is None else list(marked)
     if len(marked) != b:
         raise DimensionMismatch(f"marked: expected {b} patterns, got {len(marked)}")

@@ -468,13 +468,17 @@ def planned_blocks(n: int, iterations: int, points: int) -> tuple:
 def child_env(path_prefix=None, **extra) -> dict:
     """Minimal environment for a child process that imports ``dqsa``.
 
-    Only PATH and PYTHONPATH are set, and PYTHONDONTWRITEBYTECODE when the
-    suite runs with it, so nothing else of the parent's environment leaks
-    into the child, and a child writes no ``__pycache__`` the suite would not;
-    PYTHONPATH points at DQSA_ROOT, so the child imports the same ``dqsa``
-    as the suite, never another copy.  ``path_prefix`` is put in front of
-    PATH; ``extra`` adds variables.
+    Only PATH, PYTHONPATH and PYTHONWARNINGS are set, and
+    PYTHONDONTWRITEBYTECODE when the suite runs with it, so nothing else of
+    the parent's environment leaks into the child, and a child writes no
+    ``__pycache__`` the suite would not; PYTHONPATH points at DQSA_ROOT, so
+    the child imports the same ``dqsa`` as the suite, never another copy.
+    PYTHONWARNINGS=error::RuntimeWarning makes a numeric warning (overflow,
+    an invalid value) an error in the child, as the suite's
+    ``filterwarnings`` makes it one in process.  ``path_prefix`` is put in
+    front of PATH; ``extra`` adds variables.
     """
     path = CHILD_PATH if path_prefix is None else os.pathsep.join([str(path_prefix), CHILD_PATH])
     kept = {k: os.environ[k] for k in ("PYTHONDONTWRITEBYTECODE",) if k in os.environ}
-    return {"PATH": path, "PYTHONPATH": str(DQSA_ROOT), **kept, **extra}
+    return {"PATH": path, "PYTHONPATH": str(DQSA_ROOT),
+            "PYTHONWARNINGS": "error::RuntimeWarning", **kept, **extra}

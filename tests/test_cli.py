@@ -20,6 +20,7 @@ from dqsa import cli, experiments
 from dqsa.cli import config_from_dict, main
 from dqsa.errors import MalformedConfig
 from dqsa.experiments import SweepSpec, peak_search, sweep
+from dqsa.gates import RATE_BOUNDS
 from dqsa.search import RunConfig
 
 from helpers import child_env, config_to_dict, run_csv_by_report, run_json_by_dict
@@ -41,6 +42,13 @@ def run_argv(cfg: RunConfig) -> list:
 
 
 N12 = RunConfig(12, "egeeggegeege", 0.8137, tuple(0.04 * v for v in range(12)))
+# tabulated rates past 2.27574, where that gate amplifies: this run wrote NaN
+# and exited 0, with nine numpy overflow warnings on stderr
+STRONG_TABULATED = {"n": 12, "marked": "eeegggggeege", "phi": 1.6437716566477252,
+                    "iterations": 327, "convention": "tabulated",
+                    "gammas": [3.55, 3.1, 2.9, 3.4, 3.55, 2.5, 3.0, 3.2, 3.55, 2.8, 3.3, 3.5]}
+STRONG_TABULATED_ERROR = ("MalformedConfig: invalid config: OverdampedQubit: "
+                          "rates (gammas) must be below 2.27574, got 3.55\n")
 
 
 class TestRun:
@@ -116,7 +124,7 @@ class TestRun:
         (["--phi=-inf"], "phi"),
         (["--phi", "1", "--gammas", "nan,0"], "gammas"),
         (["--phi", "1", "--gammas", "0,inf"], "gammas"),
-        # k*phi*pi overflowed: NaN in the report, and exit 0
+        # phases far above 2, where k*phi*pi would overflow to inf
         (["--phi", "1e308"], "phi"), (["--phi", "2e306", "--iterations", "50"], "phi"),
     ])
     def test_non_finite_input_exits_1(self, capsys, flags, field):
@@ -125,6 +133,31 @@ class TestRun:
         assert code == 1
         assert out == ""
         assert field in err
+
+    @pytest.mark.parametrize("phi,expected", [("2", 0), ("2.0000000000000004", 1)])
+    def test_phase_domain_ends_at_2(self, capsys, phi, expected):
+        code, out, err = run_cli(capsys, ["run", "--n", "2", "--marked", "ee", "--phi", phi])
+        assert code == expected
+        if expected:
+            assert out == ""
+            assert err == ("MalformedConfig: invalid config: ValueError: "
+                           "phi must lie in [0, 2], got 2.0000000000000004\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_strong_tabulated_rates_exit_1(self, capsys, tmp_path, fmt):
+        path = tmp_path / "strong.json"
+        path.write_text(json.dumps(STRONG_TABULATED))
+        code, out, err = run_cli(capsys, ["run", "--config", str(path), "--format", fmt])
+        assert (code, out, err) == (1, "", STRONG_TABULATED_ERROR)
+
+    @pytest.mark.parametrize("convention,expected", [("composite", 0), ("tabulated", 1)])
+    def test_peak_gammas_bounded_by_convention(self, capsys, convention, expected):
+        # 2.3 is a valid rate of a composite run, not of a tabulated one
+        code, out, err = run_cli(capsys, ["peak", "--n", "2", "--gammas", "2.3,0",
+                                          "--convention", convention])
+        assert code == expected
+        if expected:
+            assert (out, err) == ("", "OverdampedQubit: --gammas must be below 2.27574, got 2.3\n")
 
     @pytest.mark.parametrize("argv,field", [
         (["verify-gates", "--n", "2", "--draws", "0"], "--draws"),
@@ -337,13 +370,19 @@ def _reals(low, high):
     return st.floats(min_value=low, max_value=high, allow_nan=False, allow_infinity=False)
 
 
+def _rates(convention, n):
+    """n rates below the run bound of ``convention``."""
+    bound = RATE_BOUNDS[convention]
+    return st.lists(st.floats(0.0, bound, exclude_max=True), min_size=n, max_size=n).map(tuple)
+
+
 @st.composite
 def run_configs(draw):
     n = draw(st.integers(min_value=1, max_value=6))
-    return RunConfig(n, draw(st.text("ge", min_size=n, max_size=n)), draw(_reals(0.0, 10.0)),
-                     tuple(draw(st.lists(_reals(0.0, 3.99), min_size=n, max_size=n))),
-                     draw(st.none() | st.integers(min_value=1, max_value=60)),
-                     draw(st.sampled_from(("composite", "tabulated"))))
+    convention = draw(st.sampled_from(("composite", "tabulated")))
+    return RunConfig(n, draw(st.text("ge", min_size=n, max_size=n)), draw(_reals(0.0, 2.0)),
+                     draw(_rates(convention, n)),
+                     draw(st.none() | st.integers(min_value=1, max_value=60)), convention)
 
 
 @st.composite
@@ -353,16 +392,17 @@ def sweep_specs(draw):
     axis = draw(st.sampled_from(("phase", "dissipation")))
     start, stop = sorted(draw(st.lists(_reals(0.0, 2.0 if axis == "phase" else 3.99),
                                        min_size=2, max_size=2)))
+    convention = draw(st.sampled_from(("composite", "tabulated")))
     common = dict(n=n, marked=marked, axis=axis, start=start, stop=stop,
-                  steps=draw(st.integers(min_value=2, max_value=1000)),
-                  convention=draw(st.sampled_from(("composite", "tabulated"))))
-    rates = tuple(draw(st.lists(_reals(0.0, 3.99), min_size=n, max_size=n)))
+                  steps=draw(st.integers(min_value=2, max_value=1000)), convention=convention)
+    rates = draw(_rates(convention, n))
     if axis == "phase":
         return SweepSpec(**common, rates=rates)
-    # weights of zero, as in a gbar config without damping, and rates below 4
+    # weights of zero, as in a gbar config without damping, and rates below
+    # the convention's bound
     weights = tuple(draw(st.sampled_from((0.0, g))) for g in rates)
-    assume(stop * max(weights) < 4)
-    return SweepSpec(**common, phi=draw(st.none() | _reals(0.0, 10.0)), weights=weights)
+    assume(stop * max(weights) < RATE_BOUNDS[convention])
+    return SweepSpec(**common, phi=draw(st.none() | _reals(0.0, 2.0)), weights=weights)
 
 
 class TestConfigFiles:
@@ -665,6 +705,17 @@ class TestInstalledEntryPoint:
         out = subprocess.run([sys.executable, "-c", script, *argv],
                              env=child_env(), capture_output=True, text=True)
         assert out.stdout.splitlines()[-1] == "0 []", out.stderr
+
+    def test_child_fails_on_a_numeric_warning(self, tmp_path):
+        # a RuntimeWarning is an error in a child, as in the suite itself
+        out = subprocess.run([sys.executable, "-c", "import numpy; numpy.float64(1e308) * 10"],
+                             env=child_env(), capture_output=True, text=True)
+        assert out.returncode == 1 and "RuntimeWarning: overflow" in out.stderr
+        path = tmp_path / "strong.json"
+        path.write_text(json.dumps(STRONG_TABULATED))
+        out = subprocess.run([sys.executable, "-m", "dqsa", "run", "--config", str(path)],
+                             env=child_env(), capture_output=True, text=True)
+        assert (out.returncode, out.stdout, out.stderr) == (1, "", STRONG_TABULATED_ERROR)
 
     @pytest.mark.parametrize("setting", [None, "1"])
     def test_child_writes_bytecode_only_as_the_suite_does(self, monkeypatch, setting):

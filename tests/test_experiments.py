@@ -16,6 +16,7 @@ from dqsa.errors import (
     UnknownTable,
     UnsupportedSize,
 )
+from dqsa.gates import RATE_BOUNDS
 from dqsa.search import RunConfig, points_per_block, reports, summaries
 from dqsa.experiments import (
     AVAILABLE_TABLES,
@@ -167,6 +168,17 @@ class TestSweepSpec:
         spec = SweepSpec(n=1, marked="e", axis="dissipation", start=0.0, stop=stop, steps=4)
         assert [row[0] for row in sweep(spec)] == np.linspace(0.0, stop, 4).tolist()
         assert sweep(spec)[-1][0] == stop
+
+    def test_tabulated_rate_scale_bounded_by_its_run_bound(self):
+        # stop times the largest weight stays below 2.27574, where the
+        # tabulated gate stops contracting; the composite sweep takes it
+        spec = dict(n=2, marked="ee", axis="dissipation", start=0.0, steps=3, weights=(1.0, 0.5))
+        stop = float(np.nextafter(RATE_BOUNDS["tabulated"], 0))
+        rows = sweep(SweepSpec(**spec, stop=stop, convention="tabulated"))
+        assert rows[-1][0] == stop and np.isfinite(rows).all()
+        with pytest.raises(OverdampedQubit, match="gbar stop times weight must be below 2.27574"):
+            SweepSpec(**spec, stop=RATE_BOUNDS["tabulated"], convention="tabulated")
+        assert SweepSpec(**spec, stop=2.3).stop == 2.3
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):

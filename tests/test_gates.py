@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from dqsa.basis import bits, index_of
 from dqsa.errors import DimensionMismatch, NegativePhase, OverdampedQubit
 from dqsa.gates import (
     CONVENTIONS,
+    RATE_BOUNDS,
     check_phi,
     check_rates,
     damping_entries,
@@ -93,6 +95,22 @@ class TestRates:
     def test_overdamped_rejected(self, bad):
         with pytest.raises(OverdampedQubit, match=str(bad)):
             check_rates((0.0, bad), (2,))
+
+
+    def test_tabulated_run_bound_is_where_its_gate_stops_contracting(self):
+        bound = RATE_BOUNDS["tabulated"]
+        # the g where the spectral norm of the tabulated gate reaches 1
+        crossover = brentq(lambda g: np.linalg.norm(w_gate(g, "tabulated"), ord=2) - 1,
+                           2.0, 2.5, xtol=1e-15)
+        assert abs(crossover - bound) < 1e-12
+        below = float(np.nextafter(bound, 0))
+        assert check_rates(below, convention="tabulated") == below
+        with pytest.raises(OverdampedQubit, match=f"below 2.27574, got {bound!r}"):
+            check_rates(bound, convention="tabulated")
+        # a gate of either convention, and a composite run, stop at 4 alone
+        assert RATE_BOUNDS["composite"] == 4.0
+        assert check_rates(bound) == bound
+        assert np.isfinite(w_gate(bound, "tabulated")).all()
 
 
 class TestWGate:

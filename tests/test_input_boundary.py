@@ -4,8 +4,8 @@ JSON config, the CLI flag where one exists, and the Python constructor.
 On the CLI a rejected value exits 1, prints nothing on stdout and names its
 field on stderr.  Each example takes a valid run, phase-sweep or gbar
 (dissipation-sweep) config and spoils one field with one bad value: NaN,
-inf, a bool, a negative number, a wrong length, a wrong type, an empty list
-or null.
+inf, a bool, a negative number, a phase above 2, a wrong length, a wrong
+type, an empty list or null.
 """
 
 import contextlib
@@ -41,6 +41,8 @@ negatives = st.floats(max_value=-1e-9, allow_infinity=False) | st.integers(max_v
 not_numbers = st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, "half", [],
                                [0.5], {"x": 1}, 10**400])
 bad_reals = not_numbers | negatives
+# a phase is an angle in [0, 2]
+bad_phases = bad_reals | st.floats(min_value=2.0000000000000004, allow_infinity=False)
 bad_counts = st.sampled_from([math.nan, math.inf, True, False, "two", 2.5, [], [2], {"x": 1}])
 bad_entries = st.sampled_from([math.nan, math.inf, True, None, "x", [0.1]]) | negatives
 
@@ -80,8 +82,8 @@ CASES = [
 ] + [
     (kind, "convention", BAD_CONVENTION, "convention", None) for kind in BASE
 ] + [
-    ("run", "phi", bad_reals, "phi", "phi"),
-    ("gbar", "phi", bad_reals, "phi", "phi"),
+    ("run", "phi", bad_phases, "phi", "phi"),
+    ("gbar", "phi", bad_phases, "phi", "phi"),
     ("run", "gammas", bad_gammas(), "gammas|rates", "gammas|rates"),
     ("phase", "gammas", bad_gammas(), "gammas|rates", "gammas|rates"),
     ("gbar", "gammas", bad_gammas(overdamped=False), "gammas", "gammas"),

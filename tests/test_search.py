@@ -19,7 +19,7 @@ from dqsa.errors import (
     NegativePhase,
     OverdampedQubit,
 )
-from dqsa.gates import PHASE_BOUND
+from dqsa.gates import RATE_BOUNDS, damping_entries
 from dqsa.search import (
     RunConfig,
     _batch,
@@ -30,6 +30,7 @@ from dqsa.search import (
     reports,
     summaries,
 )
+from dqsa.synthesis import evolve
 
 from helpers import (
     EngineCalls,
@@ -120,7 +121,8 @@ class TestRunConfig:
         ("iterations", dict(iterations=True)), ("iterations", dict(iterations=2.0)),
         ("n", dict(n=True, marked="e")),
         ("phi", dict(phi=10**400)),  # finite, but float() of it overflows
-        ("phi", dict(phi=1e308)), ("phi", dict(phi=2e306, iterations=50)),  # k*phi*pi overflows
+        # phases far above 2, where k*phi*pi would overflow to inf
+        ("phi", dict(phi=1e308)), ("phi", dict(phi=2e306, iterations=50)),
     ])
     def test_non_finite_or_bool_rejected(self, field, kwargs):
         args = dict(n=2, marked="ee", phi=1.0) | kwargs
@@ -132,16 +134,36 @@ class TestRunConfig:
             RunConfig(2, "ee", -0.5)
 
     @pytest.mark.parametrize("rate", [0.0, 3.99])
-    def test_phase_bound_scales_with_iterations(self, rate):
-        # k*phi*pi overflowed to inf, and every probability came out NaN; just
-        # below the bound every step stays finite (warnings are errors here)
-        phi = PHASE_BOUND / 50 * (1 - 1e-15)
-        config = RunConfig(2, "ee", phi, (rate, rate), iterations=50)
+    def test_phase_is_an_angle_in_0_to_2(self, rate):
+        # phi = 2 is accepted, and a run at the most rounds n=2 allows stays
+        # finite (warnings are errors here); the next float above 2 is
+        # rejected, naming phi, wherever a phase enters
+        config = RunConfig(2, "ee", 2.0, (rate, rate), iterations=2518)
         assert np.isfinite(summaries(config)).all()
         assert np.isfinite(marked_amplitude_trace(config)).all()
-        assert np.isfinite(oracle_gate("ee", PHASE_BOUND * (1 - 1e-15), (rate, rate))).all()
-        with pytest.raises(ValueError, match="phi"):
-            summaries(config, phi=[1.0, PHASE_BOUND / 50])
+        assert np.isfinite(damping_entries(2, 2.0, (rate, rate))).all()
+        above = math.nextafter(2.0, 3.0)
+        assert above == 2.0000000000000004
+        entries = (lambda: RunConfig(2, "ee", above, (rate, rate)),
+                   lambda: summaries(config, phi=[1.0, above]),
+                   lambda: damping_entries(2, above, (rate, rate)),
+                   lambda: evolve(np.zeros(4), above))
+        for enter in entries:
+            with pytest.raises(ValueError, match="phi"):
+                enter()
+
+    def test_tabulated_run_rates_bounded_where_they_enter(self):
+        # past 2.27574 the tabulated gate amplifies: a run at n=12 wrote NaN
+        bound = RATE_BOUNDS["tabulated"]
+        below = float(np.nextafter(bound, 0))
+        config = RunConfig(2, "ee", 1.0, (below, 0.0), iterations=50, convention="tabulated")
+        assert np.isfinite(summaries(config, rates=[[below, below]])).all()
+        entries = (lambda: RunConfig(2, "ee", 1.0, (bound, 0.0), convention="tabulated"),
+                   lambda: summaries(config, rates=[[0.1, 0.1], [0.0, bound]]))
+        for enter in entries:
+            with pytest.raises(OverdampedQubit, match="below 2.27574"):
+                enter()
+        assert RunConfig(2, "ee", 1.0, (bound, 0.0)).rates == (bound, 0.0)
 
     @pytest.mark.parametrize("rates", [(4.0, 0.0), (0.1, 5.0)])
     def test_overdamped_rate_rejected_when_built(self, rates):
